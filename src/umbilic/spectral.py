@@ -2,10 +2,13 @@
 
 The stiffness matrix uses the classical cotangent weights (positive
 semidefinite, constants in the kernel), the mass matrix is barycentric
-lumping.  lambda1 runs block shift-invert subspace iteration with the
-constant vector deflated explicitly; inner systems are solved by
-conjugate gradients with diagonal preconditioning.  The returned pair is
-certified by its generalized eigenvalue residual.
+lumping.  lambda1 is sparse-direct shift-invert Lanczos: S + sigma M is
+factored once by SuperLU (scipy splu, COLAMD ordering), with sigma tied
+to the mesh's mass scale so nothing depends on length units, and ARPACK
+(scipy eigsh) iterates with that factor as the inverse operator.  The
+constant mode in the kernel of S is dropped, and the returned pair is
+certified by its independently recomputed Rayleigh quotient and
+generalized eigenvalue residual.
 
 Also provides the closed-form spectral bounds the pinching pipeline needs:
 the mean-curvature/scalar-curvature upper bounds and the Ricci-deficit
@@ -18,16 +21,22 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh
-from scipy.sparse.linalg import cg
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .mesh import Mesh
 
 _SEED = 0x1C05FEE
+# sigma = _SHIFT * 4 pi / area: _SHIFT / r^2 on a sphere of radius r, far
+# below its lambda1 = 2 / r^2, and scaling with it under any change of units
+_SHIFT = 1e-3
 
 
 class ConvergenceError(RuntimeError):
-    """Eigensolver ran out of iterations; carries the best pair found."""
+    """lambda1 found no certified pair; carries the best one found.
+
+    best_lambda1 and best_residual are recomputed from the best nonzero
+    eigenpair available (None when there is none).
+    """
 
     def __init__(self, message, best_lambda1, best_residual, iterations):
         super().__init__(message)
@@ -96,6 +105,29 @@ def build_laplace(mesh: Mesh) -> LaplaceSystem:
     return LaplaceSystem(stiffness=stiffness, mass=mass)
 
 
+def _nonzero_pairs(vals, vecs, m):
+    """Eigenpairs in ascending order with the constant mode dropped.
+
+    The kernel of the stiffness matrix is the constants, so the dropped
+    pair is the one whose vector is mass-aligned with the constant vector
+    (every other eigenvector is mass-orthogonal to it).
+    """
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
+    cos2 = (m @ vecs) ** 2 / (m.sum() * np.einsum("ij,i,ij->j", vecs, m, vecs))
+    keep = cos2 < 0.5
+    return vals[keep], vecs[:, keep]
+
+
+def _certify(S, m, u):
+    """Deflate and mass-normalise u; return (Rayleigh quotient, u, residual)."""
+    u = u - (m @ u) / m.sum()
+    u = u / np.sqrt(u @ (m * u))
+    lam = float(u @ (S @ u))
+    residual = float(np.linalg.norm(S @ u - lam * (m * u)) / np.linalg.norm(m * u))
+    return lam, u, residual
+
+
 def lambda1(
     system: LaplaceSystem,
     tol: float = 1e-8,
@@ -104,92 +136,81 @@ def lambda1(
 ) -> SpectralResult:
     """Smallest nonzero generalized eigenvalue of (stiffness, mass).
 
-    Shift-invert subspace iteration on the mass-orthogonal complement of
-    the constants; each inverse application solves the (consistent,
-    singular) stiffness system by Jacobi-preconditioned CG.  Stops once the
-    relative residual ||S u - lambda M u|| / ||M u|| drops below tol.
+    Factors S + sigma M once with SuperLU (COLAMD ordering), where
+    sigma = _SHIFT * 4 pi / area puts the shift in the mesh's own units, and
+    runs ARPACK shift-invert Lanczos for the block_size + 1 eigenvalues
+    nearest -sigma from a start vector seeded by _SEED.  The constant mode
+    is dropped; the next eigenvector is mass-orthogonalised against the
+    constants and mass-normalised, and lambda1 is recomputed from it as the
+    Rayleigh quotient.  The certificate is the residual
+    ||S u - lambda1 M u|| / ||M u||, an absolute quantity in the units of
+    lambda1 (1/length^2); it must be <= tol, else ConvergenceError.
 
-    A multiple second/third Ritz value only sets gap_warning (spheres have
-    a three-dimensional first eigenspace; that is expected, not an error).
+    max_iter is ARPACK's restart limit (maxiter).  iterations counts the
+    applications of the factor (one triangular solve pair each); it depends
+    only on the matrices, so it repeats exactly.  ritz_values are the
+    block_size nonzero eigenvalues in ascending order.  A multiple
+    second/third Ritz value only sets gap_warning (spheres have a
+    three-dimensional first eigenspace; that is expected, not an error).
+
+    ConvergenceError carries the best pair's Rayleigh quotient and residual,
+    recomputed from whatever eigenpairs ARPACK converged (None if none but
+    the constant mode did).  Its iterations is max_iter when ARPACK ran out
+    of restarts, else the number of factor solves.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     S = system.stiffness
-    M = system.mass
     m = system.mass_diagonal
     V = system.n
-    if V < 3:
-        raise ValueError("need at least 3 vertices")
-    b = int(min(block_size, V - 1))
+    if V < 4:
+        raise ValueError("need at least 4 vertices")
+    b = int(min(block_size, V - 3))
 
-    d = S.diagonal()
-    d = np.where(d > 0, d, 1.0)
-    precond = sparse.diags(1.0 / d).tocsr()
-    m_total = m.sum()
+    sigma = _SHIFT * 4.0 * np.pi / m.sum()
+    lu = splu((S + sigma * system.mass).tocsc())
+    solves = 0
 
-    def deflate(x):
-        # mass-orthogonal projection against the constant vector
-        if x.ndim == 1:
-            return x - (m @ x) / m_total
-        return x - np.outer(np.ones(V), m @ x / m_total).reshape(V, -1)
+    def solve(x):
+        nonlocal solves
+        solves += 1
+        return lu.solve(x)
 
-    def m_orthonormalize(X):
-        g = X.T @ (m[:, None] * X)
-        try:
-            L = np.linalg.cholesky(g)
-        except np.linalg.LinAlgError:
-            raise ConvergenceError(
-                "search block became rank-deficient", None, None, 0
-            ) from None
-        return np.linalg.solve(L, X.T).T
-
-    rng = np.random.default_rng(_SEED)
-    X = deflate(rng.standard_normal((V, b)))
-    X = m_orthonormalize(X)
-
-    best = (np.inf, None, np.inf)
-    inner_rtol = 1e-2
-    for it in range(1, max_iter + 1):
-        Z = np.empty_like(X)
-        for j in range(b):
-            rhs = m * X[:, j]
-            z, _ = cg(S, rhs, x0=X[:, j], rtol=inner_rtol, atol=0.0, M=precond)
-            Z[:, j] = z
-        Z = deflate(Z)
-        Z = m_orthonormalize(Z)
-        T = Z.T @ (S @ Z)
-        G = Z.T @ (m[:, None] * Z)
-        theta, W = eigh(T, G)
-        X = Z @ W
-        u = X[:, 0]
-        lam = float(theta[0])
-        r = S @ u - lam * (m * u)
-        residual = float(np.linalg.norm(r) / np.linalg.norm(m * u))
-        if residual < best[2]:
-            best = (lam, u, residual)
-        if residual <= tol:
-            mu = u / np.sqrt(m @ (u * u))
-            ritz = tuple(float(t) for t in theta)
-            gap = (
-                len(ritz) >= 3
-                and abs(ritz[2] - ritz[1]) <= tol * max(1.0, abs(ritz[2]))
-            )
-            return SpectralResult(
-                lambda1=lam,
-                eigenfunction=mu,
-                residual=residual,
-                iterations=it,
-                ritz_values=ritz,
-                gap_warning=bool(gap),
-            )
-        inner_rtol = float(np.clip(0.05 * residual / max(lam, 1e-300),
-                                   0.1 * tol, 1e-2))
-    raise ConvergenceError(
-        f"lambda1 did not reach tol={tol:g} in {max_iter} iterations "
-        f"(best residual {best[2]:.3e})",
-        best_lambda1=best[0],
-        best_residual=best[2],
-        iterations=max_iter,
+    v0 = np.random.default_rng(_SEED).standard_normal(V)
+    converged = True
+    try:
+        vals, vecs = eigsh(
+            S, k=b + 1, M=system.mass, sigma=-sigma, v0=v0, maxiter=max_iter,
+            OPinv=LinearOperator((V, V), matvec=solve, dtype=np.float64),
+        )
+    except ArpackNoConvergence as exc:
+        converged = False
+        vals, vecs = exc.eigenvalues, exc.eigenvectors
+    vals, vecs = _nonzero_pairs(vals, vecs, m)
+    lam = u = residual = None
+    if vals.size:
+        lam, u, residual = _certify(S, m, vecs[:, 0])
+    if not converged or not residual <= tol:
+        why = (
+            f"ARPACK did not converge in {max_iter} iterations"
+            if not converged
+            else f"residual above tol={tol:g}"
+        )
+        raise ConvergenceError(
+            f"{why} (best lambda1 {lam!r}, residual {residual!r})",
+            best_lambda1=lam,
+            best_residual=residual,
+            iterations=solves if converged else max_iter,
+        )
+    ritz = tuple(float(t) for t in vals[:b])
+    gap = len(ritz) >= 3 and abs(ritz[2] - ritz[1]) <= tol * max(1.0, abs(ritz[2]))
+    return SpectralResult(
+        lambda1=lam,
+        eigenfunction=u,
+        residual=residual,
+        iterations=solves,
+        ritz_values=ritz,
+        gap_warning=bool(gap),
     )
 
 

@@ -387,6 +387,17 @@ def test_verify_strong_perturbation_reports_failure_diagnostics():
     assert report.failure is None
 
 
+def test_verify_lambda1_failure_carries_certificate(sphere3):
+    # tol below double precision: the failure names the best pair it had
+    report = verify_theorem(
+        sphere3, PinchingConstants(alpha=0.5, epsilon=0.2), tol=1e-17
+    )
+    assert report.failure.startswith("lambda1: residual above tol")
+    assert "best lambda1 1.99999" in report.failure
+    assert "residual " in report.failure
+    assert report.lambda1 is None
+
+
 def test_verify_non_mean_convex_halts(torus):
     report = verify_theorem(torus, PinchingConstants(alpha=0.5, epsilon=0.1))
     assert report.failure is not None

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from umbilic.diffgeo import estimate_geometry
 from umbilic.mesh import Mesh, load_mesh
@@ -108,10 +109,43 @@ def test_refinement_monotonicity():
 
 
 def test_nonconvergence_reports_best(sphere3):
+    reference = lambda1(build_laplace(sphere3), tol=1e-10).lambda1
     with pytest.raises(ConvergenceError) as err:
         lambda1(build_laplace(sphere3), tol=1e-14, max_iter=1)
-    assert err.value.best_residual is not None
+    assert err.value.best_lambda1 == pytest.approx(reference, rel=1e-9)
+    assert err.value.best_residual > 1e-14
     assert err.value.iterations == 1
+    assert repr(err.value.best_lambda1) in str(err.value)
+
+
+def test_residual_above_tol_raises_with_certificate(sphere3):
+    # ARPACK converges, but no double-precision pair meets tol = 1e-17
+    with pytest.raises(ConvergenceError, match="residual above tol") as err:
+        lambda1(build_laplace(sphere3), tol=1e-17)
+    assert err.value.best_lambda1 == pytest.approx(2.0, rel=1e-4)
+    assert err.value.best_residual > 1e-17
+
+
+@pytest.mark.parametrize("surface", [Sphere(1.0), Ellipsoid(2.0, 1.0, 1.0)])
+def test_dense_cross_check(surface):
+    system = build_laplace(generate(surface, 2))
+    dense = scipy.linalg.eigh(
+        system.stiffness.toarray(), system.mass.toarray(), eigvals_only=True
+    )
+    res = lambda1(system)
+    assert res.lambda1 == pytest.approx(dense[1], rel=1e-10)
+    assert res.ritz_values[:3] == pytest.approx(dense[1:4], rel=1e-10)
+    assert abs(system.mass_diagonal @ res.eigenfunction) <= 1e-12
+    again = lambda1(system)
+    assert again.lambda1 == res.lambda1
+    assert np.array_equal(again.eigenfunction, res.eigenfunction)
+
+
+@pytest.mark.parametrize("radius", [10.0, 1000.0])
+def test_shift_follows_length_units(radius):
+    base = lambda1(build_laplace(generate(Sphere(1.0), 3))).lambda1
+    res = lambda1(build_laplace(generate(Sphere(radius), 3)))
+    assert res.lambda1 * radius**2 == pytest.approx(base, rel=1e-9)
 
 
 def test_invalid_tol(sphere3):
