@@ -20,7 +20,6 @@ from .fields import (
     ScalarField,
     integrate,
     lp_norm,
-    normalize_mesh,
     sublevel_measure,
 )
 from .mesh import (

@@ -73,8 +73,6 @@ def _hypothesis_summary(h):
 def _report_payload(report: pinching.PinchingReport) -> dict:
     out = _jsonable(report)
     out["hypothesis"] = _hypothesis_summary(report.hypothesis)
-    if report.annulus is not None:
-        out["annulus"]["center"] = [float(x) for x in report.annulus.center]
     return out
 
 
@@ -141,18 +139,21 @@ def _surface_from_args(args) -> surfgen.AnalyticSurface:
     raise CliError("config", f"unknown surface kind {kind!r}")
 
 
-def _constants_from_args(args) -> pinching.PinchingConstants:
-    alpha = args.alpha
-    if alpha < MIN_CLI_ALPHA:
+def _floored_alpha(alpha: float) -> float:
+    """Raise 0 < alpha < MIN_CLI_ALPHA to the floor; other values pass as given."""
+    if 0.0 < alpha < MIN_CLI_ALPHA:
         print(
             f"warning: alpha floored to {MIN_CLI_ALPHA} (kp <= 180)",
             file=sys.stderr,
         )
-        alpha = MIN_CLI_ALPHA
+        return MIN_CLI_ALPHA
+    return alpha
+
+
+def _constants_from_args(args) -> pinching.PinchingConstants:
     return pinching.PinchingConstants(
-        alpha=alpha,
+        alpha=_floored_alpha(args.alpha),
         epsilon=args.epsilon,
-        n=args.n,
         p_roth=args.p_roth,
         L=args.L,
         c_n=args.cn,
@@ -166,8 +167,6 @@ def _constants_from_args(args) -> pinching.PinchingConstants:
 def _cmd_gen(args) -> int:
     surface = _surface_from_args(args)
     mesh = surfgen.generate(surface, args.subdiv)
-    if not args.out:
-        raise CliError("config", "gen requires --out")
     save_mesh(mesh, args.out)
     print(f"wrote {args.out}: V={mesh.n_vertices} F={mesh.n_faces}")
     return 0
@@ -181,24 +180,11 @@ def _cmd_analyze(args) -> int:
             "vertex", "x", "y", "z", "area_weight", "kappa1", "kappa2",
             "H", "A_traceless_norm", "H2", "ricci_min", "scalar_curv",
         ]
-        va = mesh.vertex_areas
-        rows = [
-            [
-                i,
-                float(mesh.vertices[i, 0]),
-                float(mesh.vertices[i, 1]),
-                float(mesh.vertices[i, 2]),
-                float(va[i]),
-                float(geo.kappa[i, 0]),
-                float(geo.kappa[i, 1]),
-                float(geo.H[i]),
-                float(geo.A_traceless_norm[i]),
-                float(geo.H2[i]),
-                float(geo.ricci_min[i]),
-                float(geo.scalar_curv[i]),
-            ]
-            for i in range(mesh.n_vertices)
-        ]
+        table = np.column_stack([
+            mesh.vertices, mesh.vertex_areas, geo.kappa, geo.H,
+            geo.A_traceless_norm, geo.H2, geo.ricci_min, geo.scalar_curv,
+        ])
+        rows = ([i, *row] for i, row in enumerate(table.tolist()))
         _emit_csv(header, rows, args.out)
     mm = measures(mesh)
     anorm = fields.ScalarField(values=geo.A_traceless_norm, weights=mesh.vertex_areas)
@@ -282,13 +268,7 @@ def _cmd_sweep(args) -> int:
         eps_grid = [float(x) for x in args.eps.split(",")]
     except ValueError:
         raise CliError("config", f"--eps must be a comma list, got {args.eps!r}")
-    alpha = args.alpha
-    if alpha < MIN_CLI_ALPHA:
-        print(
-            f"warning: alpha floored to {MIN_CLI_ALPHA} (kp <= 180)",
-            file=sys.stderr,
-        )
-        alpha = MIN_CLI_ALPHA
+    alpha = _floored_alpha(args.alpha)
     try:
         result = pinching.sharpness_sweep(
             radius=args.radius,
@@ -350,7 +330,7 @@ def _cmd_converge(args) -> int:
         lam = spectral.lambda1(spectral.build_laplace(mesh), tol=args.tol)
         lam_exact = 2.0 / radius**2
         lam_err = abs(lam.lambda1 - lam_exact)
-        area_err = abs(float(np.sum(mesh.face_areas)) - 4 * math.pi * radius**2)
+        area_err = abs(mesh.area - 4 * math.pi * radius**2)
         gauss = float(np.sum(geo.H2 * mesh.vertex_areas))
         rows.append([
             s, mesh.n_vertices, h_err, h_mean_err, lam.lambda1, lam_err,
@@ -368,12 +348,11 @@ def _cmd_converge(args) -> int:
         "subdivision", "vertices", "H_err_max", "H_err_mean", "lambda1",
         "lambda1_err", "area_err", "gauss_bonnet_integral",
     ]
-    out_rows = list(rows)
-    out_rows.append(["H_order_fit", slope_h, "", "", "", "", "", ""])
+    rows.append(["H_order_fit", slope_h, "", "", "", "", "", ""])
     for i, o in enumerate(orders_h):
-        out_rows.append([f"H_order_{subdivs[i]}_to_{subdivs[i+1]}", o,
-                         "", "", "", "", "", ""])
-    _emit_csv(header, out_rows, args.out)
+        rows.append([f"H_order_{subdivs[i]}_to_{subdivs[i+1]}", o,
+                     "", "", "", "", "", ""])
+    _emit_csv(header, rows, args.out)
     lam_decreasing = all(
         errors_lam[i + 1] < errors_lam[i] for i in range(len(errors_lam) - 1)
     )
@@ -415,7 +394,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mesh", required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--n", type=int, default=2)
     p.add_argument("--p-roth", dest="p_roth", type=float, default=None)
     p.add_argument("--L", type=float, default=1.0)
     p.add_argument("--cn", type=float, default=1.0)
@@ -449,28 +427,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:
-        _emit_json(
-            {
-                "schema": SCHEMA,
-                "error": {"stage": exc.stage, "message": str(exc)},
-            },
-            getattr(args, "out", None),
-        )
-        return 2
+        error, out = {"stage": exc.stage, "message": str(exc)}, getattr(args, "out", None)
     except (ValueError, IndexError, OSError) as exc:
-        _emit_json(
-            {
-                "schema": SCHEMA,
-                "error": {"stage": args.command, "message": str(exc)},
-            },
-            None,
-        )
-        return 2
+        error, out = {"stage": args.command, "message": str(exc)}, None
+    _emit_json({"schema": SCHEMA, "error": error}, out)
+    return 2
 
 
 if __name__ == "__main__":

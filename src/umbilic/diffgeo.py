@@ -7,7 +7,8 @@ by neighborhood size: cubics absorb the odd third-order variation, and an
 isotropic quartic (x^2 + y^2)^2 absorbs the dominant even fourth-order term
 of near-umbilical graphs, which otherwise aliases into the curvatures.
 Signs follow the outward-normal convention: round spheres get positive
-principal curvatures.
+principal curvatures.  The tangent frame and the Weingarten map are the
+same kernels the finite-difference oracle in `surfgen` uses.
 
 Ricci quantities come from the Gauss formula of a hypersurface in flat
 space; in the principal frame the Ricci eigenvalues are n*H*kappa_i -
@@ -114,6 +115,44 @@ def vertex_normals(mesh: Mesh) -> np.ndarray:
     return acc / norms[:, None]
 
 
+def tangent_frame(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal (t1, t2) with t1 orthogonal to the unit rows of n, t2 = n x t1."""
+    ref = np.where(
+        np.abs(n[:, 0:1]) < 0.9, [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]]
+    )
+    t1 = ref - n * np.einsum("ij,ij->i", ref, n)[:, None]
+    t1 /= np.linalg.norm(t1, axis=1)[:, None]
+    t2 = np.cross(n, t1)
+    return t1, t2
+
+
+def weingarten_matrix(E, F, G, e, f, g) -> np.ndarray:
+    """Symmetric Weingarten matrix from the fundamental forms, shape (..., 2, 2).
+
+    With I = L L^T (Cholesky), this is L^-1 II L^-T in the metric-orthonormal
+    frame, negated so outward-normal spheres are positively curved.
+    """
+    det = E * G - F * F
+    sE = np.sqrt(E)
+    l21 = F / sE
+    l22 = np.sqrt(det) / sE
+    s11 = e / E
+    s12 = (f - l21 * s11 * sE) / (sE * l22)
+    s22 = (g - 2.0 * l21 * s12 * l22 - l21 * l21 * s11) / (l22 * l22)
+    return -np.stack(
+        [np.stack([s11, s12], axis=-1), np.stack([s12, s22], axis=-1)], axis=-2
+    )
+
+
+def eigen_split(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, half-gap) of symmetric 2x2 matrices: eigenvalues mean -/+ gap."""
+    mean = 0.5 * (sym[..., 0, 0] + sym[..., 1, 1])
+    disc = np.sqrt(
+        0.25 * (sym[..., 0, 0] - sym[..., 1, 1]) ** 2 + sym[..., 0, 1] ** 2
+    )
+    return mean, disc
+
+
 def neighborhoods(mesh: Mesh, ring_depth: int) -> sparse.csr_matrix:
     """0/1 csr matrix whose row i holds the <=ring_depth neighbors of i."""
     if ring_depth < 1:
@@ -148,14 +187,7 @@ def estimate_geometry(mesh: Mesh, ring_depth: int = 2) -> SurfaceGeometry:
             f"neighbors at ring_depth={ring_depth} (need >= {MIN_NEIGHBORS})"
         )
 
-    # tangent frames: t1 orthogonal to n, t2 = n x t1
-    n = normals
-    ref = np.where(
-        np.abs(n[:, 0:1]) < 0.9, [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]]
-    )
-    t1 = ref - n * np.einsum("ij,ij->i", ref, n)[:, None]
-    t1 /= np.linalg.norm(t1, axis=1)[:, None]
-    t2 = np.cross(n, t1)
+    t1, t2 = tangent_frame(normals)
 
     # padded neighbor table; padding rows are zeroed and drop out of the
     # normal equations
@@ -170,7 +202,7 @@ def estimate_geometry(mesh: Mesh, ring_depth: int = 2) -> SurfaceGeometry:
 
     u = np.einsum("vmk,vk->vm", d, t1)
     w = np.einsum("vmk,vk->vm", d, t2)
-    z = np.einsum("vmk,vk->vm", d, n)
+    z = np.einsum("vmk,vk->vm", d, normals)
     scale = np.sqrt(np.einsum("vmk,vmk->vm", d, d).sum(axis=1) / counts)
     u = u / scale[:, None]
     w = w / scale[:, None]
@@ -214,24 +246,8 @@ def estimate_geometry(mesh: Mesh, ring_depth: int = 2) -> SurfaceGeometry:
     f = fxy / wn
     g = fyy / wn
 
-    # symmetric Weingarten matrix in the metric-orthonormal frame,
-    # negated so outward-normal spheres are positively curved
-    det = E * Gm - F * F
-    sE = np.sqrt(E)
-    l21 = F / sE
-    l22 = np.sqrt(det) / sE
-    s11 = e / E
-    s12 = (f - l21 * s11 * sE) / (sE * l22)
-    s22 = (g - 2.0 * l21 * s12 * l22 - l21 * l21 * s11) / (l22 * l22)
-    shape_op = -np.stack(
-        [np.stack([s11, s12], axis=-1), np.stack([s12, s22], axis=-1)], axis=-2
-    )
-
-    mean = 0.5 * (shape_op[:, 0, 0] + shape_op[:, 1, 1])
-    disc = np.sqrt(
-        0.25 * (shape_op[:, 0, 0] - shape_op[:, 1, 1]) ** 2
-        + shape_op[:, 0, 1] ** 2
-    )
+    shape_op = weingarten_matrix(E, F, Gm, e, f, g)
+    mean, disc = eigen_split(shape_op)
     kappa = np.stack([mean - disc, mean + disc], axis=1)
 
     H = mean

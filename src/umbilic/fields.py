@@ -14,7 +14,7 @@ area by c^n, curvature by 1/c, the Laplace spectrum and Ricci bounds by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -70,17 +70,11 @@ def lp_norm(field: ScalarField, p, region=None) -> float:
     Powers are accumulated in log space, so non-integer and very large p
     (e.g. kp = 18/alpha) stay finite.
     """
-    v, w = _select(field, region)
     if np.isinf(p):
-        return float(np.abs(v).max())
+        return float(np.abs(_select(field, region)[0]).max())
     if p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    absv = np.abs(v)
-    nz = absv > 0.0
-    if not np.any(nz):
-        return 0.0
-    logs = np.log(w[nz]) + p * np.log(absv[nz])
-    return float(np.exp(logsumexp(logs) / p))
+    return float(np.exp(lp_norm_log_pth_power(field, p, region) / p))
 
 
 def lp_norm_log_pth_power(field: ScalarField, p, region=None) -> float:
@@ -111,20 +105,6 @@ def sublevel_measure(field: ScalarField, threshold: float) -> tuple[float, float
     return m_below, m_above
 
 
-def normalize_mesh(mesh: Mesh, n: int = 2) -> tuple[Mesh, float]:
-    """Rescaled copy with unit area and the factor c = area^(-1/n) used.
-
-    The discrete pipeline is n = 2 (surface measure scales by c^2).
-    """
-    if n != 2:
-        raise ValueError("mesh normalization is defined for n = 2 surfaces")
-    area = float(np.sum(mesh.face_areas))
-    if area <= 0:
-        raise ValueError("mesh has non-positive area")
-    c = area ** (-1.0 / n)
-    return mesh.scaled(c), c
-
-
 _BASE_EXPONENTS = {
     "position": 1,
     "length": 1,
@@ -143,34 +123,20 @@ class RescalingLaw:
 
     factor: float
     n: int = 2
-    exponents: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.factor <= 0:
             raise ValueError("scale factor must be positive")
-        table = dict(_BASE_EXPONENTS)
-        table["area"] = self.n
-        table["volume"] = self.n + 1
-        table.update(self.exponents)
-        object.__setattr__(self, "exponents", table)
-
-    @classmethod
-    def identity(cls, n: int = 2) -> "RescalingLaw":
-        return cls(factor=1.0, n=n)
 
     def exponent(self, quantity: str) -> int:
+        table = {**_BASE_EXPONENTS, "area": self.n, "volume": self.n + 1}
         try:
-            return self.exponents[quantity]
+            return table[quantity]
         except KeyError:
             raise KeyError(
-                f"unknown quantity {quantity!r}; known: {sorted(self.exponents)}"
+                f"unknown quantity {quantity!r}; known: {sorted(table)}"
             ) from None
 
     def apply(self, quantity: str, value):
         """Value of `quantity` on the rescaled surface, given its value on X."""
         return value * self.factor ** self.exponent(quantity)
-
-    def compose(self, other: "RescalingLaw") -> "RescalingLaw":
-        if self.n != other.n:
-            raise ValueError("cannot compose laws of different dimension")
-        return RescalingLaw(factor=self.factor * other.factor, n=self.n)

@@ -1,10 +1,11 @@
 """Triangle mesh container, OFF/OBJ ingestion, validation and measures.
 
 Meshes are closed oriented triangle surfaces embedded in R^3.  Vertices and
-faces are immutable numpy arrays; adjacency (vertex -> incident faces,
-vertex -> one-ring) is built at construction.  Structural validation
-(closedness, orientability, connectivity, degeneracy) is a separate,
-reporting-only step so that broken inputs can still be inspected.
+faces are immutable numpy arrays.  Combinatorics come from one keyed edge
+table (see `edge_table`), built on first use and cached with the one-ring
+adjacency derived from it.  Structural validation (closedness,
+orientability, connectivity, degeneracy) is a separate, reporting-only step
+so that broken inputs can still be inspected.
 """
 
 from __future__ import annotations
@@ -55,6 +56,23 @@ class MeshMeasures:
     enclosed_volume: float
 
 
+def _half_edges(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tail and head of the face edges 01, 12, 20, in three blocks of F."""
+    return faces.T.ravel(), faces[:, [1, 2, 0]].T.ravel()
+
+
+def edge_table(faces: np.ndarray, n_vertices: int):
+    """(keys, inverse, counts) of the undirected edges of a (F, 3) face array.
+
+    `keys` are the sorted unique min(i,j)*V + max(i,j); `inverse` maps each
+    half-edge (in `_half_edges` order) to its key; `counts` is the number of
+    half-edges per key (2 on a closed manifold).
+    """
+    i, j = _half_edges(faces)
+    keys = np.minimum(i, j) * n_vertices + np.maximum(i, j)
+    return np.unique(keys, return_inverse=True, return_counts=True)
+
+
 class Mesh:
     """Closed oriented triangle surface in R^3.
 
@@ -64,8 +82,8 @@ class Mesh:
     faces : (F, 3) int array
         Vertex index triples, counterclockwise w.r.t. the outward normal.
 
-    The arrays are copied and frozen; all derived quantities are cached, so
-    instances are safe to share across threads after construction.
+    The arrays are copied and frozen; the edge table, adjacency and all
+    derived measures are computed on first use and cached.
     """
 
     def __init__(self, vertices, faces):
@@ -86,30 +104,6 @@ class Mesh:
         f.setflags(write=False)
         self.vertices = v
         self.faces = f
-        self._vertex_face_csr = self._build_vertex_faces()
-        self._one_ring_csr = self._build_one_ring()
-
-    # -- construction helpers ------------------------------------------------
-
-    def _build_vertex_faces(self) -> sparse.csr_matrix:
-        F = len(self.faces)
-        rows = self.faces.ravel()
-        cols = np.repeat(np.arange(F), 3)
-        data = np.ones(3 * F, dtype=np.int8)
-        return sparse.csr_matrix(
-            (data, (rows, cols)), shape=(len(self.vertices), F)
-        )
-
-    def _build_one_ring(self) -> sparse.csr_matrix:
-        i = self.faces[:, [0, 1, 2]].ravel()
-        j = self.faces[:, [1, 2, 0]].ravel()
-        V = len(self.vertices)
-        adj = sparse.csr_matrix(
-            (np.ones(len(i), dtype=np.int8), (i, j)), shape=(V, V)
-        )
-        adj = adj + adj.T
-        adj.data[:] = 1
-        return adj
 
     # -- basic topology ------------------------------------------------------
 
@@ -122,32 +116,35 @@ class Mesh:
         return len(self.faces)
 
     @cached_property
+    def _edge_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return edge_table(self.faces, self.n_vertices)
+
+    @cached_property
     def edges(self) -> np.ndarray:
         """Unique undirected edges as sorted (E, 2) index pairs."""
-        e = np.concatenate(
-            [self.faces[:, [0, 1]], self.faces[:, [1, 2]], self.faces[:, [2, 0]]]
-        )
-        e.sort(axis=1)
-        return np.unique(e, axis=0)
+        return np.stack(np.divmod(self._edge_table[0], self.n_vertices), axis=1)
 
     @property
     def euler_characteristic(self) -> int:
-        return self.n_vertices - len(self.edges) + self.n_faces
-
-    def vertex_faces(self, i: int) -> np.ndarray:
-        """Indices of faces incident to vertex i."""
-        m = self._vertex_face_csr
-        return m.indices[m.indptr[i]:m.indptr[i + 1]]
+        return self.n_vertices - len(self._edge_table[0]) + self.n_faces
 
     def one_ring(self, i: int) -> np.ndarray:
         """Indices of vertices sharing an edge with vertex i."""
-        m = self._one_ring_csr
+        m = self.one_ring_matrix
         return m.indices[m.indptr[i]:m.indptr[i + 1]]
 
-    @property
+    @cached_property
     def one_ring_matrix(self) -> sparse.csr_matrix:
         """Vertex adjacency as a 0/1 csr matrix (no diagonal)."""
-        return self._one_ring_csr
+        V = self.n_vertices
+        i, j = np.divmod(self._edge_table[0], V)
+        adj = sparse.csr_matrix(
+            (np.ones(2 * len(i), dtype=np.int8),
+             (np.concatenate([i, j]), np.concatenate([j, i]))),
+            shape=(V, V),
+        )
+        adj.data[:] = 1
+        return adj
 
     # -- geometry ------------------------------------------------------------
 
@@ -167,15 +164,6 @@ class Mesh:
         return 0.5 * np.linalg.norm(self.face_cross, axis=1)
 
     @cached_property
-    def face_normals(self) -> np.ndarray:
-        """(F, 3) unit face normals (outward for valid orientation)."""
-        n = self.face_cross
-        a = np.linalg.norm(n, axis=1)
-        if np.any(a == 0.0):
-            raise ValueError("zero-area face has no normal")
-        return n / a[:, None]
-
-    @cached_property
     def vertex_areas(self) -> np.ndarray:
         """Barycentric vertex areas: one third of incident face areas.
 
@@ -187,18 +175,17 @@ class Mesh:
         np.add.at(va, self.faces[:, 2], self.face_areas / 3.0)
         return va
 
-    def scaled(self, factor: float) -> "Mesh":
-        """New mesh with vertices multiplied by factor (same combinatorics)."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return Mesh(self.vertices * factor, self.faces)
+    @cached_property
+    def area(self) -> float:
+        """Total surface area, the sum of the face areas."""
+        return float(np.sum(self.face_areas))
 
 
 def load_mesh(path, fmt: str | None = None) -> Mesh:
     """Load an ASCII OFF or OBJ file.
 
     fmt is "off" or "obj"; inferred from the extension when omitted.
-    Adjacency is built; structural validation is NOT run here.
+    Neither adjacency nor structural validation is computed here.
     """
     path = os.fspath(path)
     if fmt is None:
@@ -226,7 +213,6 @@ def _parse_off(text: str) -> Mesh:
         header = next(lines)
     except StopIteration:
         raise MeshFormatError("empty OFF file") from None
-    counts_line = None
     if header == "OFF":
         counts_line = next(lines, None)
     elif header.startswith("OFF"):
@@ -335,18 +321,25 @@ def validate_mesh(mesh: Mesh) -> ValidationReport:
 
     Reporting only: never raises on a broken mesh.
     """
-    f = mesh.faces
-    directed = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-    und = np.sort(directed, axis=1)
-    _, und_counts = np.unique(und, axis=0, return_counts=True)
-    closed = bool(len(und_counts) > 0 and np.all(und_counts == 2))
+    keys, inverse, counts = mesh._edge_table
+    closed = bool(len(counts) > 0 and np.all(counts == 2))
 
     # Consistent orientation: every directed edge occurs exactly once, so the
     # two faces of each undirected edge traverse it in opposite directions.
-    _, dir_counts = np.unique(directed, axis=0, return_counts=True)
-    oriented = bool(closed and np.all(dir_counts == 1))
+    oriented = False
+    if closed:
+        i, j = _half_edges(mesh.faces)
+        directed = np.sort(i * mesh.n_vertices + j)
+        oriented = bool(np.all(directed[1:] != directed[:-1]))
 
-    connected = _face_graph_connected(mesh)
+    # Faces sharing an edge are linked through a graph node for that edge.
+    F = mesh.n_faces
+    n = F + len(keys)
+    face_edge = sparse.csr_matrix(
+        (np.ones(3 * F, dtype=np.int8), (np.tile(np.arange(F), 3), F + inverse)),
+        shape=(n, n),
+    )
+    connected = bool(csgraph.connected_components(face_edge, directed=False)[0] == 1)
 
     areas = mesh.face_areas
     min_face_area = float(areas.min()) if len(areas) else 0.0
@@ -361,27 +354,6 @@ def validate_mesh(mesh: Mesh) -> ValidationReport:
     )
 
 
-def _face_graph_connected(mesh: Mesh) -> bool:
-    if mesh.n_faces == 0:
-        return False
-    f = mesh.faces
-    F = len(f)
-    directed = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-    owner = np.tile(np.arange(F), 3)
-    und = np.sort(directed, axis=1)
-    order = np.lexsort((und[:, 1], und[:, 0]))
-    und_sorted = und[order]
-    owner_sorted = owner[order]
-    same = np.all(und_sorted[1:] == und_sorted[:-1], axis=1)
-    a = owner_sorted[:-1][same]
-    b = owner_sorted[1:][same]
-    g = sparse.csr_matrix(
-        (np.ones(len(a), dtype=np.int8), (a, b)), shape=(F, F)
-    )
-    n_comp = csgraph.connected_components(g, directed=False)[0]
-    return bool(n_comp == 1)
-
-
 def measures(mesh: Mesh) -> MeshMeasures:
     """Total area, surface barycenter and divergence-theorem volume.
 
@@ -390,10 +362,9 @@ def measures(mesh: Mesh) -> MeshMeasures:
     of the enclosed solid).
     """
     areas = mesh.face_areas
-    area = float(np.sum(areas))
-    centroids = mesh.face_corners.mean(axis=1)
-    barycenter = (areas[:, None] * centroids).sum(axis=0) / area
+    area = mesh.area
     c = mesh.face_corners
+    barycenter = (areas[:, None] * c.mean(axis=1)).sum(axis=0) / area
     signed = np.einsum("ij,ij->i", c[:, 0], np.cross(c[:, 1], c[:, 2])) / 6.0
     return MeshMeasures(
         area=area,

@@ -193,6 +193,35 @@ class PinchingReport:
     failure: str | None
 
 
+@dataclass(frozen=True)
+class UnitArea:
+    """A surface and its curvature record rescaled by c = |M|^(-1/n) to |M| = 1."""
+
+    factor: float
+    weights: np.ndarray            # vertex areas * c^n, summing to 1
+    geometries: SurfaceGeometry    # curvatures / c, Ricci / c^2
+    constants: PinchingConstants   # eps * c
+    lambda1: float | None          # lambda1 / c^2
+
+
+def unit_area(
+    mesh: Mesh,
+    geometries: SurfaceGeometry,
+    constants: PinchingConstants,
+    lam1: float | None = None,
+) -> UnitArea:
+    """Rescale the weights, curvatures, eps and lambda1 of `mesh` to unit area."""
+    law = RescalingLaw(factor=mesh.area ** (-1.0 / constants.n), n=constants.n)
+    c = law.factor
+    return UnitArea(
+        factor=c,
+        weights=law.apply("area", mesh.vertex_areas),
+        geometries=geometries.rescaled(c),
+        constants=constants.rescaled(c),
+        lambda1=None if lam1 is None else law.apply("lambda1", lam1),
+    )
+
+
 # -- hypothesis --------------------------------------------------------------
 
 
@@ -206,7 +235,7 @@ def check_hypothesis(
         raise ValueError(
             f"mean-convexity violated: H({bad}) = {H[bad]:g} <= 0"
         )
-    area = float(np.sum(mesh.face_areas))
+    area = mesh.area
     n, alpha, eps = constants.n, constants.alpha, constants.epsilon
     rhs_scale = area ** (-(2.0 + alpha) / n) * eps ** (2.0 + alpha)
     margins = H * rhs_scale - geometries.A_traceless_norm
@@ -225,20 +254,20 @@ def check_hypothesis(
 
 
 def roth_condition(
-    mesh: Mesh,
+    weights: np.ndarray,
     geometries: SurfaceGeometry,
     lam1: float,
     constants: PinchingConstants,
 ) -> RothResult:
     """Evaluate lambda1*(int H)^2 - n*||H2||_{2p}^2 > -C_eps on |M| = 1.
 
-    `mesh`, `geometries`, `lam1` and constants.epsilon must all refer to
-    the unit-area rescaling; H2 > 0 everywhere and eps < 2/(3 sup H) are
-    hypotheses, violated ones raise.
+    The vertex area `weights`, `geometries`, `lam1` and constants.epsilon
+    must all refer to the unit-area rescaling (see `unit_area`); H2 > 0
+    everywhere and eps < 2/(3 sup H) are hypotheses, violated ones raise.
     """
-    area = float(np.sum(mesh.face_areas))
+    area = float(weights.sum())
     if abs(area - 1.0) > 1e-6:
-        raise ValueError(f"spectral condition needs a unit-area mesh, |M| = {area:g}")
+        raise ValueError(f"spectral condition needs unit-area weights, |M| = {area:g}")
     if np.any(geometries.H2 <= 0.0):
         bad = int(np.argmin(geometries.H2))
         raise ValueError(f"H2({bad}) = {geometries.H2[bad]:g} <= 0")
@@ -249,7 +278,6 @@ def roth_condition(
         raise ValueError(
             f"eps = {eps:g} >= 2/(3 sup H) = {2.0 / (3.0 * h_inf):g}"
         )
-    weights = mesh.vertex_areas
     integral_h = float(np.sum(weights * geometries.H))
     h2_norm = lp_norm(
         ScalarField(values=geometries.H2, weights=weights), 2.0 * constants.p_roth
@@ -276,19 +304,31 @@ def roth_condition(
 # -- conclusion geometry -------------------------------------------------------
 
 
+def _barycenter_distances(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """Surface barycenter x0 and the distances |X - x0| of the vertices."""
+    center = measures(mesh).barycenter
+    return center, np.linalg.norm(mesh.vertices - center, axis=1)
+
+
+def _r_lambda(lam1: float, n: int) -> float:
+    if lam1 <= 0:
+        raise ValueError("lambda1 must be positive")
+    return math.sqrt(n / lam1)
+
+
 def annulus_check(
     mesh: Mesh, lam1: float, epsilon: float, n: int = 2
 ) -> AnnulusResult:
     """Containment of the surface in the annulus of width 2*eps about x0."""
-    if lam1 <= 0:
-        raise ValueError("lambda1 must be positive")
-    r_lam = math.sqrt(n / lam1)
+    return _annulus(*_barycenter_distances(mesh), lam1, epsilon, n)
+
+
+def _annulus(center, dist, lam1, epsilon, n) -> AnnulusResult:
+    r_lam = _r_lambda(lam1, n)
     if epsilon >= r_lam:
         raise ValueError(
             f"inner radius not positive: eps = {epsilon:g} >= sqrt(n/lambda1) = {r_lam:g}"
         )
-    center = measures(mesh).barycenter
-    dist = np.linalg.norm(mesh.vertices - center, axis=1)
     dmin, dmax = float(dist.min()), float(dist.max())
     inner, outer = r_lam - epsilon, r_lam + epsilon
     return AnnulusResult(
@@ -305,11 +345,11 @@ def annulus_check(
 
 def phi_sup(mesh: Mesh, lam1: float, n: int = 2) -> float:
     """sup over vertices of |X - x0| (|X - x0| - sqrt(n/lambda1))^2."""
-    if lam1 <= 0:
-        raise ValueError("lambda1 must be positive")
-    r_lam = math.sqrt(n / lam1)
-    center = measures(mesh).barycenter
-    dist = np.linalg.norm(mesh.vertices - center, axis=1)
+    return _phi_sup(_barycenter_distances(mesh)[1], lam1, n)
+
+
+def _phi_sup(dist, lam1, n) -> float:
+    r_lam = _r_lambda(lam1, n)
     return float((dist * (dist - r_lam) ** 2).max())
 
 
@@ -409,19 +449,16 @@ def proof_trace(
             f"strict convexity violated: kappa1({bad}) = "
             f"{geometries.kappa[bad, 0]:g} <= 0"
         )
+    if lam1 is None:
+        lam1 = spectral.lambda1(spectral.build_laplace(mesh)).lambda1
+    unit = unit_area(mesh, geometries, constants, lam1)
     n = constants.n
     alpha = constants.alpha
     kp = constants.kp
-    area = float(np.sum(mesh.face_areas))
-    law = RescalingLaw(factor=area ** (-1.0 / n), n=n)
-    c = law.factor
-    eps_t = law.apply("length", constants.epsilon)
-    geo_t = geometries.rescaled(c)
-    w_t = mesh.vertex_areas * c**n
-
-    if lam1 is None:
-        lam1 = spectral.lambda1(spectral.build_laplace(mesh)).lambda1
-    lam1_t = law.apply("lambda1", lam1)
+    eps_t = unit.constants.epsilon
+    geo_t = unit.geometries
+    w_t = unit.weights
+    lam1_t = unit.lambda1
 
     fit = fit_umbilical_mu(geo_t, w_t, kp)
     mu0 = fit.mu_star
@@ -439,20 +476,15 @@ def proof_trace(
     eps_rate = eps_t ** (0.5 * alpha * kp)
 
     # mu0-rescaled surface: curvature kappa/mu0, measure mu0^n * measure
-    hat_field = ScalarField(values=dev / mu0, weights=w_t * mu0**n)
+    w_hat = w_t * mu0**n
+    hat_field = ScalarField(values=dev / mu0, weights=w_hat)
     _, p_bad = sublevel_measure(hat_field, 1.0)
     log_p_bound = (n - kp) * math.log(mu0) + log_dev_kp
     p_bound = math.exp(log_p_bound) if log_p_bound < 700 else math.inf
 
     deficit = ricci_deficit(geo_t.ricci_min, mu0, n)
-    nz = deficit > 0.0
-    if np.any(nz):
-        log_def = logsumexp(
-            np.log(w_t[nz] * mu0**n) + kp * np.log(deficit[nz])
-        )
-        deficit_integral = math.exp(log_def) if log_def < 700 else math.inf
-    else:
-        deficit_integral = 0.0
+    log_def = lp_norm_log_pth_power(ScalarField(values=deficit, weights=w_hat), kp)
+    deficit_integral = math.exp(log_def) if log_def < 700 else math.inf
     aubry = spectral.aubry_lower_bound(
         deficit_integral, volume=mu0**n, p=kp, C_np=constants.C_np_aubry, n=n
     )
@@ -524,7 +556,6 @@ def verify_theorem(
     report = validate_mesh(mesh)
     if not report.all_passed:
         raise ValueError(f"mesh validation failed: {report}")
-    area = float(np.sum(mesh.face_areas))
     if geometries is None:
         geometries = estimate_geometry(mesh, ring_depth=ring_depth)
     convexity = convexity_status(geometries)
@@ -541,32 +572,29 @@ def verify_theorem(
         failure = f"hypothesis: {exc}"
 
     if failure is None:
-        law = RescalingLaw(factor=area ** (-1.0 / constants.n), n=constants.n)
-        c = law.factor
-        mesh_t = mesh.scaled(c)
-        geo_t = geometries.rescaled(c)
-        consts_t = constants.rescaled(c)
         try:
             res = spectral.lambda1(spectral.build_laplace(mesh), tol=tol)
             lam1 = res.lambda1
             lam1_res = res.residual
-            lam1_t = law.apply("lambda1", lam1)
         except spectral.ConvergenceError as exc:
             failure = f"lambda1: {exc}"
 
         if lam1 is not None:
+            unit = unit_area(mesh, geometries, constants, lam1)
+            lam1_t = unit.lambda1
             try:
-                roth = roth_condition(mesh_t, geo_t, lam1_t, consts_t)
+                roth = roth_condition(
+                    unit.weights, unit.geometries, lam1_t, unit.constants
+                )
             except ValueError as exc:
                 failure = f"spectral condition: {exc}"
+            center, dist = _barycenter_distances(mesh)
             try:
-                annulus = annulus_check(
-                    mesh, lam1, constants.epsilon, constants.n
-                )
+                annulus = _annulus(center, dist, lam1, constants.epsilon, constants.n)
                 oscillation = annulus.oscillation
             except ValueError as exc:
                 failure = failure or f"annulus: {exc}"
-            phi = phi_sup(mesh, lam1, constants.n)
+            phi = _phi_sup(dist, lam1, constants.n)
             if with_trace and convexity.strictly_convex:
                 try:
                     trace = proof_trace(mesh, geometries, constants, lam1=lam1)
@@ -575,7 +603,7 @@ def verify_theorem(
 
     return PinchingReport(
         constants=constants,
-        area=area,
+        area=mesh.area,
         hypothesis=hypothesis,
         strictly_convex=convexity.strictly_convex,
         convexity=convexity,
@@ -623,9 +651,8 @@ def pinch_ratio(surface: surfgen.AnalyticSurface, mesh: Mesh, constants) -> floa
     o = surfgen.oracle_curvatures_at_vertices(surface, mesh)
     if np.any(o.H <= 0.0):
         return math.inf
-    area = float(np.sum(mesh.face_areas))
     ratio = float((o.traceless_norm / o.H).max())
-    return ratio * area ** ((2.0 + constants.alpha) / constants.n)
+    return ratio * mesh.area ** ((2.0 + constants.alpha) / constants.n)
 
 
 def amplitude_for_ratio(

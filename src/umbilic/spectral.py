@@ -257,13 +257,3 @@ def aubry_lower_bound(
     if deficit_integral >= volume / C_np:
         return None
     return n * (1.0 - C_np * (deficit_integral / volume) ** (1.0 / p))
-
-
-def dump_system(system: LaplaceSystem, stiffness_path, mass_path) -> None:
-    """Write both matrices as text "row col value" triplets (0-based)."""
-    for mat, path in [(system.stiffness, stiffness_path), (system.mass, mass_path)]:
-        coo = mat.tocoo()
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(f"# {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-            for i, j, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{i} {j} {float(v)!r}\n")

@@ -18,7 +18,14 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln, lpmv
 
-from .mesh import Mesh
+from .diffgeo import (
+    SurfaceGeometry,
+    eigen_split,
+    ricci_from_gauss,
+    tangent_frame,
+    weingarten_matrix,
+)
+from .mesh import Mesh, edge_table
 
 MAX_SUBDIVISION = 8
 
@@ -95,6 +102,15 @@ class CurvatureOracle:
 # -- real spherical harmonics -------------------------------------------------
 
 
+def _sph_norm(degree: int, m: int) -> float:
+    """Normalization of the order-m associated Legendre function, via logs."""
+    return np.exp(0.5 * (
+        np.log((2 * degree + 1) / (4.0 * np.pi))
+        + gammaln(degree - m + 1)
+        - gammaln(degree + m + 1)
+    ))
+
+
 def real_sph_harm(degree: int, order: int, theta, phi):
     """Real spherical harmonic, orthonormal w.r.t. the S^2 surface measure.
 
@@ -107,12 +123,7 @@ def real_sph_harm(degree: int, order: int, theta, phi):
     m = abs(order)
     if degree < 0 or m > degree:
         raise ValueError("need degree >= 0 and |order| <= degree")
-    lognorm = 0.5 * (
-        np.log((2 * degree + 1) / (4.0 * np.pi))
-        + gammaln(degree - m + 1)
-        - gammaln(degree + m + 1)
-    )
-    val = np.exp(lognorm) * lpmv(m, degree, np.cos(theta))
+    val = _sph_norm(degree, m) * lpmv(m, degree, np.cos(theta))
     if order > 0:
         val = np.sqrt(2.0) * val * np.cos(m * phi)
     elif order < 0:
@@ -125,12 +136,7 @@ def harmonic_sup(degree: int, order: int) -> float:
     """max over S^2 of |Y_lm|, by dense sampling of the polar profile."""
     theta = np.linspace(0.0, np.pi, 20001)
     m = abs(order)
-    lognorm = 0.5 * (
-        np.log((2 * degree + 1) / (4.0 * np.pi))
-        + gammaln(degree - m + 1)
-        - gammaln(degree + m + 1)
-    )
-    profile = np.exp(lognorm) * np.abs(lpmv(m, degree, np.cos(theta)))
+    profile = _sph_norm(degree, m) * np.abs(lpmv(m, degree, np.cos(theta)))
     sup = float(profile.max())
     if order != 0:
         sup *= np.sqrt(2.0)
@@ -180,21 +186,16 @@ def unit_icosphere(subdivision: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _subdivide(verts: np.ndarray, faces: np.ndarray):
-    edges = np.concatenate(
-        [faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]]
-    )
-    edges.sort(axis=1)
-    uniq, inverse = np.unique(edges, axis=0, return_inverse=True)
-    mid = verts[uniq[:, 0]] + verts[uniq[:, 1]]
+    V = len(verts)
+    keys, inverse, _ = edge_table(faces, V)
+    lo, hi = np.divmod(keys, V)
+    mid = verts[lo] + verts[hi]
     mid /= np.linalg.norm(mid, axis=1)[:, None]
-    mid_index = len(verts) + np.arange(len(uniq))
     new_verts = np.vstack([verts, mid])
 
-    F = len(faces)
-    m01 = mid_index[inverse[0:F]]
-    m12 = mid_index[inverse[F:2 * F]]
-    m20 = mid_index[inverse[2 * F:3 * F]]
-    v0, v1, v2 = faces[:, 0], faces[:, 1], faces[:, 2]
+    # midpoint of key k is vertex V + k
+    m01, m12, m20 = (V + inverse).reshape(3, -1)
+    v0, v1, v2 = faces.T
     new_faces = np.concatenate(
         [
             np.stack([v0, m01, m20], axis=1),
@@ -209,35 +210,13 @@ def _subdivide(verts: np.ndarray, faces: np.ndarray):
 def generate(surface: AnalyticSurface, subdivision: int) -> Mesh:
     """Mesh an analytic surface on the icosphere with 20*4^subdivision faces."""
     dirs, faces = unit_icosphere(subdivision)
-    if isinstance(surface, Sphere):
-        pts = surface.radius * dirs
-    elif isinstance(surface, Ellipsoid):
-        pts = dirs * np.array([surface.a, surface.b, surface.c])
-    elif isinstance(surface, PerturbedSphere):
-        theta = np.arccos(np.clip(dirs[:, 2], -1.0, 1.0))
-        phi = np.arctan2(dirs[:, 1], dirs[:, 0])
-        rho = surface.radius + surface.delta * real_sph_harm(
-            surface.degree, surface.order, theta, phi
-        )
-        pts = rho[:, None] * dirs
-    else:
-        raise TypeError(f"unknown surface kind {type(surface).__name__}")
-    return Mesh(pts, faces)
+    return Mesh(surface_point(surface, dirs), faces)
 
 
 # -- parametrization and oracles ----------------------------------------------
 
 
-def _dirs_from_angles(theta, phi) -> np.ndarray:
-    theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    phi = np.broadcast_to(np.asarray(phi, dtype=np.float64), theta.shape)
-    if np.any(theta < 0.0) or np.any(theta > np.pi):
-        raise ValueError("theta outside chart domain [0, pi]")
-    st, ct = np.sin(theta), np.cos(theta)
-    return np.stack([st * np.cos(phi), st * np.sin(phi), ct], axis=-1)
-
-
-def surface_point_dirs(surface: AnalyticSurface, dirs: np.ndarray) -> np.ndarray:
+def surface_point(surface: AnalyticSurface, dirs: np.ndarray) -> np.ndarray:
     """Embedding evaluated at unit direction vectors, shape (..., 3)."""
     if isinstance(surface, Sphere):
         return surface.radius * dirs
@@ -253,12 +232,7 @@ def surface_point_dirs(surface: AnalyticSurface, dirs: np.ndarray) -> np.ndarray
     raise TypeError(f"unknown surface kind {type(surface).__name__}")
 
 
-def surface_point(surface: AnalyticSurface, theta, phi) -> np.ndarray:
-    """Embedding X(theta, phi) of the spherical chart, shape (..., 3)."""
-    return surface_point_dirs(surface, _dirs_from_angles(theta, phi))
-
-
-def fd_curvatures_dirs(surface: AnalyticSurface, dirs) -> CurvatureOracle:
+def fd_curvatures(surface: AnalyticSurface, dirs) -> CurvatureOracle:
     """Principal curvatures by centered finite differences at unit directions.
 
     Works in a normalized-offset chart around each direction, which stays
@@ -268,17 +242,14 @@ def fd_curvatures_dirs(surface: AnalyticSurface, dirs) -> CurvatureOracle:
     """
     u = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
     u = u / np.linalg.norm(u, axis=-1, keepdims=True)
-    ref = np.where(np.abs(u[:, 0:1]) < 0.9, [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]])
-    e1 = ref - u * np.einsum("ij,ij->i", ref, u)[:, None]
-    e1 /= np.linalg.norm(e1, axis=1)[:, None]
-    e2 = np.cross(u, e1)
+    e1, e2 = tangent_frame(u)
 
     h = FD_STEP
 
     def X(s, t):
         v = u + s * e1 + t * e2
         v = v / np.linalg.norm(v, axis=-1, keepdims=True)
-        return surface_point_dirs(surface, v)
+        return surface_point(surface, v)
 
     x0 = X(0.0, 0.0)
     xs_p, xs_m = X(h, 0.0), X(-h, 0.0)
@@ -298,34 +269,11 @@ def fd_curvatures_dirs(surface: AnalyticSurface, dirs) -> CurvatureOracle:
     e = np.einsum("...i,...i", x_ss, nrm)
     f = np.einsum("...i,...i", x_st, nrm)
     g = np.einsum("...i,...i", x_tt, nrm)
-    k1, k2 = _weingarten_eigs(E, F, G, e, f, g)
-    # sign so that outward-normal spheres are positively curved
-    return CurvatureOracle(kappa1=-k2, kappa2=-k1)
+    mean, disc = eigen_split(weingarten_matrix(E, F, G, e, f, g))
+    return CurvatureOracle(kappa1=mean - disc, kappa2=mean + disc)
 
 
-def fd_curvatures(surface: AnalyticSurface, theta, phi) -> CurvatureOracle:
-    """fd_curvatures_dirs at the directions given by chart angles."""
-    return fd_curvatures_dirs(surface, _dirs_from_angles(theta, phi))
-
-
-def _weingarten_eigs(E, F, G, e, f, g):
-    """Ascending eigenvalues of I^{-1} II via the metric square root."""
-    # I = L L^T with L = [[sqrt(E), 0], [F/sqrt(E), sqrt(det/ E)]]
-    det = E * G - F * F
-    sE = np.sqrt(E)
-    l11 = sE
-    l21 = F / sE
-    l22 = np.sqrt(det) / sE
-    # S = L^{-1} II L^{-T}, symmetric with the same eigenvalues
-    a11 = e / (l11 * l11)
-    a12 = (f - l21 * a11 * l11) / (l11 * l22)
-    a22 = (g - 2 * l21 * a12 * l22 - l21**2 * a11) / (l22 * l22)
-    mean = 0.5 * (a11 + a22)
-    disc = np.sqrt(np.maximum(0.25 * (a11 - a22) ** 2 + a12**2, 0.0))
-    return mean - disc, mean + disc
-
-
-def oracle_curvatures_dirs(surface: AnalyticSurface, dirs) -> CurvatureOracle:
+def oracle_curvatures(surface: AnalyticSurface, dirs) -> CurvatureOracle:
     """Closed-form curvatures for spheres/ellipsoids, FD for perturbed ones."""
     dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
     dirs = dirs / np.linalg.norm(dirs, axis=-1, keepdims=True)
@@ -335,13 +283,8 @@ def oracle_curvatures_dirs(surface: AnalyticSurface, dirs) -> CurvatureOracle:
     if isinstance(surface, Ellipsoid):
         return _ellipsoid_curvatures(surface, dirs)
     if isinstance(surface, PerturbedSphere):
-        return fd_curvatures_dirs(surface, dirs)
+        return fd_curvatures(surface, dirs)
     raise TypeError(f"unknown surface kind {type(surface).__name__}")
-
-
-def oracle_curvatures(surface: AnalyticSurface, theta, phi) -> CurvatureOracle:
-    """oracle_curvatures_dirs at the directions given by chart angles."""
-    return oracle_curvatures_dirs(surface, _dirs_from_angles(theta, phi))
 
 
 def _ellipsoid_curvatures(surface: Ellipsoid, dirs) -> CurvatureOracle:
@@ -351,7 +294,7 @@ def _ellipsoid_curvatures(surface: Ellipsoid, dirs) -> CurvatureOracle:
     P Hess(F) P / |grad F|; its two nonzero eigenvalues are the principal
     curvatures (positive: the ellipsoid is convex).
     """
-    pts = surface_point_dirs(surface, dirs)
+    pts = surface_point(surface, dirs)
     inv_sq = np.array([surface.a, surface.b, surface.c]) ** -2.0
     grad = pts * inv_sq
     gn = np.linalg.norm(grad, axis=-1)
@@ -381,7 +324,7 @@ def oracle_curvatures_at_vertices(
         u = v / np.array([surface.a, surface.b, surface.c])
     else:
         u = v / np.linalg.norm(v, axis=1)[:, None]
-    return oracle_curvatures_dirs(surface, u)
+    return oracle_curvatures(surface, u)
 
 
 def oracle_geometry(surface: AnalyticSurface, mesh: Mesh):
@@ -391,8 +334,6 @@ def oracle_geometry(surface: AnalyticSurface, mesh: Mesh):
     the analytic outward normal and the shape operator the principal-frame
     diagonal.  Lets the pipeline run on exact curvature data.
     """
-    from .diffgeo import SurfaceGeometry, ricci_from_gauss
-
     o = oracle_curvatures_at_vertices(surface, mesh)
     v = mesh.vertices
     if isinstance(surface, Ellipsoid):

@@ -12,8 +12,8 @@ import pytest
 
 from umbilic.cli import _jsonable, main
 from umbilic.diffgeo import estimate_geometry
-from umbilic.fields import ScalarField, lp_norm, normalize_mesh
-from umbilic.mesh import measures, save_mesh
+from umbilic.fields import ScalarField, lp_norm
+from umbilic.mesh import Mesh, measures, save_mesh
 from umbilic.pinching import (
     PinchingConstants,
     annulus_check,
@@ -22,6 +22,7 @@ from umbilic.pinching import (
     proof_trace,
     roth_condition,
     sharpness_sweep,
+    unit_area,
 )
 from umbilic.spectral import (
     aubry_lower_bound,
@@ -78,14 +79,14 @@ def test_criterion_1_sphere_model_case():
 
 def test_criterion_2_exact_scaling_suite(sphere3):
     with Budget("2 (exact scaling)", 10):
-        doubled = sphere3.scaled(2.0)
+        doubled = Mesh(sphere3.vertices * 2.0, sphere3.faces)
         a1 = float(np.sum(sphere3.face_areas))
         a2 = float(np.sum(doubled.face_areas))
         assert abs(a2 - 4.0 * a1) <= 1e-9 * a2
 
         surf1, surf2 = Ellipsoid(2.0, 1.0, 1.0), Ellipsoid(4.0, 2.0, 2.0)
         e1 = generate(surf1, 3)
-        e2 = e1.scaled(2.0)
+        e2 = Mesh(e1.vertices * 2.0, e1.faces)
         o1 = oracle_curvatures_at_vertices(surf1, e1)
         o2 = oracle_curvatures_at_vertices(surf2, e2)
         assert np.allclose(o2.H, 0.5 * o1.H, rtol=1e-9, atol=0.0)
@@ -164,10 +165,11 @@ def test_criterion_5_proof_trace_inequalities(perturbed4, geom_perturbed4):
                 1 - 1e-12
             )
 
-        norm_mesh, c = normalize_mesh(perturbed4)
+        unit = unit_area(
+            perturbed4, geom_perturbed4, PinchingConstants(alpha=0.5, epsilon=0.05)
+        )
         field = ScalarField(
-            values=geom_perturbed4.rescaled(c).A_traceless_norm,
-            weights=norm_mesh.vertex_areas,
+            values=unit.geometries.A_traceless_norm, weights=unit.weights
         )
         n2, n8, n32 = (lp_norm(field, p) for p in (2.0, 8.0, 32.0))
         assert n2 <= n8 * (1 + 1e-12) and n8 <= n32 * (1 + 1e-12)
@@ -179,14 +181,15 @@ def test_criterion_6_sphere_equality_cases(
 ):
     with Budget("6 (sphere equality cases)", 30):
         for mesh, geo in [(sphere4, geom_sphere4), (sphere5, geom_sphere5)]:
-            mesh_t, c = normalize_mesh(mesh)
-            geo_t = geo.rescaled(c)
-            lam_t = lambda1(build_laplace(mesh)).lambda1 / c**2
-            consts = PinchingConstants(alpha=0.5, epsilon=0.05).rescaled(c)
-            res = roth_condition(mesh_t, geo_t, lam_t, consts)
+            unit = unit_area(
+                mesh, geo, PinchingConstants(alpha=0.5, epsilon=0.05),
+                lambda1(build_laplace(mesh)).lambda1,
+            )
+            lam_t = unit.lambda1
+            res = roth_condition(unit.weights, unit.geometries, lam_t, unit.constants)
             # error budget: lhs decomposes exactly into these three deviation
             # terms about the sphere closed forms
-            r_t = float(np.linalg.norm(mesh_t.vertices, axis=1).mean())
+            r_t = float(np.linalg.norm(mesh.vertices * unit.factor, axis=1).mean())
             lam_star = 2.0 / r_t**2
             int_h_star = 1.0 / r_t
             h2_sq_star = (1.0 / r_t**2) ** 2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from umbilic.cli import main
+from umbilic.diffgeo import estimate_geometry
 from umbilic.mesh import load_mesh, save_mesh
 from umbilic.surfgen import Sphere, generate
 
@@ -182,3 +183,50 @@ def test_verify_reports_failure_exit_code(tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["report"]["hypothesis"]["holds"] is False
+
+
+def test_analyze_csv_rows_match_geometry(tmp_path):
+    mesh_path = tmp_path / "s2.off"
+    run(["gen", "--kind", "sphere", "--subdiv", "2", "--out", str(mesh_path)])
+    table = tmp_path / "table.csv"
+    assert run(["analyze", "--mesh", str(mesh_path), "--out", str(table)]) == 0
+    mesh = load_mesh(mesh_path)
+    geo = estimate_geometry(mesh)
+    expected = [
+        "vertex,x,y,z,area_weight,kappa1,kappa2,H,A_traceless_norm,H2,"
+        "ricci_min,scalar_curv"
+    ]
+    for i in range(mesh.n_vertices):
+        values = [
+            *mesh.vertices[i], mesh.vertex_areas[i], *geo.kappa[i], geo.H[i],
+            geo.A_traceless_norm[i], geo.H2[i], geo.ricci_min[i], geo.scalar_curv[i],
+        ]
+        expected.append(",".join([str(i)] + [repr(float(x)) for x in values]))
+    assert table.read_text().splitlines() == expected
+
+
+@pytest.mark.parametrize("alpha", ["-1", "0"])
+def test_verify_rejects_nonpositive_alpha(tmp_path, capsys, alpha):
+    mesh_path = tmp_path / "s2.off"
+    run(["gen", "--kind", "sphere", "--subdiv", "2", "--out", str(mesh_path)])
+    capsys.readouterr()
+    code = run(["verify", "--mesh", str(mesh_path), "--epsilon", "0.2",
+                "--alpha", alpha])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "floored" not in captured.err
+    doc = json.loads(captured.out)
+    assert doc["error"]["stage"] == "verify"
+    assert "alpha must be in (0, 1)" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("alpha", ["-1", "0"])
+def test_sweep_rejects_nonpositive_alpha(capsys, alpha):
+    code = run(["sweep", "--family", "l2", "--alpha", alpha, "--eps", "0.2",
+                "--subdiv", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "floored" not in captured.err
+    doc = json.loads(captured.out)
+    assert doc["error"]["stage"] == "sweep"
+    assert "alpha must be in (0, 1)" in doc["error"]["message"]

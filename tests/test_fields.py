@@ -7,10 +7,17 @@ from umbilic.fields import (
     integrate,
     lp_norm,
     lp_norm_log_pth_power,
-    normalize_mesh,
     sublevel_measure,
 )
+from umbilic.diffgeo import estimate_geometry
+from umbilic.mesh import Mesh
+from umbilic.pinching import PinchingConstants, unit_area
 from umbilic.surfgen import Ellipsoid, Sphere, generate, oracle_curvatures_at_vertices
+
+
+def normalize(mesh, geometries):
+    """Unit-area rescaling of a mesh and its curvature record (eps = 0.1)."""
+    return unit_area(mesh, geometries, PinchingConstants(alpha=0.5, epsilon=0.1))
 
 
 def unit_area_field(values):
@@ -131,18 +138,24 @@ def test_sublevel_edges():
     assert below + above == pytest.approx(f.total_area, rel=1e-14)
 
 
-def test_normalize_mesh(sphere4):
-    normalized, c = normalize_mesh(sphere4)
+def test_normalize_mesh(sphere4, geom_sphere4):
+    unit = normalize(sphere4, geom_sphere4)
+    c = unit.factor
     area = float(np.sum(sphere4.face_areas))
     assert c == pytest.approx(area ** -0.5, rel=1e-14)
     assert c == pytest.approx((4 * np.pi) ** -0.5, rel=1e-3)
-    new_area = float(np.sum(normalized.face_areas))
+    assert abs(float(np.sum(unit.weights)) - 1.0) < 1e-10
+    new_area = float(np.sum(Mesh(sphere4.vertices * c, sphere4.faces).face_areas))
     assert abs(new_area - 1.0) < 1e-10
+    assert unit.constants.epsilon == pytest.approx(0.1 * c, rel=1e-15)
+    assert np.allclose(unit.geometries.H, geom_sphere4.H / c, rtol=1e-15, atol=0.0)
 
 
-def test_normalize_unit_area_mesh(sphere4):
-    once, c1 = normalize_mesh(sphere4)
-    twice, c2 = normalize_mesh(once)
+def test_normalize_unit_area_mesh(sphere4, geom_sphere4):
+    c1 = normalize(sphere4, geom_sphere4).factor
+    once = Mesh(sphere4.vertices * c1, sphere4.faces)
+    c2 = normalize(once, geom_sphere4.rescaled(c1)).factor
+    twice = Mesh(once.vertices * c2, once.faces)
     assert c2 == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(twice.vertices, once.vertices, rtol=1e-12)
 
@@ -150,7 +163,7 @@ def test_normalize_unit_area_mesh(sphere4):
 def test_normalize_sphere2():
     # discrete area at subdivision 3 sits ~0.5% under 16*pi
     mesh = generate(Sphere(2.0), 3)
-    _, c = normalize_mesh(mesh)
+    c = normalize(mesh, estimate_geometry(mesh)).factor
     assert c == pytest.approx((16 * np.pi) ** -0.5, rel=5e-3)
 
 
@@ -172,22 +185,18 @@ def test_rescaling_law():
     assert law.apply("position", 3.0) == 6.0
     law3 = RescalingLaw(factor=2.0, n=3)
     assert law3.apply("area", 1.0) == 8.0
-    composed = law.compose(RescalingLaw(factor=3.0))
-    assert composed.factor == 6.0
-    ident = RescalingLaw.identity()
-    assert ident.apply("area", 5.0) == 5.0
+    assert law3.apply("volume", 1.0) == 16.0
+    assert RescalingLaw(factor=1.0).apply("area", 5.0) == 5.0
     with pytest.raises(ValueError):
         RescalingLaw(factor=0.0)
     with pytest.raises(KeyError):
         law.exponent("frobnication")
-    with pytest.raises(ValueError):
-        law.compose(law3)
 
 
 def test_pinching_ratio_scale_invariant():
     surf1, surf2 = Ellipsoid(2.0, 1.0, 1.0), Ellipsoid(4.0, 2.0, 2.0)
     m1 = generate(surf1, 3)
-    m2 = m1.scaled(2.0)
+    m2 = Mesh(m1.vertices * 2.0, m1.faces)
     o1 = oracle_curvatures_at_vertices(surf1, m1)
     o2 = oracle_curvatures_at_vertices(surf2, m2)
     r1 = o1.traceless_norm / o1.H

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -156,7 +158,7 @@ def test_barycenter_translation(sphere4):
 
 def test_exact_scaling_laws(sphere4):
     base = measures(sphere4)
-    doubled = measures(sphere4.scaled(2.0))
+    doubled = measures(Mesh(sphere4.vertices * 2.0, sphere4.faces))
     assert abs(doubled.area - 4.0 * base.area) <= 1e-12 * doubled.area
     assert (
         abs(doubled.enclosed_volume - 8.0 * base.enclosed_volume)
@@ -210,3 +212,78 @@ def test_mesh_arrays_immutable(sphere3):
         sphere3.vertices[0, 0] = 99.0
     with pytest.raises(ValueError):
         sphere3.faces[0, 0] = 0
+
+
+# -- edge table against the pairwise constructions it replaced --------------------
+
+
+def reference_topology(mesh):
+    """Edges, validation flags and one-ring built row-wise, without edge keys."""
+    from scipy import sparse
+    from scipy.sparse import csgraph
+
+    f = mesh.faces
+    F, V = len(f), mesh.n_vertices
+    directed = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
+    und = np.sort(directed, axis=1)
+    edges, und_counts = np.unique(und, axis=0, return_counts=True)
+    closed = bool(len(und_counts) > 0 and np.all(und_counts == 2))
+    _, dir_counts = np.unique(directed, axis=0, return_counts=True)
+    oriented = bool(closed and np.all(dir_counts == 1))
+
+    owner = np.tile(np.arange(F), 3)
+    order = np.lexsort((und[:, 1], und[:, 0]))
+    und_sorted, owner_sorted = und[order], owner[order]
+    same = np.all(und_sorted[1:] == und_sorted[:-1], axis=1)
+    a, b = owner_sorted[:-1][same], owner_sorted[1:][same]
+    g = sparse.csr_matrix((np.ones(len(a), dtype=np.int8), (a, b)), shape=(F, F))
+    connected = bool(F > 0 and csgraph.connected_components(g, directed=False)[0] == 1)
+
+    i, j = f[:, [0, 1, 2]].ravel(), f[:, [1, 2, 0]].ravel()
+    adj = sparse.csr_matrix((np.ones(len(i), dtype=np.int8), (i, j)), shape=(V, V))
+    adj = adj + adj.T
+    adj.data[:] = 1
+    areas = mesh.face_areas
+    fields = (closed, oriented, connected, float(areas.min()), 1e-14 * float(areas.mean()))
+    return edges, fields, adj
+
+
+def three_sheet_mesh():
+    """Tetrahedron plus a fin face: edge (0, 1) is shared by three faces."""
+    verts = [[1, 1, 1], [-1, -1, 1], [-1, 1, -1], [1, -1, -1], [0, 0, 3]]
+    faces = [[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2], [0, 1, 4]]
+    return Mesh(np.array(verts, dtype=float), faces)
+
+
+def topology_cases(sphere3, torus):
+    n = sphere3.n_vertices
+    flipped = sphere3.faces.copy()
+    flipped[0] = flipped[0, ::-1]
+    return {
+        "sphere3": sphere3,
+        "torus": torus,
+        "holed": Mesh(sphere3.vertices, sphere3.faces[1:]),
+        "flipped": Mesh(sphere3.vertices, flipped),
+        "two_spheres": Mesh(
+            np.vstack([sphere3.vertices, sphere3.vertices + [10.0, 0, 0]]),
+            np.vstack([sphere3.faces, sphere3.faces + n]),
+        ),
+        "three_sheet": three_sheet_mesh(),
+    }
+
+
+def test_edge_table_matches_reference(sphere3, torus):
+    for name, mesh in topology_cases(sphere3, torus).items():
+        edges, fields, adj = reference_topology(mesh)
+        assert np.array_equal(mesh.edges, edges), name
+        assert mesh.edges.dtype == edges.dtype, name
+        assert mesh.euler_characteristic == mesh.n_vertices - len(edges) + mesh.n_faces
+        assert dataclasses.astuple(validate_mesh(mesh)) == fields, name
+        ring = mesh.one_ring_matrix
+        assert np.array_equal(ring.indptr, adj.indptr), name
+        assert np.array_equal(ring.indices, adj.indices), name
+        assert ring.dtype == adj.dtype and np.all(ring.data == 1), name
+    # the fin edge is counted three times, so the reference cases include
+    # a non-manifold edge as well as a hole, a flip and two components
+    assert not validate_mesh(three_sheet_mesh()).closed
+    assert three_sheet_mesh().euler_characteristic == 5 - 8 + 5

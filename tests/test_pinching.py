@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from umbilic.diffgeo import estimate_geometry
-from umbilic.fields import normalize_mesh
+from umbilic.mesh import Mesh
 from umbilic.pinching import (
     PinchingConstants,
     amplitude_for_ratio,
@@ -18,6 +18,7 @@ from umbilic.pinching import (
     proof_trace,
     roth_condition,
     sharpness_sweep,
+    unit_area,
     verify_theorem,
 )
 from umbilic.spectral import build_laplace, lambda1
@@ -98,7 +99,7 @@ def test_hypothesis_requires_mean_convexity(torus):
 def test_hypothesis_scale_covariance():
     surf1, surf2 = Ellipsoid(1.2, 1.0, 1.1), Ellipsoid(2.4, 2.0, 2.2)
     m1 = generate(surf1, 3)
-    m2 = m1.scaled(2.0)
+    m2 = Mesh(m1.vertices * 2.0, m1.faces)
     c1 = PinchingConstants(alpha=0.5, epsilon=0.3)
     c2 = c1.rescaled(2.0)
     r1 = check_hypothesis(m1, oracle_geometry(surf1, m1), c1)
@@ -121,16 +122,17 @@ def test_epsilon_admissibility_threshold(sphere4, geom_sphere4):
 
 @pytest.fixture(scope="module")
 def normalized_sphere4(sphere4, geom_sphere4):
-    mesh_t, c = normalize_mesh(sphere4)
-    geo_t = geom_sphere4.rescaled(c)
-    lam_t = lambda1(build_laplace(sphere4)).lambda1 / c**2
-    return mesh_t, geo_t, lam_t, c
+    unit = unit_area(
+        sphere4, geom_sphere4, PinchingConstants(alpha=0.5, epsilon=0.2),
+        lambda1(build_laplace(sphere4)).lambda1,
+    )
+    return unit.weights, unit.geometries, unit.lambda1, unit.factor
 
 
 def test_roth_sphere_equality_case(normalized_sphere4):
-    mesh_t, geo_t, lam_t, c = normalized_sphere4
+    w_t, geo_t, lam_t, c = normalized_sphere4
     consts = PinchingConstants(alpha=0.5, epsilon=0.2).rescaled(c)
-    res = roth_condition(mesh_t, geo_t, lam_t, consts)
+    res = roth_condition(w_t, geo_t, lam_t, consts)
     # on the round sphere lambda1*(int H)^2 = n*||H2||^2 up to discretization
     scale = 2.0 * res.h2_norm_2p**2
     assert abs(res.lhs) <= 1e-3 * scale
@@ -141,9 +143,9 @@ def test_roth_sphere_equality_case(normalized_sphere4):
 
 
 def test_roth_c_eps_formula(normalized_sphere4):
-    mesh_t, geo_t, lam_t, c = normalized_sphere4
+    w_t, geo_t, lam_t, c = normalized_sphere4
     consts = PinchingConstants(alpha=0.5, epsilon=0.2, L=0.001).rescaled(c)
-    res = roth_condition(mesh_t, geo_t, lam_t, consts)
+    res = roth_condition(w_t, geo_t, lam_t, consts)
     eps_t = consts.epsilon
     expected = 0.5 * min(
         0.001 * math.sqrt(2.0 / lam_t) * eps_t**2,
@@ -157,25 +159,25 @@ def test_roth_c_eps_formula(normalized_sphere4):
 def test_roth_requires_unit_area(sphere4, geom_sphere4):
     consts = PinchingConstants(alpha=0.5, epsilon=0.05)
     with pytest.raises(ValueError, match="unit-area"):
-        roth_condition(sphere4, geom_sphere4, 2.0, consts)
+        roth_condition(sphere4.vertex_areas, geom_sphere4, 2.0, consts)
 
 
 def test_roth_requires_positive_h2(normalized_sphere4):
-    mesh_t, geo_t, lam_t, _ = normalized_sphere4
+    w_t, geo_t, lam_t, _ = normalized_sphere4
     h2 = geo_t.H2.copy()
     h2[3] = -1e-3
     bad = with_field(geo_t, H2=h2)
     with pytest.raises(ValueError, match="H2"):
-        roth_condition(mesh_t, bad, lam_t, PinchingConstants(alpha=0.5, epsilon=0.01))
+        roth_condition(w_t, bad, lam_t, PinchingConstants(alpha=0.5, epsilon=0.01))
 
 
 def test_roth_epsilon_too_large(normalized_sphere4):
-    mesh_t, geo_t, lam_t, _ = normalized_sphere4
+    w_t, geo_t, lam_t, _ = normalized_sphere4
     h_inf = float(np.abs(geo_t.H).max())
     eps_big = 2.0 / (3.0 * h_inf) * 1.01
     with pytest.raises(ValueError, match="eps"):
         roth_condition(
-            mesh_t, geo_t, lam_t, PinchingConstants(alpha=0.5, epsilon=eps_big)
+            w_t, geo_t, lam_t, PinchingConstants(alpha=0.5, epsilon=eps_big)
         )
 
 
@@ -426,7 +428,8 @@ def test_verify_rejects_wrong_dimension(sphere3):
 def test_verify_scale_covariance_booleans(sphere3):
     c1 = PinchingConstants(alpha=0.5, epsilon=0.2)
     r1 = verify_theorem(sphere3, c1, with_trace=False)
-    r2 = verify_theorem(sphere3.scaled(2.0), c1.rescaled(2.0), with_trace=False)
+    doubled = Mesh(sphere3.vertices * 2.0, sphere3.faces)
+    r2 = verify_theorem(doubled, c1.rescaled(2.0), with_trace=False)
     assert r1.hypothesis.holds == r2.hypothesis.holds
     assert r1.roth.holds == r2.roth.holds
     assert r1.annulus.contained == r2.annulus.contained
@@ -479,3 +482,16 @@ def test_sweep_thread_determinism(monkeypatch):
     monkeypatch.setenv("UMBILIC_THREADS", "2")
     par = sharpness_sweep(**args)
     assert seq == par
+
+
+def test_verify_reports_phi_when_annulus_raises():
+    # eps = 1.5 breaks both the spectral condition (eps~ >= 2/(3 sup H~)) and
+    # the annulus (eps >= sqrt(2/lambda1)); phi_sup is still reported
+    mesh = generate(Sphere(1.0), 3)
+    report = verify_theorem(
+        mesh, PinchingConstants(alpha=0.5, epsilon=1.5), with_trace=False
+    )
+    assert report.failure.startswith("spectral condition:")
+    assert report.roth is None and report.annulus is None
+    assert report.oscillation is None
+    assert report.phi_sup == phi_sup(mesh, report.lambda1)

@@ -8,7 +8,6 @@ from umbilic.spectral import (
     ConvergenceError,
     aubry_lower_bound,
     build_laplace,
-    dump_system,
     lambda1,
     lambda1_upper_bound,
 )
@@ -64,13 +63,13 @@ def test_sphere_lambda1(lam1_sphere5):
 
 
 def test_sphere_radius_two_lambda1(sphere5):
-    res = lambda1(build_laplace(sphere5.scaled(2.0)))
+    res = lambda1(build_laplace(Mesh(sphere5.vertices * 2.0, sphere5.faces)))
     assert res.lambda1 == pytest.approx(0.5, rel=0.01)
 
 
 def test_matrix_level_scaling(sphere3):
     r1 = lambda1(build_laplace(sphere3), tol=1e-10)
-    r2 = lambda1(build_laplace(sphere3.scaled(2.0)), tol=1e-10)
+    r2 = lambda1(build_laplace(Mesh(sphere3.vertices * 2.0, sphere3.faces)), tol=1e-10)
     assert r1.lambda1 == pytest.approx(4.0 * r2.lambda1, rel=1e-9)
 
 
@@ -197,24 +196,3 @@ def test_aubry_bound_errors():
         aubry_lower_bound(-1.0, 1.0, p=3.0, C_np=1.0, n=2)
     with pytest.raises(ValueError):
         aubry_lower_bound(0.0, 0.0, p=3.0, C_np=1.0, n=2)
-
-
-def test_dump_system(tmp_path, sphere3):
-    system = build_laplace(sphere3)
-    spath, mpath = tmp_path / "S.txt", tmp_path / "M.txt"
-    dump_system(system, spath, mpath)
-    rows = []
-    for line in spath.read_text().splitlines():
-        if line.startswith("#"):
-            header = line.split()[1:]
-            continue
-        i, j, v = line.split()
-        rows.append((int(i), int(j), float(v)))
-    assert int(header[0]) == sphere3.n_vertices
-    assert len(rows) == int(header[2])
-    S = build_laplace(sphere3).stiffness.tocoo()
-    assert len(rows) == S.nnz
-    k = 17
-    assert rows[k] == (int(S.row[k]), int(S.col[k]), float(S.data[k]))
-    mass_lines = [l for l in mpath.read_text().splitlines() if not l.startswith("#")]
-    assert len(mass_lines) == sphere3.n_vertices
