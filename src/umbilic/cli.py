@@ -26,6 +26,9 @@ SCHEMA = "umbilic/1"
 # kp = 6(n+1)/alpha: keep the exponent at or below 180
 MIN_CLI_ALPHA = 0.1
 
+# rows of the analyze table converted to Python floats at a time
+CSV_BLOCK = 4096
+
 
 class CliError(Exception):
     """Validation/precondition failure with a machine-readable record."""
@@ -184,7 +187,13 @@ def _cmd_analyze(args) -> int:
             mesh.vertices, mesh.vertex_areas, geo.kappa, geo.H,
             geo.A_traceless_norm, geo.H2, geo.ricci_min, geo.scalar_curv,
         ])
-        rows = ([i, *row] for i, row in enumerate(table.tolist()))
+        # convert a block of rows at a time: one tolist() of the whole
+        # table would hold a Python float for every cell at once
+        rows = (
+            [lo + k, *row]
+            for lo in range(0, len(table), CSV_BLOCK)
+            for k, row in enumerate(table[lo:lo + CSV_BLOCK].tolist())
+        )
         _emit_csv(header, rows, args.out)
     mm = measures(mesh)
     anorm = fields.ScalarField(values=geo.A_traceless_norm, weights=mesh.vertex_areas)

@@ -32,6 +32,10 @@ MIN_NEIGHBORS = 6
 CUBIC_MIN_NEIGHBORS = 10
 QUARTIC_MIN_NEIGHBORS = 12
 
+# Vertices per jet-fit block: the padded offsets and design matrix of one
+# block, not of the whole mesh, bound the fit's working memory.
+FIT_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class SurfaceGeometry:
@@ -154,50 +158,34 @@ def eigen_split(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def neighborhoods(mesh: Mesh, ring_depth: int) -> sparse.csr_matrix:
-    """0/1 csr matrix whose row i holds the <=ring_depth neighbors of i."""
+    """Boolean csr matrix whose row i holds the <=ring_depth neighbors of i."""
     if ring_depth < 1:
         raise ValueError("ring_depth must be >= 1")
-    # int64: path counts in the matrix powers overflow small dtypes
-    adj = mesh.one_ring_matrix.astype(np.int64)
+    # bool: boolean sparse products take OR for +, so they record
+    # reachability without path counts that could overflow, at one byte
+    # per entry
+    adj = mesh.one_ring_matrix.astype(bool)
     acc = adj.copy()
     for _ in range(ring_depth - 1):
         acc = acc + acc @ adj
-        acc.data[:] = 1
     acc = acc.tocsr()
     acc.setdiag(0)
     acc.eliminate_zeros()
     return acc
 
 
-def estimate_geometry(mesh: Mesh, ring_depth: int = 2) -> SurfaceGeometry:
-    """Estimate the shape operator and derived curvatures at every vertex.
+def _fit_block(verts, indices, lo, counts, m, n_terms, t1, t2, normals):
+    """Jet coefficients (p, q, a/2, b, c/2) and scales of vertices lo, lo+1, ...
 
-    Requires every ring_depth-neighborhood to contain at least 6 vertices;
-    per-vertex fits are deterministic and independent, so results do not
-    depend on evaluation order.
+    `indices` holds the block's neighbors, row after row, `counts` how many
+    each row has; rows are padded to width m and the padding rows are
+    zeroed, so they drop out of the normal equations.
     """
-    V = mesh.n_vertices
-    normals = vertex_normals(mesh)
-    nbr = neighborhoods(mesh, ring_depth)
-    counts = np.diff(nbr.indptr)
-    if counts.min() < MIN_NEIGHBORS:
-        bad = int(np.argmin(counts))
-        raise ValueError(
-            f"underdetermined fit: vertex {bad} has only {counts[bad]} "
-            f"neighbors at ring_depth={ring_depth} (need >= {MIN_NEIGHBORS})"
-        )
-
-    t1, t2 = tangent_frame(normals)
-
-    # padded neighbor table; padding rows are zeroed and drop out of the
-    # normal equations
-    m = int(counts.max())
-    pad = np.zeros((V, m), dtype=np.int64)
-    mask = np.zeros((V, m), dtype=bool)
-    cols = np.arange(m)
-    mask[:] = cols[None, :] < counts[:, None]
-    pad[mask] = nbr.indices
-    d = mesh.vertices[pad] - mesh.vertices[:, None, :]
+    B = len(counts)
+    pad = np.zeros((B, m), dtype=np.int64)
+    mask = np.arange(m)[None, :] < counts[:, None]
+    pad[mask] = indices
+    d = verts[pad] - verts[lo:lo + B, None, :]
     d[~mask] = 0.0
 
     u = np.einsum("vmk,vk->vm", d, t1)
@@ -215,10 +203,7 @@ def estimate_geometry(mesh: Mesh, ring_depth: int = 2) -> SurfaceGeometry:
     A[~mask] = 0.0
     z = np.where(mask, z, 0.0)
 
-    n_terms = np.full(V, 5)
-    n_terms[counts >= CUBIC_MIN_NEIGHBORS] = 9
-    n_terms[counts >= QUARTIC_MIN_NEIGHBORS] = 10
-    coef = np.zeros((V, 5))
+    coef = np.zeros((B, 5))
     for nt in np.unique(n_terms):
         sel = n_terms == nt
         Asub = A[sel][:, :, :nt]
@@ -230,6 +215,45 @@ def estimate_geometry(mesh: Mesh, ring_depth: int = 2) -> SurfaceGeometry:
             raise ValueError(
                 "singular jet fit (degenerate vertex neighborhood)"
             ) from exc
+    return coef, scale
+
+
+def estimate_geometry(mesh: Mesh, ring_depth: int = 2) -> SurfaceGeometry:
+    """Estimate the shape operator and derived curvatures at every vertex.
+
+    Requires every ring_depth-neighborhood to contain at least 6 vertices;
+    per-vertex fits are deterministic and independent, so results do not
+    depend on evaluation order.  The fits run FIT_BLOCK vertices at a time,
+    so beyond the O(V) records and the neighborhood matrix the working
+    memory does not grow with the mesh.
+    """
+    V = mesh.n_vertices
+    normals = vertex_normals(mesh)
+    nbr = neighborhoods(mesh, ring_depth)
+    counts = np.diff(nbr.indptr)
+    if counts.min() < MIN_NEIGHBORS:
+        bad = int(np.argmin(counts))
+        raise ValueError(
+            f"underdetermined fit: vertex {bad} has only {counts[bad]} "
+            f"neighbors at ring_depth={ring_depth} (need >= {MIN_NEIGHBORS})"
+        )
+
+    t1, t2 = tangent_frame(normals)
+    # every block pads to the global width m, so the zero padding enters
+    # each reduction in the same positions whatever the block size
+    m = int(counts.max())
+    n_terms = np.full(V, 5)
+    n_terms[counts >= CUBIC_MIN_NEIGHBORS] = 9
+    n_terms[counts >= QUARTIC_MIN_NEIGHBORS] = 10
+    coef = np.zeros((V, 5))
+    scale = np.empty(V)
+    for lo in range(0, V, FIT_BLOCK):
+        hi = min(lo + FIT_BLOCK, V)
+        blk = slice(lo, hi)
+        coef[blk], scale[blk] = _fit_block(
+            mesh.vertices, nbr.indices[nbr.indptr[lo]:nbr.indptr[hi]],
+            lo, counts[blk], m, n_terms[blk], t1[blk], t2[blk], normals[blk],
+        )
 
     p = coef[:, 0]
     q = coef[:, 1]

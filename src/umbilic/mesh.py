@@ -82,8 +82,9 @@ class Mesh:
     faces : (F, 3) int array
         Vertex index triples, counterclockwise w.r.t. the outward normal.
 
-    The arrays are copied and frozen; the edge table, adjacency and all
-    derived measures are computed on first use and cached.
+    The arrays are copied and frozen; the edge table, adjacency, the
+    validation report and all derived measures are computed on first use
+    and cached.
     """
 
     def __init__(self, vertices, faces):
@@ -118,6 +119,10 @@ class Mesh:
     @cached_property
     def _edge_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return edge_table(self.faces, self.n_vertices)
+
+    @cached_property
+    def _validation(self) -> ValidationReport:
+        return _validation_report(self)
 
     @cached_property
     def edges(self) -> np.ndarray:
@@ -319,8 +324,13 @@ def save_mesh(mesh: Mesh, path, fmt: str | None = None) -> None:
 def validate_mesh(mesh: Mesh) -> ValidationReport:
     """Check closedness, orientability, connectivity and face degeneracy.
 
-    Reporting only: never raises on a broken mesh.
+    Reporting only: never raises on a broken mesh.  The report is computed
+    on the first call and cached on the (immutable) mesh.
     """
+    return mesh._validation
+
+
+def _validation_report(mesh: Mesh) -> ValidationReport:
     keys, inverse, counts = mesh._edge_table
     closed = bool(len(counts) > 0 and np.all(counts == 2))
 

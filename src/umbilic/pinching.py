@@ -665,22 +665,24 @@ def amplitude_for_ratio(
     slack: float = 1.0,
     n: int = 2,
     steps: int = 40,
-) -> tuple[float, float]:
+) -> tuple[float, float, Mesh]:
     """Bisection for the harmonic amplitude realizing the pinching ratio.
 
     Finds delta with pinch_ratio = slack * eps^(2+alpha) within 1%; the
     ratio response is monotone in delta at these amplitudes.  Raises when
-    the radial positivity limit is reached before the target.
+    the radial positivity limit is reached before the target.  Returns
+    (delta, achieved ratio, the mesh at delta that ratio was measured on).
     """
     target = slack * epsilon ** (2.0 + alpha)
     consts = PinchingConstants(alpha=alpha, epsilon=epsilon, n=n)
     delta_max = 0.9 * radius / surfgen.harmonic_sup(degree, order)
 
-    def ratio_at(delta: float) -> float:
+    def ratio_at(delta: float) -> tuple[float, Mesh]:
         surf = surfgen.PerturbedSphere(radius, delta, degree, order)
-        return pinch_ratio(surf, surfgen.generate(surf, subdivision), consts)
+        mesh = surfgen.generate(surf, subdivision)
+        return pinch_ratio(surf, mesh, consts), mesh
 
-    if ratio_at(delta_max) < target:
+    if ratio_at(delta_max)[0] < target:
         raise ValueError(
             f"amplitude search failed: ratio at the positivity limit "
             f"delta = {delta_max:g} is below the target {target:g}"
@@ -688,18 +690,18 @@ def amplitude_for_ratio(
     lo, hi = 0.0, delta_max
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        if ratio_at(mid) < target:
+        if ratio_at(mid)[0] < target:
             lo = mid
         else:
             hi = mid
     delta = 0.5 * (lo + hi)
-    achieved = ratio_at(delta)
+    achieved, mesh = ratio_at(delta)
     if abs(achieved - target) > 0.01 * target:
         raise ValueError(
             f"amplitude search failed: achieved ratio {achieved:g} not "
             f"within 1% of target {target:g} (oracle noise floor?)"
         )
-    return delta, achieved
+    return delta, achieved, mesh
 
 
 def sharpness_sweep(
@@ -725,11 +727,9 @@ def sharpness_sweep(
         raise ValueError("eps grid must be positive")
 
     def run_one(eps: float) -> SweepRow:
-        delta, achieved = amplitude_for_ratio(
+        delta, achieved, msh = amplitude_for_ratio(
             radius, degree, order, alpha, eps, subdivision, slack=slack, n=n
         )
-        surf = surfgen.PerturbedSphere(radius, delta, degree, order)
-        msh = surfgen.generate(surf, subdivision)
         report = verify_theorem(
             msh,
             PinchingConstants(alpha=alpha, epsilon=eps, n=n),

@@ -205,6 +205,21 @@ def test_analyze_csv_rows_match_geometry(tmp_path):
     assert table.read_text().splitlines() == expected
 
 
+def test_analyze_csv_independent_of_row_block(tmp_path, monkeypatch):
+    import umbilic.cli as cli
+
+    mesh_path = tmp_path / "s2.off"
+    run(["gen", "--kind", "sphere", "--subdiv", "2", "--out", str(mesh_path)])
+    texts = []
+    for block in (cli.CSV_BLOCK, 1, 7):
+        monkeypatch.setattr(cli, "CSV_BLOCK", block)
+        table = tmp_path / f"table{block}.csv"
+        assert run(["analyze", "--mesh", str(mesh_path), "--out", str(table)]) == 0
+        texts.append(table.read_bytes())
+    assert texts[0] == texts[1] == texts[2]
+    assert len(texts[0].splitlines()) == load_mesh(mesh_path).n_vertices + 1
+
+
 @pytest.mark.parametrize("alpha", ["-1", "0"])
 def test_verify_rejects_nonpositive_alpha(tmp_path, capsys, alpha):
     mesh_path = tmp_path / "s2.off"

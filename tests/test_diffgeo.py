@@ -1,8 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from umbilic import diffgeo
 from umbilic.diffgeo import (
     convexity_status,
     estimate_geometry,
@@ -14,9 +16,31 @@ from umbilic.surfgen import (
     Ellipsoid,
     PerturbedSphere,
     Sphere,
+    _subdivide,
     generate,
     oracle_curvatures_at_vertices,
 )
+
+
+def subdivided_tetrahedron(levels=3) -> Mesh:
+    """Midpoint-subdivided tetrahedron on the unit sphere.
+
+    Its four valence-3 vertices have 9 ring-2 neighbors (the 5-term basis),
+    every other vertex at least 14 (the 10-term basis).
+    """
+    verts = np.array(
+        [[1, 1, 1], [-1, -1, 1], [-1, 1, -1], [1, -1, -1]], dtype=float
+    ) / np.sqrt(3.0)
+    faces = np.array([[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]])
+    for _ in range(levels):
+        verts, faces = _subdivide(verts, faces)
+    return Mesh(verts, faces)
+
+
+def assert_geometry_identical(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), f.name
 
 
 def test_unit_sphere_estimates(geom_sphere5):
@@ -202,3 +226,44 @@ def test_underdetermined_neighborhood(tetra):
 def test_ring_depth_validation(sphere3):
     with pytest.raises(ValueError):
         estimate_geometry(sphere3, ring_depth=0)
+
+
+@pytest.mark.parametrize("mesh_name", ["perturbed4", "tetra"])
+def test_fit_block_size_does_not_change_result(
+    mesh_name, perturbed4, geom_perturbed4, monkeypatch
+):
+    if mesh_name == "tetra":
+        mesh = subdivided_tetrahedron()
+        counts = np.diff(diffgeo.neighborhoods(mesh, 2).indptr)
+        # at least two basis tiers in play
+        assert counts.min() < diffgeo.CUBIC_MIN_NEIGHBORS
+        assert counts.max() >= diffgeo.QUARTIC_MIN_NEIGHBORS
+        reference = estimate_geometry(mesh)
+    else:
+        mesh, reference = perturbed4, geom_perturbed4
+    for block in (1, 7, mesh.n_vertices + 1):
+        monkeypatch.setattr(diffgeo, "FIT_BLOCK", block)
+        assert_geometry_identical(estimate_geometry(mesh), reference)
+
+
+def test_underdetermined_names_vertex_with_unit_blocks(sphere3, monkeypatch):
+    # ring_depth=1 on the icosphere: the 12 valence-5 vertices, 0 first
+    monkeypatch.setattr(diffgeo, "FIT_BLOCK", 1)
+    with pytest.raises(ValueError, match=r"vertex 0 has only 5 neighbors"):
+        estimate_geometry(sphere3, ring_depth=1)
+    valence = np.diff(sphere3.one_ring_matrix.indptr)
+    assert valence[0] == 5
+
+
+def test_fit_memory_bounded():
+    # the bound sits between a block-wise fit (about 35 MiB) and one that
+    # pads every vertex at once (about 260 MiB)
+    mesh = generate(PerturbedSphere(1.0, 0.01, 2, 0), 6)
+    mesh.one_ring_matrix, mesh.face_cross
+    tracemalloc.start()
+    try:
+        estimate_geometry(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20

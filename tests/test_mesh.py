@@ -109,6 +109,16 @@ def test_validate_icosphere_all_pass(sphere3):
     assert report.all_passed
 
 
+def test_validation_cached_on_mesh(sphere3):
+    holed = Mesh(sphere3.vertices, sphere3.faces[1:])
+    first = validate_mesh(holed)
+    assert validate_mesh(holed) is first
+    # a new Mesh over the same arrays validates afresh, to an equal report
+    again = Mesh(sphere3.vertices, sphere3.faces[1:])
+    assert validate_mesh(again) is not first
+    assert validate_mesh(again) == first
+
+
 def test_validate_open_mesh(sphere3):
     holed = Mesh(sphere3.vertices, sphere3.faces[1:])
     report = validate_mesh(holed)

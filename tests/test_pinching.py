@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from umbilic.diffgeo import estimate_geometry
-from umbilic.mesh import Mesh
+from umbilic.mesh import Mesh, validate_mesh
 from umbilic.pinching import (
     PinchingConstants,
     amplitude_for_ratio,
@@ -79,9 +79,12 @@ def test_hypothesis_sphere_holds(sphere4, geom_sphere4):
 def test_hypothesis_fails_beyond_threshold():
     # amplitude tuned 3x past the pinching target must give a negative margin
     eps, alpha = 0.3, 0.5
-    delta, _ = amplitude_for_ratio(1.0, 2, 0, alpha, eps, 3, slack=3.0)
+    delta, _, searched = amplitude_for_ratio(1.0, 2, 0, alpha, eps, 3, slack=3.0)
     surf = PerturbedSphere(1.0, delta, 2, 0)
     mesh = generate(surf, 3)
+    # the search hands back the mesh its final ratio was measured on
+    assert np.array_equal(searched.vertices, mesh.vertices)
+    assert np.array_equal(searched.faces, mesh.faces)
     res = check_hypothesis(
         mesh, oracle_geometry(surf, mesh), PinchingConstants(alpha=alpha, epsilon=eps)
     )
@@ -418,6 +421,35 @@ def test_verify_rejects_invalid_mesh(sphere3):
     open_mesh = Mesh(sphere3.vertices, sphere3.faces[1:])
     with pytest.raises(ValueError, match="validation"):
         verify_theorem(open_mesh, PinchingConstants(alpha=0.5, epsilon=0.1))
+
+
+def test_verify_rejects_invalid_mesh_after_cached_validation(sphere3):
+    # the cached report of a failed validation still stops a direct call
+    open_mesh = Mesh(sphere3.vertices, sphere3.faces[1:])
+    assert not validate_mesh(open_mesh).all_passed
+    with pytest.raises(ValueError, match="validation"):
+        verify_theorem(open_mesh, PinchingConstants(alpha=0.5, epsilon=0.1))
+
+
+def test_sweep_builds_each_mesh_once(monkeypatch):
+    # one icosphere per pinch_ratio call; the verify reuses the search's mesh
+    import umbilic.pinching as pinching
+
+    calls = {"generate": 0, "ratio": 0}
+
+    def count(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pinching.surfgen, "generate",
+                        count("generate", pinching.surfgen.generate))
+    monkeypatch.setattr(pinching, "pinch_ratio",
+                        count("ratio", pinching.pinch_ratio))
+    sharpness_sweep(1.0, 2, 0, alpha=0.5, eps_grid=[0.3, 0.2], subdivision=2)
+    assert calls["ratio"] == 2 * (1 + 40 + 1)
+    assert calls["generate"] == calls["ratio"]
 
 
 def test_verify_rejects_wrong_dimension(sphere3):
