@@ -9,14 +9,12 @@ pinching hypothesis/annulus-conclusion verification with its proof trace.
 from .diffgeo import (
     ConvexityStatus,
     SurfaceGeometry,
-    VertexGeometry,
     convexity_status,
     estimate_geometry,
     ricci_deficit,
     ricci_from_gauss,
 )
 from .fields import (
-    RescalingLaw,
     ScalarField,
     integrate,
     lp_norm,

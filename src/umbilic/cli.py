@@ -116,11 +116,13 @@ def _load_validated(path) -> Mesh:
         raise CliError("load", str(exc)) from exc
     report = validate_mesh(mesh)
     if not report.all_passed:
+        fans = f" manifold=False (vertex {report.nonmanifold_vertex})"
         raise CliError(
             "validate",
             f"mesh validation failed: closed={report.closed} "
             f"oriented={report.oriented} connected={report.connected} "
-            f"min_face_area={report.min_face_area:g}",
+            f"min_face_area={report.min_face_area:g}"
+            + (fans if report.manifold is False else ""),
         )
     return mesh
 

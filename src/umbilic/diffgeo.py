@@ -8,18 +8,20 @@ isotropic quartic (x^2 + y^2)^2 absorbs the dominant even fourth-order term
 of near-umbilical graphs, which otherwise aliases into the curvatures.
 Signs follow the outward-normal convention: round spheres get positive
 principal curvatures.  The tangent frame and the Weingarten map are the
-same kernels the finite-difference oracle in `surfgen` uses.
+same kernels the finite-difference oracle in `surfgen` uses.  The result
+is one `SurfaceGeometry` of whole per-vertex arrays; `rescaled` gives the
+exact record of the mesh scaled by a factor.
 
 Ricci quantities come from the Gauss formula of a hypersurface in flat
 space; in the principal frame the Ricci eigenvalues are n*H*kappa_i -
-kappa_i^2.  The dimension n is an explicit parameter so the formulas can be
-exercised against general-n sphere closed forms, even though the mesh
-pipeline fixes n = 2.
+kappa_i^2.  The dimension n is a parameter of `ricci_from_gauss` and
+`ricci_deficit` only, so the formulas can be exercised against general-n
+sphere closed forms; the pipeline fixes n = 2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -41,8 +43,8 @@ FIT_BLOCK = 4096
 class SurfaceGeometry:
     """Curvature record for every vertex of a mesh (arrays over vertices).
 
-    Indexing gives a per-vertex view; all fields use the normalized mean
-    curvature convention H = (kappa1 + kappa2)/2.
+    All fields use the normalized mean curvature convention
+    H = (kappa1 + kappa2)/2.
     """
 
     normal: np.ndarray           # (V, 3) unit outward normals
@@ -53,14 +55,6 @@ class SurfaceGeometry:
     H2: np.ndarray               # (V,) second symmetric function k1*k2
     ricci_min: np.ndarray        # (V,) smallest Ricci eigenvalue
     scalar_curv: np.ndarray      # (V,) scalar curvature (= 2K for n = 2)
-
-    def __len__(self) -> int:
-        return len(self.H)
-
-    def __getitem__(self, i):
-        return VertexGeometry(
-            **{f.name: getattr(self, f.name)[i] for f in dc_fields(self)}
-        )
 
     def rescaled(self, factor: float) -> "SurfaceGeometry":
         """Exact curvature record of the mesh scaled by `factor`.
@@ -79,20 +73,6 @@ class SurfaceGeometry:
             ricci_min=self.ricci_min * s**2,
             scalar_curv=self.scalar_curv * s**2,
         )
-
-
-@dataclass(frozen=True)
-class VertexGeometry:
-    """Single-vertex view of a SurfaceGeometry."""
-
-    normal: np.ndarray
-    shape_operator: np.ndarray
-    kappa: np.ndarray
-    H: float
-    A_traceless_norm: float
-    H2: float
-    ricci_min: float
-    scalar_curv: float
 
 
 @dataclass(frozen=True)
@@ -312,13 +292,11 @@ def ricci_from_gauss(kappa: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
 def ricci_deficit(ricci_min, reference: float, n: int):
     """Negative part of (Ric_min/mu^2 - (n-1)) after rescaling by mu.
 
-    `ricci_min` may be a scalar, an array, or anything with a ricci_min
-    attribute (VertexGeometry / SurfaceGeometry).
+    `ricci_min` is a scalar or an array of smallest Ricci eigenvalues.
     """
     if reference <= 0:
         raise ValueError("reference scale mu must be positive")
-    r = getattr(ricci_min, "ricci_min", ricci_min)
-    r = np.asarray(r, dtype=np.float64)
+    r = np.asarray(ricci_min, dtype=np.float64)
     return np.maximum(0.0, (n - 1) - r / reference**2)
 
 

@@ -4,8 +4,8 @@ Meshes are closed oriented triangle surfaces embedded in R^3.  Vertices and
 faces are immutable numpy arrays.  Combinatorics come from one keyed edge
 table (see `edge_table`), built on first use and cached with the one-ring
 adjacency derived from it.  Structural validation (closedness,
-orientability, connectivity, degeneracy) is a separate, reporting-only step
-so that broken inputs can still be inspected.
+orientability, connectivity, vertex manifoldness, degeneracy) is a separate,
+reporting-only step so that broken inputs can still be inspected.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ class ValidationReport:
     connected: bool
     min_face_area: float
     degenerate_threshold: float
+    manifold: bool | None            # one fan per vertex; None if not traced
+    nonmanifold_vertex: int | None   # the first vertex with no or several fans
 
     @property
     def all_passed(self) -> bool:
@@ -43,6 +45,7 @@ class ValidationReport:
             self.closed
             and self.oriented
             and self.connected
+            and self.manifold
             and self.min_face_area > self.degenerate_threshold
         )
 
@@ -133,11 +136,6 @@ class Mesh:
     def euler_characteristic(self) -> int:
         return self.n_vertices - len(self._edge_table[0]) + self.n_faces
 
-    def one_ring(self, i: int) -> np.ndarray:
-        """Indices of vertices sharing an edge with vertex i."""
-        m = self.one_ring_matrix
-        return m.indices[m.indptr[i]:m.indptr[i + 1]]
-
     @cached_property
     def one_ring_matrix(self) -> sparse.csr_matrix:
         """Vertex adjacency as a 0/1 csr matrix (no diagonal)."""
@@ -198,28 +196,28 @@ def load_mesh(path, fmt: str | None = None) -> Mesh:
     fmt = fmt.lower()
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
-    if fmt == "off":
-        return _parse_off(text)
-    if fmt == "obj":
-        return _parse_obj(text)
-    raise MeshFormatError(f"unsupported mesh format {fmt!r} (use off or obj)")
+    parse = {"off": _parse_off, "obj": _parse_obj}.get(fmt)
+    if parse is None:
+        raise MeshFormatError(f"unsupported mesh format {fmt!r} (use off or obj)")
+    try:
+        return parse(text)
+    except OverflowError as exc:   # a face index beyond int64
+        raise IndexError(f"{fmt.upper()} face index out of range: {exc}") from exc
 
 
-def _content_lines(text: str):
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line
+def _content_lines(text: str) -> list[str]:
+    """The non-blank lines of `text`, stripped of '#' comments."""
+    stripped = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return [line for line in stripped if line]
 
 
 def _parse_off(text: str) -> Mesh:
     lines = _content_lines(text)
-    try:
-        header = next(lines)
-    except StopIteration:
-        raise MeshFormatError("empty OFF file") from None
+    if not lines:
+        raise MeshFormatError("empty OFF file")
+    header, body = lines[0], lines[1:]
     if header == "OFF":
-        counts_line = next(lines, None)
+        counts_line = body.pop(0) if body else None
     elif header.startswith("OFF"):
         # counts on the header line
         counts_line = header[3:].strip()
@@ -231,11 +229,13 @@ def _parse_off(text: str) -> Mesh:
         nv, nf = [int(tok) for tok in counts_line.split()[:2]]
     except ValueError as exc:
         raise MeshFormatError(f"bad OFF counts line {counts_line!r}") from exc
+    # the counts are checked before they size an allocation
+    if min(nv, nf) < 0 or nv + nf > len(body):
+        raise MeshFormatError(
+            f"OFF declares {nv} vertices and {nf} faces, but {len(body)} lines follow"
+        )
     verts = np.empty((nv, 3))
-    for k in range(nv):
-        line = next(lines, None)
-        if line is None:
-            raise MeshFormatError(f"OFF ended after {k} of {nv} vertices")
+    for k, line in enumerate(body[:nv]):
         parts = line.split()
         if len(parts) < 3:
             raise MeshFormatError(f"bad OFF vertex line {line!r}")
@@ -244,10 +244,7 @@ def _parse_off(text: str) -> Mesh:
         except ValueError as exc:
             raise MeshFormatError(f"bad OFF vertex line {line!r}") from exc
     faces = np.empty((nf, 3), dtype=np.int64)
-    for k in range(nf):
-        line = next(lines, None)
-        if line is None:
-            raise MeshFormatError(f"OFF ended after {k} of {nf} faces")
+    for k, line in enumerate(body[nv:nv + nf]):
         parts = line.split()
         try:
             cnt = int(parts[0])
@@ -322,12 +319,44 @@ def save_mesh(mesh: Mesh, path, fmt: str | None = None) -> None:
 
 
 def validate_mesh(mesh: Mesh) -> ValidationReport:
-    """Check closedness, orientability, connectivity and face degeneracy.
+    """Check closedness, orientability, connectivity, vertex fans and degeneracy.
 
     Reporting only: never raises on a broken mesh.  The report is computed
     on the first call and cached on the (immutable) mesh.
     """
     return mesh._validation
+
+
+def _trace_fans(faces, inverse, counts, n_vertices) -> tuple[bool, int | None]:
+    """(no directed edge repeats, first vertex whose faces are not one fan).
+
+    If so, the half-edges h and t of an interior edge run opposite ways, and
+    the corner at h's tail (`_half_edges` order) is followed around its vertex
+    by the corner at t's head, (t + F) mod 3F.  Each cycle of this map, or
+    path at a boundary, is a fan; otherwise the fans are not traced (None).
+    """
+    i, j = _half_edges(faces)
+    C = len(i)
+    h = np.arange(C)
+    first = np.full(len(counts), C)
+    np.minimum.at(first, inverse, h)
+    last = np.zeros(len(counts), dtype=np.int64)
+    np.maximum.at(last, inverse, h)
+    inner = counts[inverse] == 2
+    twin = (first[inverse] + last[inverse] - h)[inner]   # the other half-edge
+    if np.any(counts > 2) or np.any(i[twin] != j[inner]):
+        return False, None
+    del j   # the graph passes below set the memory peak
+    links = sparse.csr_matrix(
+        (np.ones(len(twin), dtype=np.int8), (h[inner], (twin + len(faces)) % C)),
+        shape=(C, C),
+    )
+    del h, inner, twin
+    n_fans, fan = csgraph.connected_components(links, directed=False)
+    fan_vertex = np.empty(n_fans, dtype=np.int64)
+    fan_vertex[fan] = i
+    bad = np.flatnonzero(np.bincount(fan_vertex, minlength=n_vertices) != 1)
+    return True, int(bad[0]) if bad.size else None
 
 
 def _validation_report(mesh: Mesh) -> ValidationReport:
@@ -336,11 +365,8 @@ def _validation_report(mesh: Mesh) -> ValidationReport:
 
     # Consistent orientation: every directed edge occurs exactly once, so the
     # two faces of each undirected edge traverse it in opposite directions.
-    oriented = False
-    if closed:
-        i, j = _half_edges(mesh.faces)
-        directed = np.sort(i * mesh.n_vertices + j)
-        oriented = bool(np.all(directed[1:] != directed[:-1]))
+    simple, bad_vertex = _trace_fans(mesh.faces, inverse, counts, mesh.n_vertices)
+    oriented = closed and simple
 
     # Faces sharing an edge are linked through a graph node for that edge.
     F = mesh.n_faces
@@ -361,6 +387,8 @@ def _validation_report(mesh: Mesh) -> ValidationReport:
         connected=connected,
         min_face_area=min_face_area,
         degenerate_threshold=threshold,
+        manifold=bad_vertex is None if simple else None,
+        nonmanifold_vertex=bad_vertex,
     )
 
 

@@ -1,10 +1,11 @@
-"""Pinching-theorem pipeline for almost-umbilical closed surfaces.
+"""Pinching-theorem pipeline for almost-umbilical closed surfaces in R^3.
 
 Checks the pointwise hypothesis ||A - H g|| <= H |M|^(-(2+a)/n) eps^(2+a),
 the admissibility threshold on eps, strict convexity, the spectral
 condition lambda1 (int H)^2 - n ||H2||_{2p}^2 > -C_eps on the unit-area
 rescaling, and the annulus conclusion that the surface lies between the
-spheres of radius sqrt(n/lambda1) -/+ eps about its barycenter.
+spheres of radius sqrt(n/lambda1) -/+ eps about its barycenter, with n = 2.
+The spectral condition and the proof trace read one `unit_area` record.
 
 The proof trace reproduces the intermediate objects of the containment
 argument: the best-fit umbilical factor mu0, the rescaled surface
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import logsumexp
@@ -34,7 +35,6 @@ from .diffgeo import (
     ricci_deficit,
 )
 from .fields import (
-    RescalingLaw,
     ScalarField,
     lp_norm,
     lp_norm_log_pth_power,
@@ -49,12 +49,13 @@ class PinchingConstants:
 
     alpha is the pinching order (the hypothesis uses eps^(2+alpha)); L and
     c_n parametrize C_eps; C_np_aubry is the Ricci-deficit constant.  All
-    three default to 1 and are stamped into every report.
+    three default to 1 and are stamped into every report, as is the
+    dimension n, which is 2 and not settable.
     """
 
     alpha: float
     epsilon: float
-    n: int = 2
+    n: int = field(default=2, init=False)
     p_roth: float | None = None
     L: float = 1.0
     c_n: float = 1.0
@@ -65,8 +66,6 @@ class PinchingConstants:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.n < 2:
-            raise ValueError("dimension n must be >= 2")
         if self.p_roth is None:
             object.__setattr__(self, "p_roth", float(self.n + 1))
         if self.p_roth < 2:
@@ -195,10 +194,10 @@ class PinchingReport:
 
 @dataclass(frozen=True)
 class UnitArea:
-    """A surface and its curvature record rescaled by c = |M|^(-1/n) to |M| = 1."""
+    """A surface and its curvature record rescaled by c = |M|^(-1/2) to |M| = 1."""
 
     factor: float
-    weights: np.ndarray            # vertex areas * c^n, summing to 1
+    weights: np.ndarray            # vertex areas * c^2, summing to 1
     geometries: SurfaceGeometry    # curvatures / c, Ricci / c^2
     constants: PinchingConstants   # eps * c
     lambda1: float | None          # lambda1 / c^2
@@ -211,15 +210,20 @@ def unit_area(
     lam1: float | None = None,
 ) -> UnitArea:
     """Rescale the weights, curvatures, eps and lambda1 of `mesh` to unit area."""
-    law = RescalingLaw(factor=mesh.area ** (-1.0 / constants.n), n=constants.n)
-    c = law.factor
+    c = mesh.area ** (-1.0 / constants.n)
     return UnitArea(
         factor=c,
-        weights=law.apply("area", mesh.vertex_areas),
+        weights=mesh.vertex_areas * c ** 2,
         geometries=geometries.rescaled(c),
         constants=constants.rescaled(c),
-        lambda1=None if lam1 is None else law.apply("lambda1", lam1),
+        lambda1=None if lam1 is None else lam1 * c ** -2,
     )
+
+
+def _lambda1_of(unit: UnitArea) -> float:
+    if unit.lambda1 is None:
+        raise ValueError("the unit-area record carries no lambda1")
+    return unit.lambda1
 
 
 # -- hypothesis --------------------------------------------------------------
@@ -253,18 +257,14 @@ def check_hypothesis(
 # -- spectral pinching condition ----------------------------------------------
 
 
-def roth_condition(
-    weights: np.ndarray,
-    geometries: SurfaceGeometry,
-    lam1: float,
-    constants: PinchingConstants,
-) -> RothResult:
+def roth_condition(unit: UnitArea) -> RothResult:
     """Evaluate lambda1*(int H)^2 - n*||H2||_{2p}^2 > -C_eps on |M| = 1.
 
-    The vertex area `weights`, `geometries`, `lam1` and constants.epsilon
-    must all refer to the unit-area rescaling (see `unit_area`); H2 > 0
+    `unit` is the unit-area record of `unit_area`, with its lambda1; H2 > 0
     everywhere and eps < 2/(3 sup H) are hypotheses, violated ones raise.
     """
+    weights, geometries, constants = unit.weights, unit.geometries, unit.constants
+    lam1 = _lambda1_of(unit)
     area = float(weights.sum())
     if abs(area - 1.0) > 1e-6:
         raise ValueError(f"spectral condition needs unit-area weights, |M| = {area:g}")
@@ -284,7 +284,7 @@ def roth_condition(
     )
     lhs = lam1 * integral_h**2 - n * h2_norm**2
     constituents = {
-        "L_sqrt_term": constants.L * math.sqrt(n / lam1) * eps**2,
+        "L_sqrt_term": constants.L * _r_lambda(lam1) * eps**2,
         "L": constants.L,
         "c_n": constants.c_n,
         "half_n_h2_norm_sq": 0.5 * n * h2_norm**2,
@@ -310,21 +310,20 @@ def _barycenter_distances(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     return center, np.linalg.norm(mesh.vertices - center, axis=1)
 
 
-def _r_lambda(lam1: float, n: int) -> float:
+def _r_lambda(lam1: float) -> float:
+    """sqrt(n/lambda1) with n = 2: the radius of the round sphere with lambda1."""
     if lam1 <= 0:
         raise ValueError("lambda1 must be positive")
-    return math.sqrt(n / lam1)
+    return math.sqrt(2 / lam1)
 
 
-def annulus_check(
-    mesh: Mesh, lam1: float, epsilon: float, n: int = 2
-) -> AnnulusResult:
+def annulus_check(mesh: Mesh, lam1: float, epsilon: float) -> AnnulusResult:
     """Containment of the surface in the annulus of width 2*eps about x0."""
-    return _annulus(*_barycenter_distances(mesh), lam1, epsilon, n)
+    return _annulus(*_barycenter_distances(mesh), lam1, epsilon)
 
 
-def _annulus(center, dist, lam1, epsilon, n) -> AnnulusResult:
-    r_lam = _r_lambda(lam1, n)
+def _annulus(center, dist, lam1, epsilon) -> AnnulusResult:
+    r_lam = _r_lambda(lam1)
     if epsilon >= r_lam:
         raise ValueError(
             f"inner radius not positive: eps = {epsilon:g} >= sqrt(n/lambda1) = {r_lam:g}"
@@ -343,20 +342,19 @@ def _annulus(center, dist, lam1, epsilon, n) -> AnnulusResult:
     )
 
 
-def phi_sup(mesh: Mesh, lam1: float, n: int = 2) -> float:
+def phi_sup(mesh: Mesh, lam1: float) -> float:
     """sup over vertices of |X - x0| (|X - x0| - sqrt(n/lambda1))^2."""
-    return _phi_sup(_barycenter_distances(mesh)[1], lam1, n)
+    return _phi_sup(_barycenter_distances(mesh)[1], lam1)
 
 
-def _phi_sup(dist, lam1, n) -> float:
-    r_lam = _r_lambda(lam1, n)
+def _phi_sup(dist, lam1) -> float:
+    r_lam = _r_lambda(lam1)
     return float((dist * (dist - r_lam) ** 2).max())
 
 
-def eta_of_epsilon(lam1: float, h_inf: float, epsilon: float, n: int = 2) -> float:
+def eta_of_epsilon(lam1: float, h_inf: float, epsilon: float) -> float:
     """min((sqrt(n/lambda1) - eps) eps^2, 1/(27 sup|H|^3))."""
-    r_lam = math.sqrt(n / lam1)
-    return min((r_lam - epsilon) * epsilon**2, 1.0 / (27.0 * h_inf**3))
+    return min((_r_lambda(lam1) - epsilon) * epsilon**2, 1.0 / (27.0 * h_inf**3))
 
 
 # -- best-fit umbilical factor --------------------------------------------------
@@ -429,36 +427,25 @@ def fit_umbilical_mu(
 # -- proof trace ----------------------------------------------------------------
 
 
-def proof_trace(
-    mesh: Mesh,
-    geometries: SurfaceGeometry,
-    constants: PinchingConstants,
-    lam1: float | None = None,
-) -> ProofTrace:
-    """Trace the containment argument on the unit-area rescaling.
+def proof_trace(unit: UnitArea) -> ProofTrace:
+    """Trace the containment argument on the unit-area record `unit`.
 
-    `geometries` and `lam1` refer to the input mesh; both are rescaled
-    exactly.  Requires strict convexity.  When lam1 is None the eigenvalue
-    is solved here.
+    Requires strict convexity and the record's lambda1 (see `unit_area`).
     """
-    if constants.n != 2:
-        raise ValueError("the mesh pipeline is two-dimensional (n = 2)")
-    if np.any(geometries.kappa[:, 0] <= 0.0):
-        bad = int(np.argmin(geometries.kappa[:, 0]))
+    geo_t = unit.geometries
+    if np.any(geo_t.kappa[:, 0] <= 0.0):
+        bad = int(np.argmin(geo_t.kappa[:, 0]))
         raise ValueError(
             f"strict convexity violated: kappa1({bad}) = "
-            f"{geometries.kappa[bad, 0]:g} <= 0"
+            f"{geo_t.kappa[bad, 0]:g} <= 0"
         )
-    if lam1 is None:
-        lam1 = spectral.lambda1(spectral.build_laplace(mesh)).lambda1
-    unit = unit_area(mesh, geometries, constants, lam1)
+    lam1_t = _lambda1_of(unit)
+    constants = unit.constants
     n = constants.n
     alpha = constants.alpha
     kp = constants.kp
-    eps_t = unit.constants.epsilon
-    geo_t = unit.geometries
+    eps_t = constants.epsilon
     w_t = unit.weights
-    lam1_t = unit.lambda1
 
     fit = fit_umbilical_mu(geo_t, w_t, kp)
     mu0 = fit.mu_star
@@ -490,7 +477,7 @@ def proof_trace(
     )
 
     h_inf_t = float(np.abs(geo_t.H).max())
-    eta = eta_of_epsilon(lam1_t, h_inf_t, eps_t, n)
+    eta = eta_of_epsilon(lam1_t, h_inf_t, eps_t)
 
     warnings = []
     gamma_ok = gamma < min(1.0, mu0**2)
@@ -542,22 +529,17 @@ def verify_theorem(
     constants: PinchingConstants,
     ring_depth: int = 2,
     tol: float = 1e-8,
-    geometries: SurfaceGeometry | None = None,
     with_trace: bool = True,
 ) -> PinchingReport:
     """Run the full pipeline and assemble the report.
 
     Structural mesh defects raise; every analytic failure downstream is
-    recorded in the report and later stages stay None.  `geometries` may
-    inject precomputed (e.g. closed-form) curvature fields.
+    recorded in the report and later stages stay None.
     """
-    if constants.n != 2:
-        raise ValueError("the mesh pipeline is two-dimensional (n = 2)")
     report = validate_mesh(mesh)
     if not report.all_passed:
         raise ValueError(f"mesh validation failed: {report}")
-    if geometries is None:
-        geometries = estimate_geometry(mesh, ring_depth=ring_depth)
+    geometries = estimate_geometry(mesh, ring_depth=ring_depth)
     convexity = convexity_status(geometries)
 
     hypothesis = None
@@ -583,21 +565,19 @@ def verify_theorem(
             unit = unit_area(mesh, geometries, constants, lam1)
             lam1_t = unit.lambda1
             try:
-                roth = roth_condition(
-                    unit.weights, unit.geometries, lam1_t, unit.constants
-                )
+                roth = roth_condition(unit)
             except ValueError as exc:
                 failure = f"spectral condition: {exc}"
             center, dist = _barycenter_distances(mesh)
             try:
-                annulus = _annulus(center, dist, lam1, constants.epsilon, constants.n)
+                annulus = _annulus(center, dist, lam1, constants.epsilon)
                 oscillation = annulus.oscillation
             except ValueError as exc:
                 failure = failure or f"annulus: {exc}"
-            phi = _phi_sup(dist, lam1, constants.n)
+            phi = _phi_sup(dist, lam1)
             if with_trace and convexity.strictly_convex:
                 try:
-                    trace = proof_trace(mesh, geometries, constants, lam1=lam1)
+                    trace = proof_trace(unit)
                 except ValueError as exc:
                     failure = failure or f"proof trace: {exc}"
 
@@ -663,18 +643,17 @@ def amplitude_for_ratio(
     epsilon: float,
     subdivision: int,
     slack: float = 1.0,
-    n: int = 2,
-    steps: int = 40,
 ) -> tuple[float, float, Mesh]:
     """Bisection for the harmonic amplitude realizing the pinching ratio.
 
-    Finds delta with pinch_ratio = slack * eps^(2+alpha) within 1%; the
-    ratio response is monotone in delta at these amplitudes.  Raises when
-    the radial positivity limit is reached before the target.  Returns
-    (delta, achieved ratio, the mesh at delta that ratio was measured on).
+    Finds delta with pinch_ratio = slack * eps^(2+alpha) within 1% in 40
+    steps; the ratio response is monotone in delta at these amplitudes.
+    Raises when the radial positivity limit is reached before the target.
+    Returns (delta, achieved ratio, the mesh at delta that ratio was
+    measured on).
     """
     target = slack * epsilon ** (2.0 + alpha)
-    consts = PinchingConstants(alpha=alpha, epsilon=epsilon, n=n)
+    consts = PinchingConstants(alpha=alpha, epsilon=epsilon)
     delta_max = 0.9 * radius / surfgen.harmonic_sup(degree, order)
 
     def ratio_at(delta: float) -> tuple[float, Mesh]:
@@ -688,7 +667,7 @@ def amplitude_for_ratio(
             f"delta = {delta_max:g} is below the target {target:g}"
         )
     lo, hi = 0.0, delta_max
-    for _ in range(steps):
+    for _ in range(40):
         mid = 0.5 * (lo + hi)
         if ratio_at(mid)[0] < target:
             lo = mid
@@ -712,7 +691,6 @@ def sharpness_sweep(
     eps_grid,
     subdivision: int = 4,
     slack: float = 1.0,
-    n: int = 2,
     ring_depth: int = 2,
 ) -> SweepResult:
     """For each eps, tune the amplitude to the pinching target and verify.
@@ -728,12 +706,14 @@ def sharpness_sweep(
 
     def run_one(eps: float) -> SweepRow:
         delta, achieved, msh = amplitude_for_ratio(
-            radius, degree, order, alpha, eps, subdivision, slack=slack, n=n
+            radius, degree, order, alpha, eps, subdivision, slack=slack
         )
+        # a row reads no trace field
         report = verify_theorem(
             msh,
-            PinchingConstants(alpha=alpha, epsilon=eps, n=n),
+            PinchingConstants(alpha=alpha, epsilon=eps),
             ring_depth=ring_depth,
+            with_trace=False,
         )
         return SweepRow(
             epsilon=eps,

@@ -6,11 +6,19 @@ first eigenvalue) are session-scoped so the whole suite pays for them once.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from umbilic.diffgeo import estimate_geometry
 from umbilic.mesh import Mesh
 from umbilic.spectral import build_laplace, lambda1
 from umbilic.surfgen import Ellipsoid, PerturbedSphere, Sphere, generate
+
+# property tests draw the same few examples on every run, with no per-example
+# deadline, so the suite stays reproducible and quick on a slow host
+settings.register_profile(
+    "umbilic", derandomize=True, deadline=None, max_examples=20, database=None
+)
+settings.load_profile("umbilic")
 
 TETRA_OFF = """OFF
 4 4 6

@@ -149,7 +149,7 @@ def test_criterion_5_proof_trace_inequalities(perturbed4, geom_perturbed4):
     with Budget("5 (proof-trace inequalities)", 60):
         consts = PinchingConstants(alpha=0.5, epsilon=0.2)
         lam = lambda1(build_laplace(perturbed4)).lambda1
-        tr = proof_trace(perturbed4, geom_perturbed4, consts, lam1=lam)
+        tr = proof_trace(unit_area(perturbed4, geom_perturbed4, consts, lam))
         assert tr.mu0_bracket[0] <= tr.mu0 <= tr.mu0_bracket[1]
         assert tr.bad_set_Pgamma_measure <= tr.chebyshev_bound_Pgamma * (1 + 1e-12)
 
@@ -186,7 +186,7 @@ def test_criterion_6_sphere_equality_cases(
                 lambda1(build_laplace(mesh)).lambda1,
             )
             lam_t = unit.lambda1
-            res = roth_condition(unit.weights, unit.geometries, lam_t, unit.constants)
+            res = roth_condition(unit)
             # error budget: lhs decomposes exactly into these three deviation
             # terms about the sphere closed forms
             r_t = float(np.linalg.norm(mesh.vertices * unit.factor, axis=1).mean())

@@ -64,6 +64,33 @@ def test_verify_invalid_mesh_error_record(tmp_path, capsys):
     assert "closed=False" in doc["error"]["message"]
 
 
+def test_verify_pinched_vertex_error_record(tmp_path, capsys):
+    from test_mesh import pinched_sphere
+
+    path = tmp_path / "pinched.off"
+    save_mesh(pinched_sphere(generate(Sphere(1.0), 3)), path)
+    code = run(["verify", "--mesh", str(path), "--epsilon", "0.1", "--alpha", "0.5"])
+    assert code == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["stage"] == "validate"
+    assert "closed=True" in doc["error"]["message"]
+    assert doc["error"]["message"].endswith("manifold=False (vertex 0)")
+
+
+@pytest.mark.parametrize(
+    "text", ["OFF\n10000000000000 1 0\n0 0 0\n", "OFF\n-1 0 0\n"],
+    ids=["huge", "negative"],
+)
+def test_off_counts_error_record(tmp_path, capsys, text):
+    # the counts line is checked before it sizes an allocation
+    path = tmp_path / "counts.off"
+    path.write_text(text)
+    assert run(["analyze", "--mesh", str(path)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["stage"] == "load"
+    assert "OFF declares" in doc["error"]["message"]
+
+
 def test_verify_missing_file_error(capsys):
     code = run(["verify", "--mesh", "/nonexistent.off",
                 "--epsilon", "0.1", "--alpha", "0.5"])

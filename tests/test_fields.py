@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from umbilic.fields import (
-    RescalingLaw,
     ScalarField,
     integrate,
     lp_norm,
@@ -43,14 +42,10 @@ def test_traceless_norm_small_on_sphere(geom_sphere5, sphere5):
         assert lp_norm(f, p) <= 0.02
 
 
-def test_invalid_p_and_empty_region():
+def test_invalid_p():
     f = unit_area_field([1.0, 2.0])
     with pytest.raises(ValueError):
         lp_norm(f, 0.5)
-    with pytest.raises(ValueError):
-        lp_norm(f, 2.0, region=np.zeros(2, dtype=bool))
-    with pytest.raises(ValueError):
-        integrate(f, region=np.zeros(2, dtype=bool))
 
 
 def test_zero_field_norms():
@@ -58,13 +53,6 @@ def test_zero_field_norms():
     assert lp_norm(f, 3.0) == 0.0
     assert lp_norm_log_pth_power(f, 3.0) == -np.inf
     assert integrate(f) == 0.0
-
-
-def test_region_restriction():
-    f = ScalarField(values=np.array([2.0, 5.0, 1.0]), weights=np.array([1.0, 1.0, 2.0]))
-    region = np.array([True, False, True])
-    assert integrate(f, region) == pytest.approx(2.0 + 2.0)
-    assert lp_norm(f, np.inf, region) == 2.0
 
 
 def test_integrate_sphere_fields(geom_sphere5, sphere5):
@@ -124,7 +112,7 @@ def test_sublevel_traceless_norm_sphere(geom_sphere5, sphere5):
     f = ScalarField(values=geom_sphere5.A_traceless_norm, weights=sphere5.vertex_areas)
     below, above = sublevel_measure(f, 0.1)
     assert above == 0.0
-    assert below == pytest.approx(f.total_area, rel=1e-14)
+    assert below == pytest.approx(sphere5.area, rel=1e-14)
 
 
 def test_sublevel_edges():
@@ -135,7 +123,7 @@ def test_sublevel_edges():
     assert below == 7.0 and above == 0.0
     below, above = sublevel_measure(f, 2.0)   # threshold at a value: >= side
     assert below == 1.0 and above == 6.0
-    assert below + above == pytest.approx(f.total_area, rel=1e-14)
+    assert below + above == pytest.approx(float(np.sum(f.weights)), rel=1e-14)
 
 
 def test_normalize_mesh(sphere4, geom_sphere4):
@@ -172,25 +160,27 @@ def test_field_validation(sphere4):
         ScalarField(values=np.ones(3), weights=np.array([1.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
         ScalarField(values=np.ones(3), weights=np.ones(4))
-    f = ScalarField.on_mesh(sphere4, 2.0)
-    assert f.total_area == pytest.approx(float(np.sum(sphere4.face_areas)), rel=1e-14)
+    # the vertex areas partition the mesh area
+    f = ScalarField(values=np.ones(sphere4.n_vertices), weights=sphere4.vertex_areas)
+    assert integrate(f) == pytest.approx(float(np.sum(sphere4.face_areas)), rel=1e-14)
 
 
-def test_rescaling_law():
-    law = RescalingLaw(factor=2.0)
-    assert law.apply("area", 1.0) == 4.0
-    assert law.apply("curvature", 1.0) == 0.5
-    assert law.apply("lambda1", 8.0) == 2.0
-    assert law.apply("ricci", 4.0) == 1.0
-    assert law.apply("position", 3.0) == 6.0
-    law3 = RescalingLaw(factor=2.0, n=3)
-    assert law3.apply("area", 1.0) == 8.0
-    assert law3.apply("volume", 1.0) == 16.0
-    assert RescalingLaw(factor=1.0).apply("area", 5.0) == 5.0
-    with pytest.raises(ValueError):
-        RescalingLaw(factor=0.0)
-    with pytest.raises(KeyError):
-        law.exponent("frobnication")
+def test_rescaling_law(sphere4, geom_sphere4):
+    # X -> c X scales area by c^2, curvature by 1/c, Ricci and lambda1 by
+    # 1/c^2 and the length eps by c
+    unit = unit_area(
+        sphere4, geom_sphere4, PinchingConstants(alpha=0.5, epsilon=0.1), 8.0
+    )
+    c = unit.factor
+    assert np.array_equal(unit.weights, sphere4.vertex_areas * c**2)
+    assert unit.lambda1 == 8.0 * c**-2
+    assert np.array_equal(unit.geometries.kappa, geom_sphere4.kappa * (1.0 / c))
+    assert np.array_equal(unit.geometries.H2, geom_sphere4.H2 * (1.0 / c) ** 2)
+    assert np.array_equal(
+        unit.geometries.ricci_min, geom_sphere4.ricci_min * (1.0 / c) ** 2
+    )
+    assert unit.constants.epsilon == 0.1 * c
+    assert unit.geometries.normal is geom_sphere4.normal
 
 
 def test_pinching_ratio_scale_invariant():

@@ -105,6 +105,7 @@ def test_unknown_format(tmp_path):
 def test_validate_icosphere_all_pass(sphere3):
     report = validate_mesh(sphere3)
     assert report.closed and report.oriented and report.connected
+    assert report.manifold and report.nonmanifold_vertex is None
     assert report.min_face_area > report.degenerate_threshold
     assert report.all_passed
 
@@ -140,12 +141,25 @@ def test_validate_flipped_face(sphere3):
     faces[0] = faces[0, ::-1]
     report = validate_mesh(Mesh(sphere3.vertices, faces))
     assert not report.oriented
+    # a repeated directed edge leaves the fans untraced
+    assert report.manifold is None and report.nonmanifold_vertex is None
+
+
+def test_validate_pinched_vertex(sphere3):
+    # two fans meet at vertex 0; every other check passes
+    mesh = pinched_sphere(sphere3)
+    report = validate_mesh(mesh)
+    assert mesh.euler_characteristic == 1
+    assert report.closed and report.oriented and report.connected
+    assert report.min_face_area > report.degenerate_threshold
+    assert not report.manifold and report.nonmanifold_vertex == 0
+    assert not report.all_passed
 
 
 def test_validate_degenerate_face(sphere3):
     verts = sphere3.vertices.copy()
     # collapse one vertex onto a neighbor: topology intact, two zero-area faces
-    j = sphere3.one_ring(0)[0]
+    j = sphere3.edges[0, 1]   # the first neighbour of vertex 0
     verts[0] = verts[j]
     report = validate_mesh(Mesh(verts, sphere3.faces))
     assert report.closed and report.oriented and report.connected
@@ -239,7 +253,8 @@ def reference_topology(mesh):
     edges, und_counts = np.unique(und, axis=0, return_counts=True)
     closed = bool(len(und_counts) > 0 and np.all(und_counts == 2))
     _, dir_counts = np.unique(directed, axis=0, return_counts=True)
-    oriented = bool(closed and np.all(dir_counts == 1))
+    simple = bool(np.all(dir_counts == 1))
+    oriented = closed and simple
 
     owner = np.tile(np.arange(F), 3)
     order = np.lexsort((und[:, 1], und[:, 0]))
@@ -253,9 +268,37 @@ def reference_topology(mesh):
     adj = sparse.csr_matrix((np.ones(len(i), dtype=np.int8), (i, j)), shape=(V, V))
     adj = adj + adj.T
     adj.data[:] = 1
+    # fans, traced only when no directed edge repeats: the faces at v,
+    # joined when they share an edge (v, w)
+    rims = [[] for _ in range(V)]
+    for face in f.tolist():
+        for v in face:
+            rims[v].append(set(face) - {v})
+    bad = []
+    for v, at_v in enumerate(rims):
+        groups = []
+        for rim in at_v:
+            touching = [g for g in groups if g & rim]
+            groups = [g for g in groups if not g & rim] + [rim.union(*touching)]
+        if len(groups) != 1:
+            bad.append(v)
+
     areas = mesh.face_areas
-    fields = (closed, oriented, connected, float(areas.min()), 1e-14 * float(areas.mean()))
+    manifold = (not bad) if simple else None
+    first_bad = bad[0] if bad and simple else None
+    fields = (
+        closed, oriented, connected, float(areas.min()), 1e-14 * float(areas.mean()),
+        manifold, first_bad,
+    )
     return edges, fields, adj
+
+
+def pinched_sphere(sphere3):
+    """sphere3 with two antipodal vertices merged into vertex 0 (chi = 1)."""
+    b = int(np.argmin(sphere3.vertices @ sphere3.vertices[0]))
+    faces = np.where(sphere3.faces == b, 0, sphere3.faces)
+    faces = faces - (faces > b)
+    return Mesh(np.delete(sphere3.vertices, b, axis=0), faces)
 
 
 def three_sheet_mesh():
@@ -279,6 +322,9 @@ def topology_cases(sphere3, torus):
             np.vstack([sphere3.faces, sphere3.faces + n]),
         ),
         "three_sheet": three_sheet_mesh(),
+        "pinched": pinched_sphere(sphere3),
+        # a vertex in no face has no fan
+        "unreferenced": Mesh(np.vstack([sphere3.vertices, [[0.0, 0.0, 0.0]]]), sphere3.faces),
     }
 
 
@@ -294,6 +340,7 @@ def test_edge_table_matches_reference(sphere3, torus):
         assert np.array_equal(ring.indices, adj.indices), name
         assert ring.dtype == adj.dtype and np.all(ring.data == 1), name
     # the fin edge is counted three times, so the reference cases include
-    # a non-manifold edge as well as a hole, a flip and two components
+    # a non-manifold edge as well as a hole, a flip, two components, a
+    # pinched vertex and a vertex in no face
     assert not validate_mesh(three_sheet_mesh()).closed
     assert three_sheet_mesh().euler_characteristic == 5 - 8 + 5

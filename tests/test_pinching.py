@@ -54,6 +54,9 @@ def test_constants_validation():
 
 def test_constants_derived_values():
     c = PinchingConstants(alpha=0.5, epsilon=0.2)
+    assert c.n == 2 and c.rescaled(3.0).n == 2
+    with pytest.raises(TypeError):
+        PinchingConstants(alpha=0.5, epsilon=0.2, n=3)
     assert c.p_roth == 3.0  # n + 1
     assert c.k_exponent == pytest.approx(12.0)
     assert c.kp == pytest.approx(36.0)
@@ -125,17 +128,14 @@ def test_epsilon_admissibility_threshold(sphere4, geom_sphere4):
 
 @pytest.fixture(scope="module")
 def normalized_sphere4(sphere4, geom_sphere4):
-    unit = unit_area(
+    return unit_area(
         sphere4, geom_sphere4, PinchingConstants(alpha=0.5, epsilon=0.2),
         lambda1(build_laplace(sphere4)).lambda1,
     )
-    return unit.weights, unit.geometries, unit.lambda1, unit.factor
 
 
 def test_roth_sphere_equality_case(normalized_sphere4):
-    w_t, geo_t, lam_t, c = normalized_sphere4
-    consts = PinchingConstants(alpha=0.5, epsilon=0.2).rescaled(c)
-    res = roth_condition(w_t, geo_t, lam_t, consts)
+    res = roth_condition(normalized_sphere4)
     # on the round sphere lambda1*(int H)^2 = n*||H2||^2 up to discretization
     scale = 2.0 * res.h2_norm_2p**2
     assert abs(res.lhs) <= 1e-3 * scale
@@ -146,9 +146,10 @@ def test_roth_sphere_equality_case(normalized_sphere4):
 
 
 def test_roth_c_eps_formula(normalized_sphere4):
-    w_t, geo_t, lam_t, c = normalized_sphere4
-    consts = PinchingConstants(alpha=0.5, epsilon=0.2, L=0.001).rescaled(c)
-    res = roth_condition(w_t, geo_t, lam_t, consts)
+    unit = normalized_sphere4
+    consts = PinchingConstants(alpha=0.5, epsilon=0.2, L=0.001).rescaled(unit.factor)
+    res = roth_condition(dataclasses.replace(unit, constants=consts))
+    lam_t = unit.lambda1
     eps_t = consts.epsilon
     expected = 0.5 * min(
         0.001 * math.sqrt(2.0 / lam_t) * eps_t**2,
@@ -160,28 +161,42 @@ def test_roth_c_eps_formula(normalized_sphere4):
 
 
 def test_roth_requires_unit_area(sphere4, geom_sphere4):
-    consts = PinchingConstants(alpha=0.5, epsilon=0.05)
+    unit = unit_area(
+        sphere4, geom_sphere4, PinchingConstants(alpha=0.5, epsilon=0.05), 2.0
+    )
     with pytest.raises(ValueError, match="unit-area"):
-        roth_condition(sphere4.vertex_areas, geom_sphere4, 2.0, consts)
+        roth_condition(dataclasses.replace(unit, weights=sphere4.vertex_areas))
 
 
 def test_roth_requires_positive_h2(normalized_sphere4):
-    w_t, geo_t, lam_t, _ = normalized_sphere4
+    geo_t = normalized_sphere4.geometries
     h2 = geo_t.H2.copy()
     h2[3] = -1e-3
-    bad = with_field(geo_t, H2=h2)
+    bad = dataclasses.replace(
+        normalized_sphere4,
+        geometries=with_field(geo_t, H2=h2),
+        constants=PinchingConstants(alpha=0.5, epsilon=0.01),
+    )
     with pytest.raises(ValueError, match="H2"):
-        roth_condition(w_t, bad, lam_t, PinchingConstants(alpha=0.5, epsilon=0.01))
+        roth_condition(bad)
 
 
 def test_roth_epsilon_too_large(normalized_sphere4):
-    w_t, geo_t, lam_t, _ = normalized_sphere4
-    h_inf = float(np.abs(geo_t.H).max())
+    h_inf = float(np.abs(normalized_sphere4.geometries.H).max())
     eps_big = 2.0 / (3.0 * h_inf) * 1.01
+    big = dataclasses.replace(
+        normalized_sphere4, constants=PinchingConstants(alpha=0.5, epsilon=eps_big)
+    )
     with pytest.raises(ValueError, match="eps"):
-        roth_condition(
-            w_t, geo_t, lam_t, PinchingConstants(alpha=0.5, epsilon=eps_big)
-        )
+        roth_condition(big)
+
+
+def test_unit_area_stages_need_lambda1(sphere4, geom_sphere4):
+    unit = unit_area(sphere4, geom_sphere4, PinchingConstants(alpha=0.5, epsilon=0.2))
+    assert unit.lambda1 is None
+    for stage in (roth_condition, proof_trace):
+        with pytest.raises(ValueError, match="no lambda1"):
+            stage(unit)
 
 
 # -- annulus and phi ---------------------------------------------------------------
@@ -324,7 +339,7 @@ def test_mu_fit_rejects_small_p(geom_sphere4, sphere4):
 
 def test_proof_trace_sphere(sphere4, geom_sphere4, lam1_sphere4):
     c = PinchingConstants(alpha=0.5, epsilon=0.2)
-    tr = proof_trace(sphere4, geom_sphere4, c, lam1=lam1_sphere4.lambda1)
+    tr = proof_trace(unit_area(sphere4, geom_sphere4, c, lam1_sphere4.lambda1))
     assert tr.kp == pytest.approx(36.0)
     assert tr.mu0_bracket[0] <= tr.mu0 <= tr.mu0_bracket[1]
     assert tr.bad_set_P_measure == 0.0
@@ -338,7 +353,8 @@ def test_proof_trace_sphere(sphere4, geom_sphere4, lam1_sphere4):
 
 def test_proof_trace_perturbed(perturbed4, geom_perturbed4):
     c = PinchingConstants(alpha=0.5, epsilon=0.2)
-    tr = proof_trace(perturbed4, geom_perturbed4, c)
+    lam = lambda1(build_laplace(perturbed4)).lambda1
+    tr = proof_trace(unit_area(perturbed4, geom_perturbed4, c, lam))
     assert tr.mu0_bracket[0] <= tr.mu0 <= tr.mu0_bracket[1]
     assert tr.bad_set_Pgamma_measure <= tr.chebyshev_bound_Pgamma * (1 + 1e-12)
     assert tr.bad_set_P_measure <= tr.bad_set_P_bound * (1 + 1e-12)
@@ -350,15 +366,17 @@ def test_proof_trace_perturbed(perturbed4, geom_perturbed4):
 def test_proof_trace_gamma_warning(sphere4, geom_sphere4, lam1_sphere4):
     # epsilon past the normalized-unity scale violates the gamma requirement
     c = PinchingConstants(alpha=0.5, epsilon=4.0)
-    tr = proof_trace(sphere4, geom_sphere4, c, lam1=lam1_sphere4.lambda1)
+    tr = proof_trace(unit_area(sphere4, geom_sphere4, c, lam1_sphere4.lambda1))
     assert not tr.gamma_ok
     assert any("gamma" in w for w in tr.warnings)
 
 
 def test_proof_trace_requires_convexity(torus):
     geo = estimate_geometry(torus)
+    lam = lambda1(build_laplace(torus)).lambda1
+    unit = unit_area(torus, geo, PinchingConstants(alpha=0.5, epsilon=0.1), lam)
     with pytest.raises(ValueError, match="convexity"):
-        proof_trace(torus, geo, PinchingConstants(alpha=0.5, epsilon=0.1))
+        proof_trace(unit)
 
 
 # -- end-to-end -----------------------------------------------------------------------
@@ -452,9 +470,16 @@ def test_sweep_builds_each_mesh_once(monkeypatch):
     assert calls["generate"] == calls["ratio"]
 
 
-def test_verify_rejects_wrong_dimension(sphere3):
-    with pytest.raises(ValueError, match="two-dimensional"):
-        verify_theorem(sphere3, PinchingConstants(alpha=0.5, epsilon=0.1, n=3))
+def test_sweep_verifies_without_trace(monkeypatch):
+    # a sweep row reads no trace field, so the sweep never builds one
+    import umbilic.pinching as pinching
+
+    def no_trace(unit):
+        raise AssertionError("proof_trace called by the sweep")
+
+    monkeypatch.setattr(pinching, "proof_trace", no_trace)
+    result = sharpness_sweep(1.0, 2, 0, alpha=0.5, eps_grid=[0.3], subdivision=2)
+    assert result.rows[0].contained
 
 
 def test_verify_scale_covariance_booleans(sphere3):

@@ -1,0 +1,122 @@
+"""Property tests: parser fuzzing and the invariances of a verify run.
+
+The examples come from the deterministic hypothesis profile registered in
+conftest.py, so every run draws the same ones.
+"""
+
+import string
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
+
+from umbilic.mesh import Mesh, load_mesh
+from umbilic.pinching import PinchingConstants, verify_theorem
+from umbilic.surfgen import PerturbedSphere, generate
+
+# numbers of every size and shape, and short runs of arbitrary ASCII
+tokens = st.one_of(
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.text(alphabet=string.printable, max_size=4),
+)
+lines = st.lists(tokens, max_size=5).map(" ".join)
+
+
+def off_text(header, counts, body):
+    return "\n".join([header, " ".join(map(str, counts)), *body]) + "\n"
+
+
+off_texts = st.one_of(
+    st.builds(
+        off_text,
+        st.sampled_from(["OFF", "OFF ", "NOFF", "OFF 3 1 0", ""]),
+        st.lists(st.integers(), max_size=3),
+        st.lists(lines, max_size=8),
+    ),
+    st.text(alphabet=string.printable),
+)
+obj_records = st.builds(
+    "{} {}".format, st.sampled_from(["v", "f", "vn", "o", "#"]), lines
+)
+obj_texts = st.one_of(
+    st.lists(obj_records, max_size=10).map("\n".join),
+    st.text(alphabet=string.printable),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def load_or_reject(path, text):
+    """Load `text` as a mesh file; only the errors `cli.main` reports may escape."""
+    path.write_text(text, encoding="ascii")
+    try:
+        load_mesh(path)
+    except (ValueError, IndexError):
+        pass
+
+
+# parsing costs milliseconds, so the fuzz tests draw more than the profile's
+@settings(max_examples=50)
+@given(text=off_texts)
+@example(text="OFF\n10000000000000 1 0\n0 0 0\n")
+@example(text="OFF\n-1 0 0\n")
+@example(text="OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 99999999999999999999\n")
+def test_off_fuzz_raises_only_format_errors(fuzz_dir, text):
+    load_or_reject(fuzz_dir / "fuzz.off", text)
+
+
+@settings(max_examples=50)
+@given(text=obj_texts)
+@example(text="v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999\n")
+def test_obj_fuzz_raises_only_format_errors(fuzz_dir, text):
+    load_or_reject(fuzz_dir / "fuzz.obj", text)
+
+
+PERTURBED3 = generate(PerturbedSphere(1.0, 0.01, 2, 0), 3)
+CONSTANTS = PinchingConstants(alpha=0.5, epsilon=0.2)
+
+
+@pytest.fixture(scope="module")
+def base():
+    return verify_theorem(PERTURBED3, CONSTANTS)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    corner_shift=st.integers(0, 2),
+    angles=st.tuples(*[st.floats(-np.pi, np.pi)] * 3),
+    shift=st.tuples(*[st.floats(-5.0, 5.0)] * 3),
+)
+def test_verify_invariant_under_relabelling_and_rigid_motion(
+    base, seed, corner_shift, angles, shift
+):
+    # new vertex k is old vertex relabel[k]; faces are reordered and their
+    # corners rotated, which keeps each face's orientation
+    rng = np.random.default_rng(seed)
+    relabel = rng.permutation(PERTURBED3.n_vertices)
+    faces = np.argsort(relabel)[PERTURBED3.faces][rng.permutation(PERTURBED3.n_faces)]
+    faces = np.roll(faces, corner_shift, axis=1)
+    rot = Rotation.from_euler("xyz", angles).as_matrix()
+    moved = Mesh(PERTURBED3.vertices[relabel] @ rot.T + shift, faces)
+    report = verify_theorem(moved, CONSTANTS)
+
+    assert report.failure is None and base.failure is None
+    assert report.lambda1 == pytest.approx(base.lambda1, rel=1e-12, abs=1e-12)
+    assert np.allclose(
+        report.hypothesis.margins, base.hypothesis.margins[relabel], rtol=1e-9, atol=1e-16
+    )
+    assert report.hypothesis.holds == base.hypothesis.holds
+    for got, want in [
+        (report.roth.integral_H, base.roth.integral_H),
+        (report.roth.h2_norm_2p, base.roth.h2_norm_2p),
+        (report.trace.dev_norm_kp, base.trace.dev_norm_kp),
+        (report.oscillation, base.oscillation),
+    ]:
+        assert got == pytest.approx(want, rel=1e-9)
+    assert report.annulus.contained == base.annulus.contained

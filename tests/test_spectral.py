@@ -50,7 +50,7 @@ def test_obtuse_mesh_still_psd(sphere3):
 
 def test_degenerate_face_rejected(sphere3):
     verts = sphere3.vertices.copy()
-    j = sphere3.one_ring(0)[0]
+    j = sphere3.edges[0, 1]   # the first neighbour of vertex 0
     verts[0] = verts[j]
     with pytest.raises(ValueError, match="degenerate"):
         build_laplace(Mesh(verts, sphere3.faces))
