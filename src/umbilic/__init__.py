@@ -38,11 +38,9 @@ from .pinching import (
     ProofTrace,
     RothResult,
     amplitude_for_ratio,
-    annulus_check,
     check_hypothesis,
     eta_of_epsilon,
     fit_umbilical_mu,
-    phi_sup,
     pinch_ratio,
     proof_trace,
     roth_condition,
@@ -56,7 +54,6 @@ from .spectral import (
     aubry_lower_bound,
     build_laplace,
     lambda1,
-    lambda1_upper_bound,
 )
 from .surfgen import (
     Ellipsoid,
@@ -67,7 +64,6 @@ from .surfgen import (
     oracle_curvatures,
     oracle_curvatures_at_vertices,
     oracle_geometry,
-    oracle_lambda1,
     real_sph_harm,
 )
 

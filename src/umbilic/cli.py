@@ -93,17 +93,12 @@ def _emit_json(document: dict, out_path: str | None) -> None:
 
 
 def _emit_csv(header, rows, out_path: str | None) -> None:
-    def fmt(x):
-        if isinstance(x, float):
-            return repr(float(x))
-        return x
-
+    """Write a header and rows; csv writes a float with str(), its shortest repr."""
     target = open(out_path, "w", newline="", encoding="ascii") if out_path else sys.stdout
     try:
         writer = csv.writer(target, delimiter=",")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(x) for x in row])
+        writer.writerows(rows)
     finally:
         if out_path:
             target.close()
@@ -330,6 +325,12 @@ def _cmd_converge(args) -> int:
         subdivs = [int(s) for s in args.subdivs.split(",")]
     except ValueError:
         raise CliError("config", f"--subdivs must be a comma list, got {args.subdivs!r}")
+    if len(subdivs) < 2 or len(set(subdivs)) < len(subdivs):
+        # an order needs two distinct refinement levels
+        raise CliError(
+            "config",
+            f"--subdivs needs two or more subdivisions, none repeated, got {args.subdivs!r}",
+        )
     radius = args.radius
     rows = []
     errors_h, errors_lam, hs = [], [], []
@@ -338,7 +339,10 @@ def _cmd_converge(args) -> int:
         geo = diffgeo.estimate_geometry(mesh, ring_depth=args.ring_depth)
         h_err = float(np.abs(geo.H - 1.0 / radius).max())
         h_mean_err = float(np.abs(geo.H - 1.0 / radius).mean())
-        lam = spectral.lambda1(spectral.build_laplace(mesh), tol=args.tol)
+        try:
+            lam = spectral.lambda1(spectral.build_laplace(mesh), tol=args.tol)
+        except spectral.ConvergenceError as exc:
+            raise CliError("lambda1", f"subdivision {s}: {exc}") from exc
         lam_exact = 2.0 / radius**2
         lam_err = abs(lam.lambda1 - lam_exact)
         area_err = abs(mesh.area - 4 * math.pi * radius**2)

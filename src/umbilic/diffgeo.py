@@ -12,11 +12,8 @@ same kernels the finite-difference oracle in `surfgen` uses.  The result
 is one `SurfaceGeometry` of whole per-vertex arrays; `rescaled` gives the
 exact record of the mesh scaled by a factor.
 
-Ricci quantities come from the Gauss formula of a hypersurface in flat
-space; in the principal frame the Ricci eigenvalues are n*H*kappa_i -
-kappa_i^2.  The dimension n is a parameter of `ricci_from_gauss` and
-`ricci_deficit` only, so the formulas can be exercised against general-n
-sphere closed forms; the pipeline fixes n = 2.
+Ricci quantities come from the Gauss formula of a surface in R^3; in the
+principal frame the Ricci eigenvalues are 2*H*kappa_i - kappa_i^2.
 """
 
 from __future__ import annotations
@@ -54,7 +51,7 @@ class SurfaceGeometry:
     A_traceless_norm: np.ndarray  # (V,) ||A - H g|| = |k1 - k2|/sqrt(2)
     H2: np.ndarray               # (V,) second symmetric function k1*k2
     ricci_min: np.ndarray        # (V,) smallest Ricci eigenvalue
-    scalar_curv: np.ndarray      # (V,) scalar curvature (= 2K for n = 2)
+    scalar_curv: np.ndarray      # (V,) scalar curvature (= 2K)
 
     def rescaled(self, factor: float) -> "SurfaceGeometry":
         """Exact curvature record of the mesh scaled by `factor`.
@@ -258,7 +255,7 @@ def estimate_geometry(mesh: Mesh, ring_depth: int = 2) -> SurfaceGeometry:
     a_norm = np.sqrt(2.0) * disc
     # H*H - disc*disc keeps the AM-GM bound H2 <= H^2 exact in floating point
     h2 = H * H - disc * disc
-    ricci_min, scalar = ricci_from_gauss(kappa, n=2)
+    ricci_min, scalar = ricci_from_gauss(kappa)
     return SurfaceGeometry(
         normal=normals,
         shape_operator=shape_op,
@@ -271,33 +268,33 @@ def estimate_geometry(mesh: Mesh, ring_depth: int = 2) -> SurfaceGeometry:
     )
 
 
-def ricci_from_gauss(kappa: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def ricci_from_gauss(kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ricci eigenvalue minimum and scalar curvature from principal curvatures.
 
-    In the principal frame Ric_ii = n*H*kappa_i - kappa_i^2 and
-    R = n^2 H^2 - sum kappa_i^2; the trailing axis of `kappa` must hold all
-    n principal curvatures.
+    In the principal frame Ric_ii = 2*H*kappa_i - kappa_i^2 and
+    R = 4 H^2 - sum kappa_i^2; the trailing axis of `kappa` must hold both
+    principal curvatures.
     """
     kappa = np.asarray(kappa, dtype=np.float64)
-    if kappa.shape[-1] != n:
+    if kappa.shape[-1] != 2:
         raise ValueError(
-            f"expected {n} principal curvatures, got {kappa.shape[-1]}"
+            f"expected 2 principal curvatures, got {kappa.shape[-1]}"
         )
     H = kappa.mean(axis=-1)
-    ric = n * H[..., None] * kappa - kappa**2
-    scalar = n**2 * H**2 - (kappa**2).sum(axis=-1)
+    ric = 2 * H[..., None] * kappa - kappa**2
+    scalar = 4 * H**2 - (kappa**2).sum(axis=-1)
     return ric.min(axis=-1), scalar
 
 
-def ricci_deficit(ricci_min, reference: float, n: int):
-    """Negative part of (Ric_min/mu^2 - (n-1)) after rescaling by mu.
+def ricci_deficit(ricci_min, reference: float):
+    """Negative part of (Ric_min/mu^2 - 1) after rescaling by mu.
 
     `ricci_min` is a scalar or an array of smallest Ricci eigenvalues.
     """
     if reference <= 0:
         raise ValueError("reference scale mu must be positive")
     r = np.asarray(ricci_min, dtype=np.float64)
-    return np.maximum(0.0, (n - 1) - r / reference**2)
+    return np.maximum(0.0, 1 - r / reference**2)
 
 
 def convexity_status(geometries: SurfaceGeometry) -> ConvexityStatus:

@@ -4,9 +4,9 @@ Fields pair per-vertex values with barycentric vertex areas, so integrals
 are vertex-lumped quadrature against the surface measure.  Large exponents
 (the proof trace uses p = 18/alpha) are evaluated in log space to
 avoid overflow.  All reductions use numpy's pairwise summation over the
-fixed vertex order, so results are independent of any caller-side
-parallel schedule.  The unit-area rescaling of the weights and of the
-curvature record lives in `pinching.unit_area`.
+fixed vertex order, so repeated runs give identical results.  The
+unit-area rescaling of the weights and of the curvature record lives in
+`pinching.unit_area`.
 """
 
 from __future__ import annotations

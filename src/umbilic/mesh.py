@@ -141,13 +141,11 @@ class Mesh:
         """Vertex adjacency as a 0/1 csr matrix (no diagonal)."""
         V = self.n_vertices
         i, j = np.divmod(self._edge_table[0], V)
-        adj = sparse.csr_matrix(
+        return sparse.csr_matrix(
             (np.ones(2 * len(i), dtype=np.int8),
              (np.concatenate([i, j]), np.concatenate([j, i]))),
             shape=(V, V),
         )
-        adj.data[:] = 1
-        return adj
 
     # -- geometry ------------------------------------------------------------
 

@@ -19,8 +19,6 @@ all conclusions are conditional on them.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -304,12 +302,6 @@ def roth_condition(unit: UnitArea) -> RothResult:
 # -- conclusion geometry -------------------------------------------------------
 
 
-def _barycenter_distances(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """Surface barycenter x0 and the distances |X - x0| of the vertices."""
-    center = measures(mesh).barycenter
-    return center, np.linalg.norm(mesh.vertices - center, axis=1)
-
-
 def _r_lambda(lam1: float) -> float:
     """sqrt(n/lambda1) with n = 2: the radius of the round sphere with lambda1."""
     if lam1 <= 0:
@@ -317,12 +309,8 @@ def _r_lambda(lam1: float) -> float:
     return math.sqrt(2 / lam1)
 
 
-def annulus_check(mesh: Mesh, lam1: float, epsilon: float) -> AnnulusResult:
-    """Containment of the surface in the annulus of width 2*eps about x0."""
-    return _annulus(*_barycenter_distances(mesh), lam1, epsilon)
-
-
 def _annulus(center, dist, lam1, epsilon) -> AnnulusResult:
+    """Containment of the surface in the annulus of width 2*eps about x0."""
     r_lam = _r_lambda(lam1)
     if epsilon >= r_lam:
         raise ValueError(
@@ -342,12 +330,8 @@ def _annulus(center, dist, lam1, epsilon) -> AnnulusResult:
     )
 
 
-def phi_sup(mesh: Mesh, lam1: float) -> float:
-    """sup over vertices of |X - x0| (|X - x0| - sqrt(n/lambda1))^2."""
-    return _phi_sup(_barycenter_distances(mesh)[1], lam1)
-
-
 def _phi_sup(dist, lam1) -> float:
+    """sup over vertices of |X - x0| (|X - x0| - sqrt(2/lambda1))^2."""
     r_lam = _r_lambda(lam1)
     return float((dist * (dist - r_lam) ** 2).max())
 
@@ -469,11 +453,11 @@ def proof_trace(unit: UnitArea) -> ProofTrace:
     log_p_bound = (n - kp) * math.log(mu0) + log_dev_kp
     p_bound = math.exp(log_p_bound) if log_p_bound < 700 else math.inf
 
-    deficit = ricci_deficit(geo_t.ricci_min, mu0, n)
+    deficit = ricci_deficit(geo_t.ricci_min, mu0)
     log_def = lp_norm_log_pth_power(ScalarField(values=deficit, weights=w_hat), kp)
     deficit_integral = math.exp(log_def) if log_def < 700 else math.inf
     aubry = spectral.aubry_lower_bound(
-        deficit_integral, volume=mu0**n, p=kp, C_np=constants.C_np_aubry, n=n
+        deficit_integral, volume=mu0**n, p=kp, C_np=constants.C_np_aubry
     )
 
     h_inf_t = float(np.abs(geo_t.H).max())
@@ -568,7 +552,8 @@ def verify_theorem(
                 roth = roth_condition(unit)
             except ValueError as exc:
                 failure = f"spectral condition: {exc}"
-            center, dist = _barycenter_distances(mesh)
+            center = measures(mesh).barycenter
+            dist = np.linalg.norm(mesh.vertices - center, axis=1)
             try:
                 annulus = _annulus(center, dist, lam1, constants.epsilon)
                 oscillation = annulus.oscillation
@@ -695,10 +680,8 @@ def sharpness_sweep(
 ) -> SweepResult:
     """For each eps, tune the amplitude to the pinching target and verify.
 
-    Rows keep the grid order; eps values run in parallel when
-    UMBILIC_THREADS > 1 (runs are independent and deterministic).  The fit
-    is least squares of log(oscillation) against log(eps) over rows with
-    positive oscillation.
+    Rows keep the grid order.  The fit is least squares of log(oscillation)
+    against log(eps) over rows with positive oscillation.
     """
     eps_grid = [float(e) for e in eps_grid]
     if any(e <= 0 for e in eps_grid):
@@ -728,12 +711,7 @@ def sharpness_sweep(
             oscillation=report.oscillation,
         )
 
-    workers = int(os.environ.get("UMBILIC_THREADS", "1"))
-    if workers > 1 and len(eps_grid) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(run_one, eps_grid))
-    else:
-        rows = tuple(run_one(e) for e in eps_grid)
+    rows = tuple(run_one(e) for e in eps_grid)
 
     pts = [
         (math.log(r.epsilon), math.log(r.oscillation))

@@ -10,9 +10,8 @@ constant mode in the kernel of S is dropped, and the returned pair is
 certified by its independently recomputed Rayleigh quotient and
 generalized eigenvalue residual.
 
-Also provides the closed-form spectral bounds the pinching pipeline needs:
-the mean-curvature/scalar-curvature upper bounds and the Ricci-deficit
-lower bound with its configurable constant.
+Also provides the Ricci-deficit lower bound the proof trace needs, with
+its configurable constant.
 """
 
 from __future__ import annotations
@@ -29,6 +28,10 @@ _SEED = 0x1C05FEE
 # sigma = _SHIFT * 4 pi / area: _SHIFT / r^2 on a sphere of radius r, far
 # below its lambda1 = 2 / r^2, and scaling with it under any change of units
 _SHIFT = 1e-3
+# nonzero eigenvalues lambda1 computes (as ritz_values), and ARPACK's
+# restart limit
+BLOCK_SIZE = 4
+MAX_ITER = 500
 
 
 class ConvergenceError(RuntimeError):
@@ -128,17 +131,12 @@ def _certify(S, m, u):
     return lam, u, residual
 
 
-def lambda1(
-    system: LaplaceSystem,
-    tol: float = 1e-8,
-    max_iter: int = 500,
-    block_size: int = 4,
-) -> SpectralResult:
+def lambda1(system: LaplaceSystem, tol: float = 1e-8) -> SpectralResult:
     """Smallest nonzero generalized eigenvalue of (stiffness, mass).
 
     Factors S + sigma M once with SuperLU (COLAMD ordering), where
     sigma = _SHIFT * 4 pi / area puts the shift in the mesh's own units, and
-    runs ARPACK shift-invert Lanczos for the block_size + 1 eigenvalues
+    runs ARPACK shift-invert Lanczos for the BLOCK_SIZE + 1 eigenvalues
     nearest -sigma from a start vector seeded by _SEED.  The constant mode
     is dropped; the next eigenvector is mass-orthogonalised against the
     constants and mass-normalised, and lambda1 is recomputed from it as the
@@ -146,16 +144,16 @@ def lambda1(
     ||S u - lambda1 M u|| / ||M u||, an absolute quantity in the units of
     lambda1 (1/length^2); it must be <= tol, else ConvergenceError.
 
-    max_iter is ARPACK's restart limit (maxiter).  iterations counts the
+    MAX_ITER is ARPACK's restart limit (maxiter).  iterations counts the
     applications of the factor (one triangular solve pair each); it depends
     only on the matrices, so it repeats exactly.  ritz_values are the
-    block_size nonzero eigenvalues in ascending order.  A multiple
+    BLOCK_SIZE nonzero eigenvalues in ascending order.  A multiple
     second/third Ritz value only sets gap_warning (spheres have a
     three-dimensional first eigenspace; that is expected, not an error).
 
     ConvergenceError carries the best pair's Rayleigh quotient and residual,
     recomputed from whatever eigenpairs ARPACK converged (None if none but
-    the constant mode did).  Its iterations is max_iter when ARPACK ran out
+    the constant mode did).  Its iterations is MAX_ITER when ARPACK ran out
     of restarts, else the number of factor solves.
     """
     if tol <= 0:
@@ -165,7 +163,7 @@ def lambda1(
     V = system.n
     if V < 4:
         raise ValueError("need at least 4 vertices")
-    b = int(min(block_size, V - 3))
+    b = min(BLOCK_SIZE, V - 3)
 
     sigma = _SHIFT * 4.0 * np.pi / m.sum()
     lu = splu((S + sigma * system.mass).tocsc())
@@ -180,7 +178,7 @@ def lambda1(
     converged = True
     try:
         vals, vecs = eigsh(
-            S, k=b + 1, M=system.mass, sigma=-sigma, v0=v0, maxiter=max_iter,
+            S, k=b + 1, M=system.mass, sigma=-sigma, v0=v0, maxiter=MAX_ITER,
             OPinv=LinearOperator((V, V), matvec=solve, dtype=np.float64),
         )
     except ArpackNoConvergence as exc:
@@ -192,7 +190,7 @@ def lambda1(
         lam, u, residual = _certify(S, m, vecs[:, 0])
     if not converged or not residual <= tol:
         why = (
-            f"ARPACK did not converge in {max_iter} iterations"
+            f"ARPACK did not converge in {MAX_ITER} iterations"
             if not converged
             else f"residual above tol={tol:g}"
         )
@@ -200,7 +198,7 @@ def lambda1(
             f"{why} (best lambda1 {lam!r}, residual {residual!r})",
             best_lambda1=lam,
             best_residual=residual,
-            iterations=solves if converged else max_iter,
+            iterations=solves if converged else MAX_ITER,
         )
     ritz = tuple(float(t) for t in vals[:b])
     gap = len(ritz) >= 3 and abs(ritz[2] - ritz[1]) <= tol * max(1.0, abs(ritz[2]))
@@ -214,40 +212,21 @@ def lambda1(
     )
 
 
-@dataclass(frozen=True)
-class Lambda1UpperBounds:
-    """lambda1 <= by_scalar_curvature <= by_mean_curvature (closed surfaces)."""
-
-    by_mean_curvature: float      # n * sup|H|^2
-    by_scalar_curvature: float    # sup|R| / (n-1)
-
-
-def lambda1_upper_bound(geometries, n: int = 2) -> Lambda1UpperBounds:
-    """Mean-curvature and scalar-curvature upper bounds for lambda1."""
-    h_inf = float(np.abs(geometries.H).max())
-    r_inf = float(np.abs(geometries.scalar_curv).max())
-    return Lambda1UpperBounds(
-        by_mean_curvature=n * h_inf**2,
-        by_scalar_curvature=r_inf / (n - 1),
-    )
-
-
 def aubry_lower_bound(
     deficit_integral: float,
     volume: float,
     p: float,
     C_np: float,
-    n: int = 2,
 ) -> float | None:
-    """Ricci-deficit lower bound n*(1 - C*(deficit/volume)^(1/p)) for lambda1.
+    """Ricci-deficit lower bound 2*(1 - C*(deficit/volume)^(1/p)) for lambda1.
 
     Returns None when the smallness hypothesis deficit < volume/C fails
     ("hypothesis violated"); the bound is vacuous there.  The constant
-    C(n, p) is not quantified by the theory and must be supplied; results
+    C(2, p) is not quantified by the theory and must be supplied; results
     are conditional on it.
     """
-    if p <= n / 2:
-        raise ValueError(f"need p > n/2, got p={p}")
+    if p <= 1:
+        raise ValueError(f"need p > 1, got p={p}")
     if C_np <= 0:
         raise ValueError("C_np must be positive")
     if volume <= 0:
@@ -256,4 +235,4 @@ def aubry_lower_bound(
         raise ValueError("deficit integral cannot be negative")
     if deficit_integral >= volume / C_np:
         return None
-    return n * (1.0 - C_np * (deficit_integral / volume) ** (1.0 / p))
+    return 2 * (1.0 - C_np * (deficit_integral / volume) ** (1.0 / p))

@@ -308,13 +308,6 @@ def _ellipsoid_curvatures(surface: Ellipsoid, dirs) -> CurvatureOracle:
     return CurvatureOracle(kappa1=w[..., 1], kappa2=w[..., 2])
 
 
-def oracle_lambda1(surface: AnalyticSurface, n: int = 2) -> float | None:
-    """First nonzero Laplace eigenvalue n/r^2 for spheres; None otherwise."""
-    if isinstance(surface, Sphere):
-        return n / surface.radius**2
-    return None
-
-
 def oracle_curvatures_at_vertices(
     surface: AnalyticSurface, mesh: Mesh
 ) -> CurvatureOracle:
@@ -346,7 +339,7 @@ def oracle_geometry(surface: AnalyticSurface, mesh: Mesh):
     shape_op = np.zeros((V, 2, 2))
     shape_op[:, 0, 0] = o.kappa1
     shape_op[:, 1, 1] = o.kappa2
-    ricci_min, scalar = ricci_from_gauss(kappa, n=2)
+    ricci_min, scalar = ricci_from_gauss(kappa)
     return SurfaceGeometry(
         normal=nrm,
         shape_operator=shape_op,

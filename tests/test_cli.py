@@ -91,6 +91,20 @@ def test_off_counts_error_record(tmp_path, capsys, text):
     assert "OFF declares" in doc["error"]["message"]
 
 
+def test_obj_negative_index_error_record(tmp_path, capsys):
+    # relative (negative) OBJ indices are rejected, not resolved
+    path = tmp_path / "relative.obj"
+    path.write_text(
+        "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\n"
+        "f -1 -2 -3\nf 1 2 3\nf 1 3 4\nf 1 4 2\n"
+    )
+    assert run(["verify", "--mesh", str(path), "--epsilon", "0.1",
+                "--alpha", "0.5"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["stage"] == "load"
+    assert "out of 1-based range" in doc["error"]["message"]
+
+
 def test_verify_missing_file_error(capsys):
     code = run(["verify", "--mesh", "/nonexistent.off",
                 "--epsilon", "0.1", "--alpha", "0.5"])
@@ -171,6 +185,23 @@ def test_converge_csv(tmp_path):
     assert lines[0].startswith("subdivision,vertices,H_err_max")
     assert any(line.startswith("H_order_fit") for line in lines)
     assert any(line.startswith("H_order_2_to_3") for line in lines)
+
+
+def test_converge_uncertified_lambda1_error_record(capsys):
+    # no double-precision eigenpair meets tol = 1e-17
+    assert run(["converge", "--subdivs", "2,3", "--tol", "1e-17"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["stage"] == "lambda1"
+    assert doc["error"]["message"].startswith("subdivision 2: residual above tol")
+
+
+@pytest.mark.parametrize("subdivs", ["3", "3,3", "2,3,2"])
+def test_converge_needs_two_distinct_subdivisions(capsys, subdivs):
+    # one level gives no order, and a repeated level a spurious one
+    assert run(["converge", "--subdivs", subdivs]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["stage"] == "config"
+    assert repr(subdivs) in doc["error"]["message"]
 
 
 def test_verify_csv_format(tmp_path):

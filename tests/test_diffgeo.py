@@ -96,33 +96,30 @@ def test_normals_outward(geom_sphere4, sphere4):
 
 
 @pytest.mark.parametrize(
-    "kappa,n,expected_min,expected_scalar",
+    "kappa,expected_min,expected_scalar",
     [
-        ((1.0, 1.0), 2, 1.0, 2.0),
-        ((0.5, 0.5), 2, 0.25, 0.5),
-        ((1.0, 3.0), 2, 3.0, 6.0),
+        ((1.0, 1.0), 1.0, 2.0),
+        ((0.5, 0.5), 0.25, 0.5),
+        ((1.0, 3.0), 3.0, 6.0),
     ],
 )
-def test_ricci_from_gauss_examples(kappa, n, expected_min, expected_scalar):
-    rmin, scal = ricci_from_gauss(np.array(kappa), n)
+def test_ricci_from_gauss_examples(kappa, expected_min, expected_scalar):
+    rmin, scal = ricci_from_gauss(np.array(kappa))
     assert rmin == pytest.approx(expected_min, rel=1e-14)
     assert scal == pytest.approx(expected_scalar, rel=1e-14)
-    if n == 2:
-        assert scal == pytest.approx(2.0 * kappa[0] * kappa[1], rel=1e-14)
+    assert scal == pytest.approx(2.0 * kappa[0] * kappa[1], rel=1e-14)
 
 
-@pytest.mark.parametrize("n", [2, 3, 5])
 @pytest.mark.parametrize("r", [1.0, 2.5])
-def test_ricci_general_dimension_sphere(n, r):
-    kappa = np.full(n, 1.0 / r)
-    rmin, scal = ricci_from_gauss(kappa, n)
-    assert rmin == pytest.approx((n - 1) / r**2, rel=1e-13)
-    assert scal == pytest.approx(n * (n - 1) / r**2, rel=1e-13)
+def test_ricci_sphere(r):
+    rmin, scal = ricci_from_gauss(np.full(2, 1.0 / r))
+    assert rmin == pytest.approx(1 / r**2, rel=1e-13)
+    assert scal == pytest.approx(2 / r**2, rel=1e-13)
 
 
 def test_ricci_from_gauss_dimension_mismatch():
     with pytest.raises(ValueError):
-        ricci_from_gauss(np.array([1.0, 2.0, 3.0]), 2)
+        ricci_from_gauss(np.array([1.0, 2.0, 3.0]))
 
 
 def test_ricci_trace_identity(geom_sphere4, geom_ellipsoid4, geom_perturbed4):
@@ -136,15 +133,15 @@ def test_ricci_trace_identity(geom_sphere4, geom_ellipsoid4, geom_perturbed4):
     [(1.0, 1.0, 0.0), (0.5, 1.0, 0.5), (3.0, 1.0, 0.0)],
 )
 def test_ricci_deficit_values(rmin, mu, expected):
-    assert ricci_deficit(rmin, mu, 2) == pytest.approx(expected, abs=1e-15)
+    assert ricci_deficit(rmin, mu) == pytest.approx(expected, abs=1e-15)
 
 
 def test_ricci_deficit_rescaling_and_errors(geom_sphere4):
-    d = ricci_deficit(geom_sphere4.ricci_min, 1.0, 2)
+    d = ricci_deficit(geom_sphere4.ricci_min, 1.0)
     assert d.shape == geom_sphere4.H.shape
-    assert d.max() < 0.05  # unit sphere: Ric ~ (n-1), deficit ~ estimator noise
+    assert d.max() < 0.05  # unit sphere: Ric ~ 1, deficit ~ estimator noise
     with pytest.raises(ValueError):
-        ricci_deficit(1.0, 0.0, 2)
+        ricci_deficit(1.0, 0.0)
 
 
 def test_convexity_status(geom_sphere4, torus):

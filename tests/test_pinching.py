@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 
 from umbilic.diffgeo import estimate_geometry
-from umbilic.mesh import Mesh, validate_mesh
+from umbilic.mesh import Mesh, measures, validate_mesh
 from umbilic.pinching import (
     PinchingConstants,
+    _annulus,
     amplitude_for_ratio,
-    annulus_check,
     check_hypothesis,
     eta_of_epsilon,
     fit_umbilical_mu,
-    phi_sup,
     pinch_ratio,
     proof_trace,
     roth_condition,
@@ -202,10 +201,20 @@ def test_unit_area_stages_need_lambda1(sphere4, geom_sphere4):
 # -- annulus and phi ---------------------------------------------------------------
 
 
+def verified(mesh, epsilon):
+    """verify_theorem without the proof trace."""
+    return verify_theorem(
+        mesh, PinchingConstants(alpha=0.5, epsilon=epsilon), with_trace=False
+    )
+
+
+def barycenter_distances(mesh):
+    center = measures(mesh).barycenter
+    return center, np.linalg.norm(mesh.vertices - center, axis=1)
+
+
 def test_annulus_sphere_three():
-    mesh = generate(Sphere(3.0), 4)
-    lam = lambda1(build_laplace(mesh)).lambda1
-    res = annulus_check(mesh, lam, epsilon=0.05)
+    res = verified(generate(Sphere(3.0), 4), epsilon=0.05).annulus
     assert res.r_lambda == pytest.approx(3.0, rel=1e-3)
     assert res.min_dist == pytest.approx(3.0, rel=1e-12)
     assert res.max_dist == pytest.approx(3.0, rel=1e-12)
@@ -216,8 +225,7 @@ def test_annulus_sphere_three():
 def test_annulus_perturbed(perturbed4):
     surf_delta = 0.005
     mesh = generate(PerturbedSphere(1.0, surf_delta, 2, 0), 4)
-    lam = lambda1(build_laplace(mesh)).lambda1
-    res = annulus_check(mesh, lam, epsilon=0.1)
+    res = verified(mesh, epsilon=0.1).annulus
     assert res.contained
     from umbilic.surfgen import harmonic_sup
 
@@ -226,15 +234,15 @@ def test_annulus_perturbed(perturbed4):
 
 def test_annulus_inner_radius_guard(sphere4, lam1_sphere4):
     lam = lam1_sphere4.lambda1
+    center, dist = barycenter_distances(sphere4)
     with pytest.raises(ValueError, match="inner radius"):
-        annulus_check(sphere4, lam, epsilon=math.sqrt(2.0 / lam) * 1.01)
+        _annulus(center, dist, lam, math.sqrt(2.0 / lam) * 1.01)
     with pytest.raises(ValueError):
-        annulus_check(sphere4, 0.0, epsilon=0.1)
+        _annulus(center, dist, 0.0, 0.1)
 
 
 def test_annulus_containment_definition(perturbed4):
-    lam = 2.0
-    res = annulus_check(perturbed4, lam, epsilon=0.2)
+    res = verified(perturbed4, epsilon=0.2).annulus
     assert res.contained == (
         res.inner <= res.min_dist and res.max_dist <= res.outer
     )
@@ -242,19 +250,22 @@ def test_annulus_containment_definition(perturbed4):
 
 
 def test_phi_sup_sphere(sphere5, lam1_sphere5):
-    # vertices sit essentially at radius sqrt(n/lambda1): phi ~ 0
-    assert phi_sup(sphere5, lam1_sphere5.lambda1) <= 1e-3
+    # vertices sit essentially at radius sqrt(2/lambda1): phi ~ 0
+    report = verified(sphere5, epsilon=0.2)
+    assert report.lambda1 == lam1_sphere5.lambda1
+    assert report.phi_sup <= 1e-3
+
+
+def phi_sup(mesh, lam):
+    """sup of |X - x0| (|X - x0| - sqrt(2/lambda1))^2 over the vertices."""
+    dist = barycenter_distances(mesh)[1]
+    return float((dist * (dist - math.sqrt(2.0 / lam)) ** 2).max())
 
 
 def test_phi_sup_formula(perturbed4):
-    lam = 2.0
-    r_lam = math.sqrt(2.0 / lam)
-    from umbilic.mesh import measures
-
-    x0 = measures(perturbed4).barycenter
-    dist = np.linalg.norm(perturbed4.vertices - x0, axis=1)
-    expected = float((dist * (dist - r_lam) ** 2).max())
-    assert phi_sup(perturbed4, lam) == pytest.approx(expected, rel=1e-14)
+    report = verified(perturbed4, epsilon=0.2)
+    expected = phi_sup(perturbed4, report.lambda1)
+    assert report.phi_sup == pytest.approx(expected, rel=1e-14)
 
 
 def test_eta_inequality(geom_perturbed4, perturbed4):
@@ -316,7 +327,7 @@ def _toy_geometry(kappas):
     kappa = np.asarray(kappas, dtype=float)
     V = len(kappa)
     H = kappa.mean(axis=1)
-    rmin, scal = ricci_from_gauss(kappa, 2)
+    rmin, scal = ricci_from_gauss(kappa)
     return SurfaceGeometry(
         normal=np.tile([0.0, 0.0, 1.0], (V, 1)),
         shape_operator=np.zeros((V, 2, 2)),
@@ -530,15 +541,6 @@ def test_sharpness_sweep_rows_and_fit():
 def test_sweep_rejects_bad_grid():
     with pytest.raises(ValueError):
         sharpness_sweep(1.0, 2, 0, alpha=0.5, eps_grid=[0.4, -0.1])
-
-
-def test_sweep_thread_determinism(monkeypatch):
-    args = dict(radius=1.0, degree=2, order=0, alpha=0.5,
-                eps_grid=[0.3, 0.2], subdivision=2)
-    seq = sharpness_sweep(**args)
-    monkeypatch.setenv("UMBILIC_THREADS", "2")
-    par = sharpness_sweep(**args)
-    assert seq == par
 
 
 def test_verify_reports_phi_when_annulus_raises():

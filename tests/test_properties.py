@@ -4,6 +4,7 @@ The examples come from the deterministic hypothesis profile registered in
 conftest.py, so every run draws the same ones.
 """
 
+import dataclasses
 import string
 
 import numpy as np
@@ -92,31 +93,49 @@ def base():
     corner_shift=st.integers(0, 2),
     angles=st.tuples(*[st.floats(-np.pi, np.pi)] * 3),
     shift=st.tuples(*[st.floats(-5.0, 5.0)] * 3),
+    c=st.floats(0.25, 4.0),
 )
 def test_verify_invariant_under_relabelling_and_rigid_motion(
-    base, seed, corner_shift, angles, shift
+    base, seed, corner_shift, angles, shift, c
 ):
     # new vertex k is old vertex relabel[k]; faces are reordered and their
-    # corners rotated, which keeps each face's orientation
+    # corners rotated, which keeps each face's orientation.  The mesh is
+    # also scaled by c, with eps (a length) scaled along: the theorem is
+    # stated at |M| = 1, so the unit-area quantities do not move, lambda1
+    # scales by 1/c^2, margins by 1/c, radii by c and phi_sup by c^3.
     rng = np.random.default_rng(seed)
     relabel = rng.permutation(PERTURBED3.n_vertices)
     faces = np.argsort(relabel)[PERTURBED3.faces][rng.permutation(PERTURBED3.n_faces)]
     faces = np.roll(faces, corner_shift, axis=1)
     rot = Rotation.from_euler("xyz", angles).as_matrix()
-    moved = Mesh(PERTURBED3.vertices[relabel] @ rot.T + shift, faces)
-    report = verify_theorem(moved, CONSTANTS)
+    moved = Mesh(c * PERTURBED3.vertices[relabel] @ rot.T + shift, faces)
+    report = verify_theorem(moved, CONSTANTS.rescaled(c))
 
     assert report.failure is None and base.failure is None
-    assert report.lambda1 == pytest.approx(base.lambda1, rel=1e-12, abs=1e-12)
+    assert report.lambda1 * c**2 == pytest.approx(base.lambda1, rel=1e-12, abs=1e-12)
     assert np.allclose(
-        report.hypothesis.margins, base.hypothesis.margins[relabel], rtol=1e-9, atol=1e-16
+        report.hypothesis.margins * c, base.hypothesis.margins[relabel],
+        rtol=1e-9, atol=1e-16,
     )
     assert report.hypothesis.holds == base.hypothesis.holds
     for got, want in [
+        (report.lambda1_normalized, base.lambda1_normalized),
+        (report.roth.lhs, base.roth.lhs),
+        (report.roth.c_eps, base.roth.c_eps),
         (report.roth.integral_H, base.roth.integral_H),
         (report.roth.h2_norm_2p, base.roth.h2_norm_2p),
-        (report.trace.dev_norm_kp, base.trace.dev_norm_kp),
-        (report.oscillation, base.oscillation),
+        (report.oscillation / c, base.oscillation),
+        (report.annulus.inner / c, base.annulus.inner),
+        (report.phi_sup / c**3, base.phi_sup),
     ]:
         assert got == pytest.approx(want, rel=1e-9)
     assert report.annulus.contained == base.annulus.contained
+    for name, want in dataclasses.asdict(base.trace).items():
+        got = getattr(report.trace, name)
+        if name == "mu0_mean_gap":
+            # a difference of two near-equal curvatures: compare on their scale
+            assert got == pytest.approx(want, abs=1e-9 * base.trace.mu0)
+        elif isinstance(want, (float, tuple)) and name != "warnings":
+            assert got == pytest.approx(want, rel=1e-9), name
+        else:
+            assert got == want, name

@@ -11,7 +11,6 @@ from umbilic.surfgen import (
     harmonic_sup,
     oracle_curvatures,
     oracle_curvatures_at_vertices,
-    oracle_lambda1,
     real_sph_harm,
     unit_icosphere,
 )
@@ -134,19 +133,12 @@ def test_perturbed_mean_curvature_linearization():
     assert np.abs(fd.H - 1.0).max() < 5 * delta
 
 
-def test_oracle_lambda1():
-    assert oracle_lambda1(Sphere(1.0)) == 2.0
-    assert oracle_lambda1(Sphere(3.0)) == pytest.approx(2.0 / 9.0, rel=1e-15)
-    assert oracle_lambda1(Sphere(1.0), n=5) == 5.0
-    assert oracle_lambda1(Ellipsoid(2.0, 1.0, 1.0)) is None
-    assert oracle_lambda1(PerturbedSphere(1.0, 0.01, 2, 0)) is None
-
-
 def test_sphere_conclusion_radius_consistency():
-    # on the model case 1/H = r = sqrt(n/lambda1) and the umbilicity defect is 0
+    # on the model case 1/H = r = sqrt(2/lambda1) with lambda1 = 2/r^2, and
+    # the umbilicity defect is 0
     r = 1.7
     o = oracle_curvatures(Sphere(r), dirs([1.0], [0.0]))
-    lam = oracle_lambda1(Sphere(r))
+    lam = 2.0 / r**2
     assert np.allclose(o.traceless_norm, 0.0)
     assert np.sqrt(2.0 / lam) == pytest.approx(r, rel=1e-15)
     assert 1.0 / o.H[0] == pytest.approx(r, rel=1e-15)
