@@ -9,10 +9,12 @@ report embeds the constants block in effect.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
 import math
+import re
 import sys
 from datetime import datetime, timezone
 
@@ -79,29 +81,28 @@ def _report_payload(report: pinching.PinchingReport) -> dict:
     return out
 
 
+def _output(out_path: str | None):
+    """The file at `out_path` opened for writing, or stdout when it is None."""
+    if out_path:
+        return open(out_path, "w", newline="", encoding="ascii")
+    return contextlib.nullcontext(sys.stdout)
+
+
 def _emit_json(document: dict, out_path: str | None) -> None:
     document = dict(document)
     document["meta"] = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    text = json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(out_path) as fh:
+        fh.write(json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _emit_csv(header, rows, out_path: str | None) -> None:
     """Write a header and rows; csv writes a float with str(), its shortest repr."""
-    target = open(out_path, "w", newline="", encoding="ascii") if out_path else sys.stdout
-    try:
-        writer = csv.writer(target, delimiter=",")
+    with _output(out_path) as fh:
+        writer = csv.writer(fh, delimiter=",")
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if out_path:
-            target.close()
 
 
 def _load_validated(path) -> Mesh:
@@ -111,32 +112,20 @@ def _load_validated(path) -> Mesh:
         raise CliError("load", str(exc)) from exc
     report = validate_mesh(mesh)
     if not report.all_passed:
-        fans = f" manifold=False (vertex {report.nonmanifold_vertex})"
-        raise CliError(
-            "validate",
-            f"mesh validation failed: closed={report.closed} "
-            f"oriented={report.oriented} connected={report.connected} "
-            f"min_face_area={report.min_face_area:g}"
-            + (fans if report.manifold is False else ""),
-        )
+        raise CliError("validate", report.failure)
     return mesh
 
 
 def _surface_from_args(args) -> surfgen.AnalyticSurface:
-    kind = args.kind
-    if kind == "sphere":
+    if args.kind == "sphere":
         return surfgen.Sphere(args.radius)
-    if kind == "ellipsoid":
+    if args.kind == "ellipsoid":
         try:
             a, b, c = [float(x) for x in args.axes.split(",")]
         except ValueError:
             raise CliError("config", f"--axes must be 'a,b,c', got {args.axes!r}")
         return surfgen.Ellipsoid(a, b, c)
-    if kind == "perturbed":
-        return surfgen.PerturbedSphere(
-            args.radius, args.delta, args.degree, args.order
-        )
-    raise CliError("config", f"unknown surface kind {kind!r}")
+    return surfgen.PerturbedSphere(args.radius, args.delta, args.degree, args.order)
 
 
 def _floored_alpha(alpha: float) -> float:
@@ -258,35 +247,26 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    family = args.family.lower().strip()
-    try:
-        if "m" in family:
-            degree = int(family[1:family.index("m")])
-            order = int(family[family.index("m") + 1:])
-        else:
-            degree = int(family.lstrip("l"))
-            order = 0
-    except ValueError:
+    match = re.fullmatch(r"l(\d+)(?:m(-?\d+))?", args.family.lower().strip())
+    if match is None:
         raise CliError(
             "config", f"--family must look like 'l2' or 'l3m1', got {args.family!r}"
         )
+    degree, order = int(match[1]), int(match[2] or 0)
     try:
         eps_grid = [float(x) for x in args.eps.split(",")]
     except ValueError:
         raise CliError("config", f"--eps must be a comma list, got {args.eps!r}")
     alpha = _floored_alpha(args.alpha)
-    try:
-        result = pinching.sharpness_sweep(
-            radius=args.radius,
-            degree=degree,
-            order=order,
-            alpha=alpha,
-            eps_grid=eps_grid,
-            subdivision=args.subdiv,
-            slack=args.slack,
-        )
-    except ValueError as exc:
-        raise CliError("sweep", str(exc)) from exc
+    result = pinching.sharpness_sweep(
+        radius=args.radius,
+        degree=degree,
+        order=order,
+        alpha=alpha,
+        eps_grid=eps_grid,
+        subdivision=args.subdiv,
+        slack=args.slack,
+    )
     if args.format == "json":
         _emit_json(
             {
@@ -445,11 +425,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        error, out = {"stage": exc.stage, "message": str(exc)}, getattr(args, "out", None)
-    except (ValueError, IndexError, OSError) as exc:
-        error, out = {"stage": args.command, "message": str(exc)}, None
-    _emit_json({"schema": SCHEMA, "error": error}, out)
+    except (CliError, ValueError, IndexError, OSError) as exc:
+        stage = getattr(exc, "stage", args.command)
+        error = {"stage": stage, "message": str(exc)}
+    # stdout, not --out: that file only ever holds a result
+    _emit_json({"schema": SCHEMA, "error": error}, None)
     return 2
 
 

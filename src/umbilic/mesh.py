@@ -49,6 +49,20 @@ class ValidationReport:
             and self.min_face_area > self.degenerate_threshold
         )
 
+    @property
+    def failure(self) -> str | None:
+        """The message naming the failed checks; None when all passed."""
+        if self.all_passed:
+            return None
+        message = (
+            f"mesh validation failed: closed={self.closed} "
+            f"oriented={self.oriented} connected={self.connected} "
+            f"min_face_area={self.min_face_area:g}"
+        )
+        if self.manifold is False:
+            message += f" manifold=False (vertex {self.nonmanifold_vertex})"
+        return message
+
 
 @dataclass(frozen=True)
 class MeshMeasures:
@@ -86,8 +100,8 @@ class Mesh:
         Vertex index triples, counterclockwise w.r.t. the outward normal.
 
     The arrays are copied and frozen; the edge table, adjacency, the
-    validation report and all derived measures are computed on first use
-    and cached.
+    validation report and the areas are computed on first use and cached.
+    The per-face corner and cross-product arrays are recomputed on each read.
     """
 
     def __init__(self, vertices, faces):
@@ -149,12 +163,12 @@ class Mesh:
 
     # -- geometry ------------------------------------------------------------
 
-    @cached_property
+    @property
     def face_corners(self) -> np.ndarray:
         """(F, 3, 3) vertex positions per face."""
         return self.vertices[self.faces]
 
-    @cached_property
+    @property
     def face_cross(self) -> np.ndarray:
         """(F, 3) un-normalized face normals (cross of two edges)."""
         c = self.face_corners
@@ -182,25 +196,28 @@ class Mesh:
         return float(np.sum(self.face_areas))
 
 
-def load_mesh(path, fmt: str | None = None) -> Mesh:
-    """Load an ASCII OFF or OBJ file.
+def load_mesh(path) -> Mesh:
+    """Load an ASCII OFF or OBJ file; the format comes from the extension.
 
-    fmt is "off" or "obj"; inferred from the extension when omitted.
     Neither adjacency nor structural validation is computed here.
     """
     path = os.fspath(path)
-    if fmt is None:
-        fmt = os.path.splitext(path)[1].lstrip(".").lower()
-    fmt = fmt.lower()
+    # opened first: a missing file reports as missing, whatever its extension
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
-    parse = {"off": _parse_off, "obj": _parse_obj}.get(fmt)
-    if parse is None:
-        raise MeshFormatError(f"unsupported mesh format {fmt!r} (use off or obj)")
+    fmt = _format_of(path)
     try:
-        return parse(text)
+        return (_parse_off if fmt == "off" else _parse_obj)(text)
     except OverflowError as exc:   # a face index beyond int64
         raise IndexError(f"{fmt.upper()} face index out of range: {exc}") from exc
+
+
+def _format_of(path: str) -> str:
+    """The mesh format of `path`, "off" or "obj", read from its extension."""
+    fmt = os.path.splitext(path)[1].lstrip(".").lower()
+    if fmt not in ("off", "obj"):
+        raise MeshFormatError(f"unsupported mesh format {fmt!r} (use off or obj)")
+    return fmt
 
 
 def _content_lines(text: str) -> list[str]:
@@ -291,27 +308,20 @@ def _parse_obj(text: str) -> Mesh:
     return Mesh(verts, faces - 1)
 
 
-def save_mesh(mesh: Mesh, path, fmt: str | None = None) -> None:
-    """Write a mesh as ASCII OFF or OBJ (format from extension if omitted)."""
+def save_mesh(mesh: Mesh, path) -> None:
+    """Write a mesh as ASCII OFF or OBJ; the format comes from the extension."""
     path = os.fspath(path)
-    if fmt is None:
-        fmt = os.path.splitext(path)[1].lstrip(".").lower()
-    fmt = fmt.lower()
-    lines = []
-    if fmt == "off":
-        lines.append("OFF")
-        lines.append(f"{mesh.n_vertices} {mesh.n_faces} {len(mesh.edges)}")
+    if _format_of(path) == "off":
+        lines = ["OFF", f"{mesh.n_vertices} {mesh.n_faces} {len(mesh.edges)}"]
         lines.extend(
             f"{float(x)!r} {float(y)!r} {float(z)!r}" for x, y, z in mesh.vertices
         )
         lines.extend(f"3 {i} {j} {k}" for i, j, k in mesh.faces)
-    elif fmt == "obj":
-        lines.extend(
-            f"v {float(x)!r} {float(y)!r} {float(z)!r}" for x, y, z in mesh.vertices
-        )
-        lines.extend(f"f {i + 1} {j + 1} {k + 1}" for i, j, k in mesh.faces)
     else:
-        raise MeshFormatError(f"unsupported mesh format {fmt!r} (use off or obj)")
+        lines = [
+            f"v {float(x)!r} {float(y)!r} {float(z)!r}" for x, y, z in mesh.vertices
+        ]
+        lines.extend(f"f {i + 1} {j + 1} {k + 1}" for i, j, k in mesh.faces)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -136,7 +136,6 @@ class AnnulusResult:
 @dataclass(frozen=True)
 class MuFit:
     mu_star: float
-    attained_norm: float       # ||A - mu* g||_p
     mean_H: float              # area-weighted mean of H (p = 2 minimizer)
 
 
@@ -403,9 +402,7 @@ def fit_umbilical_mu(
         else:
             a = b = mid
     mu = 0.5 * (a + b)
-    dev = np.sqrt((k1 - mu) ** 2 + (k2 - mu) ** 2)
-    attained = lp_norm(ScalarField(values=dev, weights=weights), p)
-    return MuFit(mu_star=float(mu), attained_norm=attained, mean_H=mean_h)
+    return MuFit(mu_star=float(mu), mean_H=mean_h)
 
 
 # -- proof trace ----------------------------------------------------------------
@@ -522,7 +519,7 @@ def verify_theorem(
     """
     report = validate_mesh(mesh)
     if not report.all_passed:
-        raise ValueError(f"mesh validation failed: {report}")
+        raise ValueError(report.failure)
     geometries = estimate_geometry(mesh, ring_depth=ring_depth)
     convexity = convexity_status(geometries)
 
@@ -676,7 +673,6 @@ def sharpness_sweep(
     eps_grid,
     subdivision: int = 4,
     slack: float = 1.0,
-    ring_depth: int = 2,
 ) -> SweepResult:
     """For each eps, tune the amplitude to the pinching target and verify.
 
@@ -695,7 +691,6 @@ def sharpness_sweep(
         report = verify_theorem(
             msh,
             PinchingConstants(alpha=alpha, epsilon=eps),
-            ring_depth=ring_depth,
             with_trace=False,
         )
         return SweepRow(

@@ -5,7 +5,7 @@ import pytest
 
 from umbilic.cli import main
 from umbilic.diffgeo import estimate_geometry
-from umbilic.mesh import load_mesh, save_mesh
+from umbilic.mesh import Mesh, load_mesh, save_mesh
 from umbilic.surfgen import Sphere, generate
 
 
@@ -105,6 +105,41 @@ def test_obj_negative_index_error_record(tmp_path, capsys):
     assert "out of 1-based range" in doc["error"]["message"]
 
 
+@pytest.mark.parametrize("command, stage, message", [
+    (["analyze", "--mesh", "{open}", "--out", "{out}", "--json-out", "{out}.json"],
+     "validate", "mesh validation failed: closed=False oriented=False"),
+    (["verify", "--mesh", "{open}", "--epsilon", "0.2", "--alpha", "0.5",
+      "--out", "{out}"],
+     "validate", "mesh validation failed: closed=False oriented=False"),
+    (["converge", "--subdivs", "2,3", "--tol", "1e-17", "--out", "{out}"],
+     "lambda1", "subdivision 2: residual above tol=1e-17"),
+    (["verify", "--mesh", "{closed}", "--epsilon", "0.2", "--alpha", "0.5",
+      "--ring-depth", "0", "--out", "{out}"],
+     "verify", "ring_depth must be >= 1"),
+    (["sweep", "--family", "l2", "--alpha", "0.5", "--eps", "0.2", "--subdiv", "1",
+      "--slack", "1e9", "--out", "{out}"],
+     "sweep", "amplitude search failed"),
+    (["gen", "--kind", "ellipsoid", "--axes", "1,2", "--out", "{out}"],
+     "config", "--axes must be 'a,b,c', got '1,2'"),
+    (["verify", "--mesh", "{closed}", "--epsilon", "0.2", "--alpha", "0.5",
+      "--out", "{out}/report.json"],
+     "verify", "[Errno 2] No such file or directory"),
+], ids=["analyze-open", "verify-open", "converge-tol", "verify-ring-depth",
+        "sweep-amplitude", "gen-axes", "unwritable-out"])
+def test_error_record_on_stdout_not_out(tmp_path, capsys, command, stage, message):
+    # --out only ever holds a result; the record goes to stdout
+    mesh = generate(Sphere(1.0), 2)
+    save_mesh(mesh, tmp_path / "closed.off")
+    save_mesh(Mesh(mesh.vertices, mesh.faces[2:]), tmp_path / "open.off")
+    paths = dict(open=tmp_path / "open.off", closed=tmp_path / "closed.off",
+                 out=tmp_path / "result.out")
+    assert run([arg.format(**paths) for arg in command]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["stage"] == stage
+    assert doc["error"]["message"].startswith(message)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["closed.off", "open.off"]
+
+
 def test_verify_missing_file_error(capsys):
     code = run(["verify", "--mesh", "/nonexistent.off",
                 "--epsilon", "0.1", "--alpha", "0.5"])
@@ -126,8 +161,9 @@ def test_gen_bad_axes(tmp_path, capsys):
     code = run(["gen", "--kind", "ellipsoid", "--axes", "2;1;1",
                 "--subdiv", "1", "--out", str(tmp_path / "x.off")])
     assert code == 2
-    doc = json.loads((tmp_path / "x.off").read_text())
+    doc = json.loads(capsys.readouterr().out)
     assert doc["error"]["stage"] == "config"
+    assert not (tmp_path / "x.off").exists()
 
 
 def test_analyze_outputs(tmp_path):
@@ -160,10 +196,18 @@ def test_sweep_csv(tmp_path):
 
 
 def test_sweep_family_parsing(tmp_path, capsys):
-    code = run(["sweep", "--family", "quux", "--alpha", "0.5", "--eps", "0.2"])
-    assert code == 2
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["error"]["stage"] == "config"
+    for family in ["quux", "2", "ll2", "l+2", "l 2"]:
+        code = run(["sweep", "--family", family, "--alpha", "0.5", "--eps", "0.2"])
+        assert code == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["error"]["stage"] == "config"
+        assert repr(family) in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("family", ["l2", "L2", "l3m-1"])
+def test_sweep_family_accepts(tmp_path, family):
+    assert run(["sweep", "--family", family, "--alpha", "0.5", "--eps", "0.4",
+                "--subdiv", "1", "--out", str(tmp_path / "s.csv")]) == 0
 
 
 def test_alpha_floor_warning(tmp_path, capsys):

@@ -249,7 +249,7 @@ def test_fit_memory_bounded():
     # the bound sits between a block-wise fit (about 35 MiB) and one that
     # pads every vertex at once (about 260 MiB)
     mesh = generate(PerturbedSphere(1.0, 0.01, 2, 0), 6)
-    mesh.one_ring_matrix, mesh.face_cross
+    mesh.one_ring_matrix
     tracemalloc.start()
     try:
         estimate_geometry(mesh)

@@ -156,6 +156,13 @@ def test_validate_pinched_vertex(sphere3):
     assert not report.all_passed
 
 
+def test_validation_failure_message(sphere3):
+    assert validate_mesh(sphere3).failure is None
+    failure = validate_mesh(pinched_sphere(sphere3)).failure
+    assert failure.startswith("mesh validation failed: closed=True oriented=True")
+    assert failure.endswith("manifold=False (vertex 0)")
+
+
 def test_validate_degenerate_face(sphere3):
     verts = sphere3.vertices.copy()
     # collapse one vertex onto a neighbor: topology intact, two zero-area faces
