@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
 import sys
 from datetime import datetime, timezone
@@ -21,14 +22,14 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import diffgeo, fields, pinching, spectral, surfgen
-from .mesh import Mesh, load_mesh, measures, save_mesh, validate_mesh
+from .mesh import Mesh, _row_text, load_mesh, measures, save_mesh, validate_mesh
 
 SCHEMA = "umbilic/1"
 
 # kp = 6(n+1)/alpha: keep the exponent at or below 180
 MIN_CLI_ALPHA = 0.1
 
-# rows of the analyze table converted to Python floats at a time
+# rows of the analyze table formatted at a time
 CSV_BLOCK = 4096
 
 
@@ -81,20 +82,33 @@ def _report_payload(report: pinching.PinchingReport) -> dict:
     return out
 
 
+@contextlib.contextmanager
 def _output(out_path: str | None):
-    """The file at `out_path` opened for writing, or stdout when it is None."""
-    if out_path:
-        return open(out_path, "w", newline="", encoding="ascii")
-    return contextlib.nullcontext(sys.stdout)
+    """The file at `out_path` opened for writing, or stdout when it is None.
+
+    The file is removed again if the block raises: it only ever holds a
+    complete result.
+    """
+    if not out_path:
+        yield sys.stdout
+        return
+    fh = open(out_path, "w", newline="", encoding="ascii")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        os.remove(out_path)
+        raise
+
+
+def _json_text(document: dict) -> str:
+    document = dict(document, meta={"timestamp": datetime.now(timezone.utc).isoformat()})
+    return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _emit_json(document: dict, out_path: str | None) -> None:
-    document = dict(document)
-    document["meta"] = {
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
     with _output(out_path) as fh:
-        fh.write(json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n")
+        fh.write(_json_text(document))
 
 
 def _emit_csv(header, rows, out_path: str | None) -> None:
@@ -164,27 +178,42 @@ def _cmd_gen(args) -> int:
 def _cmd_analyze(args) -> int:
     mesh = _load_validated(args.mesh)
     geo = diffgeo.estimate_geometry(mesh, ring_depth=args.ring_depth)
-    if args.out:
-        header = [
-            "vertex", "x", "y", "z", "area_weight", "kappa1", "kappa2",
-            "H", "A_traceless_norm", "H2", "ricci_min", "scalar_curv",
-        ]
-        table = np.column_stack([
-            mesh.vertices, mesh.vertex_areas, geo.kappa, geo.H,
-            geo.A_traceless_norm, geo.H2, geo.ricci_min, geo.scalar_curv,
-        ])
-        # convert a block of rows at a time: one tolist() of the whole
-        # table would hold a Python float for every cell at once
-        rows = (
-            [lo + k, *row]
-            for lo in range(0, len(table), CSV_BLOCK)
-            for k, row in enumerate(table[lo:lo + CSV_BLOCK].tolist())
-        )
-        _emit_csv(header, rows, args.out)
+    summary = _analyze_summary(mesh, geo)
+    # both files are open before either is written, and `_output` removes
+    # an opened file when the run fails: a failed run leaves neither
+    table = _output(args.out) if args.out else contextlib.nullcontext()
+    with _output(args.json_out) as json_fh, table as table_fh:
+        if table_fh is not None:
+            _write_table(mesh, geo, table_fh)
+        json_fh.write(_json_text(summary))
+    return 0
+
+
+def _write_table(mesh: Mesh, geo, fh) -> None:
+    """The per-vertex CSV, bytes as `csv.writer` writes them.
+
+    A block of rows at a time is sliced from the per-vertex arrays and
+    formatted by one `repr`: `csv` writes a float as its repr, too.
+    """
+    csv.writer(fh).writerow([
+        "vertex", "x", "y", "z", "area_weight", "kappa1", "kappa2",
+        "H", "A_traceless_norm", "H2", "ricci_min", "scalar_curv",
+    ])
+    columns = [
+        *mesh.vertices.T, mesh.vertex_areas, *geo.kappa.T, geo.H,
+        geo.A_traceless_norm, geo.H2, geo.ricci_min, geo.scalar_curv,
+    ]
+    for lo in range(0, mesh.n_vertices, CSV_BLOCK):
+        hi = min(lo + CSV_BLOCK, mesh.n_vertices)
+        cells = [range(lo, hi), *(c[lo:hi].tolist() for c in columns)]
+        fh.write(_row_text(cells, sep=",", end="\r\n"))
+
+
+def _analyze_summary(mesh: Mesh, geo) -> dict:
     mm = measures(mesh)
     anorm = fields.ScalarField(values=geo.A_traceless_norm, weights=mesh.vertex_areas)
     hfield = fields.ScalarField(values=geo.H, weights=mesh.vertex_areas)
-    summary = {
+    return {
         "schema": SCHEMA,
         "command": "analyze",
         "mesh": {
@@ -205,8 +234,6 @@ def _cmd_analyze(args) -> int:
         },
         "convexity": _jsonable(diffgeo.convexity_status(geo)),
     }
-    _emit_json(summary, args.json_out)
-    return 0
 
 
 def _flatten(prefix: str, obj, out: list) -> None:
@@ -247,7 +274,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    match = re.fullmatch(r"l(\d+)(?:m(-?\d+))?", args.family.lower().strip())
+    # ASCII digits only: \d and int() also take other scripts' digits
+    match = re.fullmatch(r"l([0-9]+)(?:m(-?[0-9]+))?", args.family.lower().strip())
     if match is None:
         raise CliError(
             "config", f"--family must look like 'l2' or 'l3m1', got {args.family!r}"

@@ -22,6 +22,10 @@ from scipy.sparse import csgraph
 # curvature fitting divides by local area scales.
 DEGENERATE_AREA_FACTOR = 1e-14
 
+# lines of mesh text parsed or formatted at a time: bounds the Python
+# strings and numbers alive at once
+TEXT_BLOCK = 4096
+
 
 class MeshFormatError(ValueError):
     """Raised when a mesh file cannot be parsed in the declared format."""
@@ -155,11 +159,15 @@ class Mesh:
         """Vertex adjacency as a 0/1 csr matrix (no diagonal)."""
         V = self.n_vertices
         i, j = np.divmod(self._edge_table[0], V)
-        return sparse.csr_matrix(
-            (np.ones(2 * len(i), dtype=np.int8),
-             (np.concatenate([i, j]), np.concatenate([j, i]))),
+        # the sorted keys (i < j) are the upper triangle's rows, in order
+        indptr = np.zeros(V + 1, dtype=np.int32)
+        np.cumsum(np.bincount(i, minlength=V), out=indptr[1:])
+        upper = sparse.csr_matrix(
+            (np.ones(len(j), dtype=np.int8), j.astype(np.int32), indptr),
             shape=(V, V),
         )
+        del i, j   # the sum below sets the memory peak
+        return upper + upper.T
 
     # -- geometry ------------------------------------------------------------
 
@@ -222,8 +230,10 @@ def _format_of(path: str) -> str:
 
 def _content_lines(text: str) -> list[str]:
     """The non-blank lines of `text`, stripped of '#' comments."""
-    stripped = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
-    return [line for line in stripped if line]
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    return list(filter(None, map(str.strip, lines)))
 
 
 def _parse_off(text: str) -> Mesh:
@@ -250,7 +260,43 @@ def _parse_off(text: str) -> Mesh:
             f"OFF declares {nv} vertices and {nf} faces, but {len(body)} lines follow"
         )
     verts = np.empty((nv, 3))
-    for k, line in enumerate(body[:nv]):
+    faces = np.empty((nf, 3), dtype=np.int64)
+    # a block converts at once when it is well formed; otherwise the line
+    # parsers raise on its first bad line
+    for lo in range(0, nv, TEXT_BLOCK):
+        block = body[lo:min(lo + TEXT_BLOCK, nv)]
+        rows = _block_array(block, 3, np.float64)
+        verts[lo:lo + TEXT_BLOCK] = _off_vertex_lines(block) if rows is None else rows
+    for lo in range(0, nf, TEXT_BLOCK):
+        block = body[nv + lo:nv + min(lo + TEXT_BLOCK, nf)]
+        rows = _block_array(block, 4, np.int64)
+        triangles = rows is not None and np.all(rows[:, 0] == 3)
+        faces[lo:lo + TEXT_BLOCK] = rows[:, 1:] if triangles else _off_face_lines(block)
+    return Mesh(verts, faces)
+
+
+def _block_array(block: list[str], width: int, dtype) -> np.ndarray | None:
+    """The (len(block), width) array of the lines' tokens, or None.
+
+    None when a line does not hold exactly `width` tokens or a token does
+    not convert; the line parsers then name the line.  '#' cannot occur in
+    a content line, so it marks where each line ends in the joined tokens.
+    """
+    tokens = " # ".join(block).split()
+    n = len(block)
+    if len(tokens) != (width + 1) * n - 1 or tokens[width::width + 1] != ["#"] * (n - 1):
+        return None
+    del tokens[width::width + 1]
+    try:
+        return np.array(tokens, dtype=dtype).reshape(n, width)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _off_vertex_lines(block: list[str]) -> np.ndarray:
+    """OFF vertex lines parsed one at a time: the first 3 numbers of each."""
+    verts = np.empty((len(block), 3))
+    for k, line in enumerate(block):
         parts = line.split()
         if len(parts) < 3:
             raise MeshFormatError(f"bad OFF vertex line {line!r}")
@@ -258,8 +304,13 @@ def _parse_off(text: str) -> Mesh:
             verts[k] = [float(p) for p in parts[:3]]
         except ValueError as exc:
             raise MeshFormatError(f"bad OFF vertex line {line!r}") from exc
-    faces = np.empty((nf, 3), dtype=np.int64)
-    for k, line in enumerate(body[nv:nv + nf]):
+    return verts
+
+
+def _off_face_lines(block: list[str]) -> np.ndarray:
+    """OFF face lines parsed one at a time: triangles only."""
+    faces = np.empty((len(block), 3), dtype=np.int64)
+    for k, line in enumerate(block):
         parts = line.split()
         try:
             cnt = int(parts[0])
@@ -269,7 +320,7 @@ def _parse_off(text: str) -> Mesh:
         if cnt != 3 or len(idx) != 3:
             raise MeshFormatError(f"only triangle faces supported, got {line!r}")
         faces[k] = idx
-    return Mesh(verts, faces)
+    return faces
 
 
 def _parse_obj(text: str) -> Mesh:
@@ -309,21 +360,40 @@ def _parse_obj(text: str) -> Mesh:
 
 
 def save_mesh(mesh: Mesh, path) -> None:
-    """Write a mesh as ASCII OFF or OBJ; the format comes from the extension."""
+    """Write a mesh as ASCII OFF or OBJ; the format comes from the extension.
+
+    Coordinates are written as `repr(float)`, so a written file loads back
+    to bitwise-equal arrays.
+    """
     path = os.fspath(path)
     if _format_of(path) == "off":
-        lines = ["OFF", f"{mesh.n_vertices} {mesh.n_faces} {len(mesh.edges)}"]
-        lines.extend(
-            f"{float(x)!r} {float(y)!r} {float(z)!r}" for x, y, z in mesh.vertices
-        )
-        lines.extend(f"3 {i} {j} {k}" for i, j, k in mesh.faces)
+        head = f"OFF\n{mesh.n_vertices} {mesh.n_faces} {len(mesh.edges)}\n"
+        v_prefix, f_prefix, f_base = "", "3 ", 0
     else:
-        lines = [
-            f"v {float(x)!r} {float(y)!r} {float(z)!r}" for x, y, z in mesh.vertices
-        ]
-        lines.extend(f"f {i + 1} {j + 1} {k + 1}" for i, j, k in mesh.faces)
+        head, v_prefix, f_prefix, f_base = "", "v ", "f ", 1
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(head)
+        for lo in range(0, mesh.n_vertices, TEXT_BLOCK):
+            block = mesh.vertices[lo:lo + TEXT_BLOCK]
+            fh.write(_row_text(block.T.tolist(), prefix=v_prefix))
+        for lo in range(0, mesh.n_faces, TEXT_BLOCK):
+            block = mesh.faces[lo:lo + TEXT_BLOCK] + f_base
+            fh.write(_row_text(block.T.tolist(), prefix=f_prefix))
+
+
+def _row_text(columns, prefix: str = "", sep: str = " ", end: str = "\n") -> str:
+    """One line per row of two or more equal-length `columns`.
+
+    Each line is `prefix`, then the cells' `repr` joined by `sep`, then
+    `end`.  One `repr` of the list of row tuples formats every cell at C
+    speed; the separators it writes are then replaced, which is safe
+    because no int or float repr contains ", " or "), (".
+    """
+    rows = list(zip(*columns))
+    if not rows:
+        return ""
+    body = repr(rows)[2:-2].replace("), (", end + prefix).replace(", ", sep)
+    return prefix + body + end
 
 
 def validate_mesh(mesh: Mesh) -> ValidationReport:

@@ -124,8 +124,15 @@ def test_obj_negative_index_error_record(tmp_path, capsys):
     (["verify", "--mesh", "{closed}", "--epsilon", "0.2", "--alpha", "0.5",
       "--out", "{out}/report.json"],
      "verify", "[Errno 2] No such file or directory"),
+    (["analyze", "--mesh", "{closed}", "--out", "{out}", "--json-out",
+      "{out}.dir/summary.json"],
+     "analyze", "[Errno 2] No such file or directory"),
+    (["analyze", "--mesh", "{closed}", "--out", "{out}.dir/table.csv",
+      "--json-out", "{out}"],
+     "analyze", "[Errno 2] No such file or directory"),
 ], ids=["analyze-open", "verify-open", "converge-tol", "verify-ring-depth",
-        "sweep-amplitude", "gen-axes", "unwritable-out"])
+        "sweep-amplitude", "gen-axes", "unwritable-out", "analyze-unwritable-json",
+        "analyze-unwritable-table"])
 def test_error_record_on_stdout_not_out(tmp_path, capsys, command, stage, message):
     # --out only ever holds a result; the record goes to stdout
     mesh = generate(Sphere(1.0), 2)
@@ -196,7 +203,8 @@ def test_sweep_csv(tmp_path):
 
 
 def test_sweep_family_parsing(tmp_path, capsys):
-    for family in ["quux", "2", "ll2", "l+2", "l 2"]:
+    # \u0662 and \u0661 are Arabic-Indic digits, which int() reads as 2 and 1
+    for family in ["quux", "2", "ll2", "l+2", "l 2", "l\u0662", "l3m-\u0661"]:
         code = run(["sweep", "--family", family, "--alpha", "0.5", "--eps", "0.2"])
         assert code == 2
         doc = json.loads(capsys.readouterr().out)
@@ -320,6 +328,45 @@ def test_analyze_csv_independent_of_row_block(tmp_path, monkeypatch):
         texts.append(table.read_bytes())
     assert texts[0] == texts[1] == texts[2]
     assert len(texts[0].splitlines()) == load_mesh(mesh_path).n_vertices + 1
+
+
+# floats whose shortest repr takes every form: signed zero, subnormal,
+# exponent at and past 1e16, the largest double, a small fraction, and
+# the non-finite values
+EDGE_FLOATS = [
+    -0.0, 5e-324, 1e16, 1e22, 1.7976931348623157e308, 2.5e-07, 123456789.0,
+    float("inf"), float("-inf"), float("nan"), -1e-300,
+]
+
+
+def test_analyze_table_bytes_match_csv_writer(monkeypatch):
+    import csv
+    import io
+    from types import SimpleNamespace
+
+    import umbilic.cli as cli
+
+    n = 9
+    cells = np.resize(np.array(EDGE_FLOATS), (n, 11))
+    mesh = SimpleNamespace(
+        n_vertices=n, vertices=cells[:, 0:3], vertex_areas=cells[:, 3]
+    )
+    geo = SimpleNamespace(
+        kappa=cells[:, 4:6], H=cells[:, 6], A_traceless_norm=cells[:, 7],
+        H2=cells[:, 8], ricci_min=cells[:, 9], scalar_curv=cells[:, 10],
+    )
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow([
+        "vertex", "x", "y", "z", "area_weight", "kappa1", "kappa2",
+        "H", "A_traceless_norm", "H2", "ricci_min", "scalar_curv",
+    ])
+    writer.writerows([i, *map(float, row)] for i, row in enumerate(cells))
+    for block in (cli.CSV_BLOCK, 1, 4):
+        monkeypatch.setattr(cli, "CSV_BLOCK", block)
+        got = io.StringIO()
+        cli._write_table(mesh, geo, got)
+        assert got.getvalue() == expected.getvalue(), block
 
 
 @pytest.mark.parametrize("alpha", ["-1", "0"])

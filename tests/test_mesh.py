@@ -47,6 +47,54 @@ def test_obj_roundtrip(tmp_path, sphere3):
     assert np.array_equal(back.faces, sphere3.faces)
 
 
+def test_save_mesh_bytes(tmp_path, monkeypatch):
+    # the writers against the line formulas they replaced; a face index
+    # above 2**31 needs a stand-in, since a Mesh checks it against V
+    from types import SimpleNamespace
+
+    import umbilic.mesh as mesh_module
+
+    values = [
+        -0.0, 5e-324, 1e16, 1e22, 1.7976931348623157e308, 2.5e-07, 123456789.0,
+        -1e-300, 0.1,
+    ]
+    vertices = np.resize(np.array(values), (5, 3))
+    faces = np.array([[0, 1, 2], [2**31 + 5, 2**40, 0], [4, 3, 2**63 - 2]])
+    mesh = SimpleNamespace(
+        vertices=vertices, faces=faces, n_vertices=5, n_faces=3,
+        edges=np.zeros((7, 2)),
+    )
+    off = ["OFF", "5 3 7"]
+    off += [f"{float(x)!r} {float(y)!r} {float(z)!r}" for x, y, z in vertices]
+    off += [f"3 {i} {j} {k}" for i, j, k in faces]
+    obj = [f"v {float(x)!r} {float(y)!r} {float(z)!r}" for x, y, z in vertices]
+    obj += [f"f {i + 1} {j + 1} {k + 1}" for i, j, k in faces]
+    for block in (mesh_module.TEXT_BLOCK, 1, 2):
+        monkeypatch.setattr(mesh_module, "TEXT_BLOCK", block)
+        for name, lines in [("m.off", off), ("m.obj", obj)]:
+            save_mesh(mesh, tmp_path / name)
+            expected = ("\n".join(lines) + "\n").encode("ascii")
+            assert (tmp_path / name).read_bytes() == expected, (name, block)
+
+
+def test_off_blocks_skip_line_parsers(tmp_path, sphere3, monkeypatch):
+    # a well-formed file converts a block at a time, whatever the block size
+    import umbilic.mesh as mesh_module
+
+    def unexpected(block):
+        raise AssertionError("line parser used on a well-formed block")
+
+    path = tmp_path / "s3.off"
+    save_mesh(sphere3, path)
+    monkeypatch.setattr(mesh_module, "_off_vertex_lines", unexpected)
+    monkeypatch.setattr(mesh_module, "_off_face_lines", unexpected)
+    for block in (mesh_module.TEXT_BLOCK, 1, 100):
+        monkeypatch.setattr(mesh_module, "TEXT_BLOCK", block)
+        back = load_mesh(path)
+        assert np.array_equal(back.vertices, sphere3.vertices)
+        assert np.array_equal(back.faces, sphere3.faces)
+
+
 def test_obj_ignores_other_records(tmp_path):
     path = tmp_path / "mix.obj"
     path.write_text(

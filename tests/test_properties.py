@@ -6,6 +6,7 @@ conftest.py, so every run draws the same ones.
 
 import dataclasses
 import string
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
+import umbilic.mesh as mesh_module
 from umbilic.mesh import Mesh, load_mesh
 from umbilic.pinching import PinchingConstants, verify_theorem
 from umbilic.surfgen import PerturbedSphere, generate
@@ -39,6 +41,39 @@ off_texts = st.one_of(
     ),
     st.text(alphabet=string.printable),
 )
+# OFF files whose counts match their lines: some with only well-formed
+# lines, which convert a block at a time, others with some lines of
+# another arity or with junk tokens, which the line parsers must name
+indices = st.integers(-1, 6).map(str)
+numbers = st.one_of(indices, st.floats(allow_nan=False, allow_infinity=False).map(repr))
+vertex_lines = st.lists(numbers, min_size=3, max_size=3).map(" ".join)
+face_lines = st.lists(indices, min_size=3, max_size=3).map(lambda idx: "3 " + " ".join(idx))
+odd_lines = st.builds(
+    lambda count, cells: " ".join([count, *cells]),
+    st.sampled_from(["", "3", "4", "03", "x"]),
+    st.lists(st.one_of(numbers, tokens), min_size=2, max_size=4),
+)
+
+
+def counted_off(verts, faces):
+    return off_text("OFF", [len(verts), len(faces), 0], [*verts, *faces])
+
+
+counted_off_texts = st.one_of(
+    st.builds(counted_off, st.lists(vertex_lines, min_size=3, max_size=6),
+              st.lists(face_lines, max_size=6)),
+    st.builds(counted_off, st.lists(st.one_of(vertex_lines, odd_lines), max_size=6),
+              st.lists(st.one_of(face_lines, odd_lines), max_size=6)),
+    st.builds(counted_off, st.lists(vertex_lines, min_size=3, max_size=6),
+              st.lists(st.one_of(face_lines, odd_lines), min_size=1, max_size=6)),
+)
+
+
+def grid_off(faces):
+    """Three vertices and the lines `faces`, enough of them to fill blocks."""
+    return counted_off(["0 0 0", "1 0 0", "0 1 0"], faces)
+
+
 obj_records = st.builds(
     "{} {}".format, st.sampled_from(["v", "f", "vn", "o", "#"]), lines
 )
@@ -70,6 +105,38 @@ def load_or_reject(path, text):
 @example(text="OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 99999999999999999999\n")
 def test_off_fuzz_raises_only_format_errors(fuzz_dir, text):
     load_or_reject(fuzz_dir / "fuzz.off", text)
+
+
+def parsed(path):
+    """The bytes of the arrays `load_mesh` reads, or the error it raises."""
+    try:
+        mesh = load_mesh(path)
+    except (ValueError, IndexError) as exc:
+        return type(exc), str(exc)
+    return mesh.vertices.shape, mesh.vertices.tobytes(), mesh.faces.tobytes()
+
+
+@settings(max_examples=100)
+@given(text=st.one_of(off_texts, counted_off_texts))
+@example(text="OFF\n3 1 0\n0 0 0 255 0 0\n1 0 0 255 0 0 1\n0 1 0 9\n3 0 1 2\n")
+@example(text="OFF # a\n3\t1\t0\n\t0 0 0 # origin\n1\t0 0\n# skip\n0 1 0\n3 0 1 2\n")
+@example(text="OFF 3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+@example(text="OFF\n3 1 0\n0 0\n1 0 0 5\n0 1 0\n3 0 1 2\n")
+@example(text="OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n4 0 1 2\n3 0 1 2\n")
+@example(text="OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n4 0 1 2\n3 0 1 99999999999999999999\n")
+@example(text=grid_off(["3 0 1 2"] * 4097 + ["4 0 1 2 0"] + ["3 0 1 2"] * 3))
+@example(text=grid_off(["3 0 1 2"] * 5000 + ["3 0 1 2 7"]))
+@example(text="OFF\n3 1 0\n0 0 1_0\n1 0 0\n0 1 0\n3 0 1 0_2\n")
+@example(text="OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 99999999999999999999\n")
+@example(text="OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 2 1 0\njunk\n")
+def test_off_blocks_parse_as_lines(fuzz_dir, text):
+    # the same arrays, or the same error, as when every line is parsed alone
+    path = fuzz_dir / "blocks.off"
+    path.write_text(text, encoding="ascii")
+    blocks = parsed(path)
+    with mock.patch.object(mesh_module, "_block_array", lambda *args: None):
+        lines = parsed(path)
+    assert blocks == lines
 
 
 @settings(max_examples=50)
