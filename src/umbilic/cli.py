@@ -1,9 +1,11 @@
 """Command-line interface: generate, analyze, verify, sweep, converge.
 
-Reports are JSON (schema "umbilic/1") or CSV.  JSON payloads are
-deterministic: keys sorted, floats via repr, and the timestamp confined to
-the "meta" block so identical runs are byte-identical outside it.  Every
-report embeds the constants block in effect.
+Each output has one format: the `verify` report and the `analyze` summary
+are JSON (schema "umbilic/1"); the `analyze` table and the `sweep` and
+`converge` tables are CSV.  JSON payloads are deterministic: keys sorted,
+floats via repr, and the timestamp confined to the "meta" block so
+identical runs are byte-identical outside it.  Every report embeds the
+constants block in effect.
 """
 
 from __future__ import annotations
@@ -177,7 +179,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_analyze(args) -> int:
     mesh = _load_validated(args.mesh)
-    geo = diffgeo.estimate_geometry(mesh, ring_depth=args.ring_depth)
+    geo = diffgeo.estimate_geometry(mesh)
     summary = _analyze_summary(mesh, geo)
     # both files are open before either is written, and `_output` removes
     # an opened file when the run fails: a failed run leaves neither
@@ -236,24 +238,10 @@ def _analyze_summary(mesh: Mesh, geo) -> dict:
     }
 
 
-def _flatten(prefix: str, obj, out: list) -> None:
-    if isinstance(obj, dict):
-        for k in sorted(obj):
-            _flatten(f"{prefix}{k}." if prefix else f"{k}.", obj[k], out)
-        return
-    key = prefix.rstrip(".")
-    if isinstance(obj, list):
-        out.append([key, json.dumps(obj)])
-    else:
-        out.append([key, obj if obj is not None else ""])
-
-
 def _cmd_verify(args) -> int:
     mesh = _load_validated(args.mesh)
     constants = _constants_from_args(args)
-    report = pinching.verify_theorem(
-        mesh, constants, ring_depth=args.ring_depth, tol=args.tol
-    )
+    report = pinching.verify_theorem(mesh, constants, tol=args.tol)
     constants_block = _jsonable(constants)
     constants_block["c_threshold"] = constants.c_threshold
     constants_block["kp"] = constants.kp
@@ -261,15 +249,10 @@ def _cmd_verify(args) -> int:
         "schema": SCHEMA,
         "command": "verify",
         "constants": constants_block,
-        "tolerances": {"lambda1_tol": args.tol, "ring_depth": args.ring_depth},
+        "tolerances": {"lambda1_tol": args.tol, "ring_depth": diffgeo.RING_DEPTH},
         "report": _report_payload(report),
     }
-    if args.format == "csv":
-        rows: list = []
-        _flatten("", document, rows)
-        _emit_csv(["key", "value"], rows, args.out)
-    else:
-        _emit_json(document, args.out)
+    _emit_json(document, args.out)
     return 0 if report.failure is None else 3
 
 
@@ -295,20 +278,6 @@ def _cmd_sweep(args) -> int:
         subdivision=args.subdiv,
         slack=args.slack,
     )
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema": SCHEMA,
-                "command": "sweep",
-                "family": {"degree": degree, "order": order, "radius": args.radius},
-                "alpha": alpha,
-                "slack": args.slack,
-                "subdivision": args.subdiv,
-                "result": _jsonable(result),
-            },
-            args.out,
-        )
-        return 0
     header = [
         "epsilon", "delta", "achieved_ratio", "hypothesis_holds",
         "contained", "oscillation",
@@ -344,7 +313,7 @@ def _cmd_converge(args) -> int:
     errors_h, errors_lam, hs = [], [], []
     for s in subdivs:
         mesh = surfgen.generate(surfgen.Sphere(radius), s)
-        geo = diffgeo.estimate_geometry(mesh, ring_depth=args.ring_depth)
+        geo = diffgeo.estimate_geometry(mesh)
         h_err = float(np.abs(geo.H - 1.0 / radius).max())
         h_mean_err = float(np.abs(geo.H - 1.0 / radius).mean())
         try:
@@ -408,7 +377,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="per-vertex curvature table and norms")
     p.add_argument("--mesh", required=True)
-    p.add_argument("--ring-depth", type=int, default=2, dest="ring_depth")
     p.add_argument("--out", help="CSV path for the per-vertex table")
     p.add_argument("--json-out", dest="json_out", help="summary JSON path")
     p.set_defaults(func=_cmd_analyze)
@@ -422,8 +390,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cn", type=float, default=1.0)
     p.add_argument("--C-aubry", dest="C_aubry", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--ring-depth", type=int, default=2, dest="ring_depth")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", help="report path (stdout when omitted)")
     p.set_defaults(func=_cmd_verify)
 
@@ -434,14 +400,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", required=True, help="comma list of epsilons")
     p.add_argument("--subdiv", type=int, default=4)
     p.add_argument("--slack", type=float, default=1.0)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", help="table path (stdout when omitted)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("converge", help="refinement study on the round sphere")
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--subdivs", default="3,4,5,6")
-    p.add_argument("--ring-depth", type=int, default=2, dest="ring_depth")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out", help="CSV path (stdout when omitted)")
     p.set_defaults(func=_cmd_converge)

@@ -1,7 +1,7 @@
 """Per-vertex shape operator estimation and derived curvature quantities.
 
 The estimator fits a local graph z = p*x + q*y + (a*x^2 + 2*b*xy + c*y^2)/2
-+ higher terms over the ring-depth neighborhood in a tangent frame, then
++ higher terms over the two-ring neighborhood in a tangent frame, then
 reads the Weingarten map off the fitted jet.  The higher terms are tiered
 by neighborhood size: cubics absorb the odd third-order variation, and an
 isotropic quartic (x^2 + y^2)^2 absorbs the dominant even fourth-order term
@@ -25,6 +25,9 @@ from scipy import sparse
 
 from .mesh import Mesh
 
+# Rings of neighbors each jet fit reads: every vertex within RING_DEPTH edges.
+RING_DEPTH = 2
+
 # Basis tiers by neighborhood size: each fit keeps at least one residual
 # degree of freedom.
 MIN_NEIGHBORS = 6
@@ -44,8 +47,6 @@ class SurfaceGeometry:
     H = (kappa1 + kappa2)/2.
     """
 
-    normal: np.ndarray           # (V, 3) unit outward normals
-    shape_operator: np.ndarray   # (V, 2, 2) symmetric, orthonormal tangent frame
     kappa: np.ndarray            # (V, 2) principal curvatures, kappa1 <= kappa2
     H: np.ndarray                # (V,) normalized mean curvature
     A_traceless_norm: np.ndarray  # (V,) ||A - H g|| = |k1 - k2|/sqrt(2)
@@ -57,12 +58,10 @@ class SurfaceGeometry:
         """Exact curvature record of the mesh scaled by `factor`.
 
         Curvatures scale by 1/factor, Ricci and scalar curvature by
-        1/factor^2; normals are unchanged.
+        1/factor^2.
         """
         s = 1.0 / factor
         return SurfaceGeometry(
-            normal=self.normal,
-            shape_operator=self.shape_operator * s,
             kappa=self.kappa * s,
             H=self.H * s,
             A_traceless_norm=self.A_traceless_norm * s,
@@ -134,16 +133,14 @@ def eigen_split(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, disc
 
 
-def neighborhoods(mesh: Mesh, ring_depth: int) -> sparse.csr_matrix:
-    """Boolean csr matrix whose row i holds the <=ring_depth neighbors of i."""
-    if ring_depth < 1:
-        raise ValueError("ring_depth must be >= 1")
+def neighborhoods(mesh: Mesh) -> sparse.csr_matrix:
+    """Boolean csr matrix whose row i holds the <=RING_DEPTH neighbors of i."""
     # bool: boolean sparse products take OR for +, so they record
     # reachability without path counts that could overflow, at one byte
     # per entry
     adj = mesh.one_ring_matrix.astype(bool)
     acc = adj.copy()
-    for _ in range(ring_depth - 1):
+    for _ in range(RING_DEPTH - 1):
         acc = acc + acc @ adj
     acc = acc.tocsr()
     acc.setdiag(0)
@@ -195,10 +192,10 @@ def _fit_block(verts, indices, lo, counts, m, n_terms, t1, t2, normals):
     return coef, scale
 
 
-def estimate_geometry(mesh: Mesh, ring_depth: int = 2) -> SurfaceGeometry:
+def estimate_geometry(mesh: Mesh) -> SurfaceGeometry:
     """Estimate the shape operator and derived curvatures at every vertex.
 
-    Requires every ring_depth-neighborhood to contain at least 6 vertices;
+    Requires every two-ring neighborhood to contain at least 6 vertices;
     per-vertex fits are deterministic and independent, so results do not
     depend on evaluation order.  The fits run FIT_BLOCK vertices at a time,
     so beyond the O(V) records and the neighborhood matrix the working
@@ -206,13 +203,13 @@ def estimate_geometry(mesh: Mesh, ring_depth: int = 2) -> SurfaceGeometry:
     """
     V = mesh.n_vertices
     normals = vertex_normals(mesh)
-    nbr = neighborhoods(mesh, ring_depth)
+    nbr = neighborhoods(mesh)
     counts = np.diff(nbr.indptr)
     if counts.min() < MIN_NEIGHBORS:
         bad = int(np.argmin(counts))
         raise ValueError(
             f"underdetermined fit: vertex {bad} has only {counts[bad]} "
-            f"neighbors at ring_depth={ring_depth} (need >= {MIN_NEIGHBORS})"
+            f"neighbors at ring_depth={RING_DEPTH} (need >= {MIN_NEIGHBORS})"
         )
 
     t1, t2 = tangent_frame(normals)
@@ -247,8 +244,7 @@ def estimate_geometry(mesh: Mesh, ring_depth: int = 2) -> SurfaceGeometry:
     f = fxy / wn
     g = fyy / wn
 
-    shape_op = weingarten_matrix(E, F, Gm, e, f, g)
-    mean, disc = eigen_split(shape_op)
+    mean, disc = eigen_split(weingarten_matrix(E, F, Gm, e, f, g))
     kappa = np.stack([mean - disc, mean + disc], axis=1)
 
     H = mean
@@ -257,8 +253,6 @@ def estimate_geometry(mesh: Mesh, ring_depth: int = 2) -> SurfaceGeometry:
     h2 = H * H - disc * disc
     ricci_min, scalar = ricci_from_gauss(kappa)
     return SurfaceGeometry(
-        normal=normals,
-        shape_operator=shape_op,
         kappa=kappa,
         H=H,
         A_traceless_norm=a_norm,

@@ -62,10 +62,14 @@ class PinchingConstants:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
         if self.p_roth is None:
             object.__setattr__(self, "p_roth", float(self.n + 1))
+        for name in ("epsilon", "p_roth", "L", "c_n", "C_np_aubry"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if self.epsilon <= 0:
+            raise ValueError("epsilon must be positive")
         if self.p_roth < 2:
             raise ValueError("p_roth must be >= 2")
         if min(self.L, self.c_n, self.C_np_aubry) <= 0:
@@ -508,7 +512,6 @@ def proof_trace(unit: UnitArea) -> ProofTrace:
 def verify_theorem(
     mesh: Mesh,
     constants: PinchingConstants,
-    ring_depth: int = 2,
     tol: float = 1e-8,
     with_trace: bool = True,
 ) -> PinchingReport:
@@ -520,7 +523,7 @@ def verify_theorem(
     report = validate_mesh(mesh)
     if not report.all_passed:
         raise ValueError(report.failure)
-    geometries = estimate_geometry(mesh, ring_depth=ring_depth)
+    geometries = estimate_geometry(mesh)
     convexity = convexity_status(geometries)
 
     hypothesis = None
@@ -657,7 +660,8 @@ def amplitude_for_ratio(
             hi = mid
     delta = 0.5 * (lo + hi)
     achieved, mesh = ratio_at(delta)
-    if abs(achieved - target) > 0.01 * target:
+    # `not <=` also fails a nan ratio or target
+    if not abs(achieved - target) <= 0.01 * target:
         raise ValueError(
             f"amplitude search failed: achieved ratio {achieved:g} not "
             f"within 1% of target {target:g} (oracle noise floor?)"
@@ -680,8 +684,8 @@ def sharpness_sweep(
     against log(eps) over rows with positive oscillation.
     """
     eps_grid = [float(e) for e in eps_grid]
-    if any(e <= 0 for e in eps_grid):
-        raise ValueError("eps grid must be positive")
+    if not all(0.0 < e < math.inf for e in eps_grid):
+        raise ValueError(f"eps grid must be finite and positive, got {eps_grid}")
 
     def run_one(eps: float) -> SweepRow:
         delta, achieved, msh = amplitude_for_ratio(

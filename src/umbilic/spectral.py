@@ -156,8 +156,8 @@ def lambda1(system: LaplaceSystem, tol: float = 1e-8) -> SpectralResult:
     the constant mode did).  Its iterations is MAX_ITER when ARPACK ran out
     of restarts, else the number of factor solves.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     S = system.stiffness
     m = system.mass_diagonal
     V = system.n

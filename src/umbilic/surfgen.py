@@ -168,11 +168,13 @@ _ICO_FACES = np.array(
 )
 
 
+@lru_cache(maxsize=None)
 def unit_icosphere(subdivision: int) -> tuple[np.ndarray, np.ndarray]:
     """Unit-sphere vertex directions and faces at the given subdivision.
 
     Faces are outward-oriented; every vertex lies exactly on the unit sphere
-    (renormalized after each midpoint split).
+    (renormalized after each midpoint split).  Built once per subdivision
+    level and shared by every caller, so both arrays are read-only.
     """
     if not 0 <= subdivision <= MAX_SUBDIVISION:
         raise ValueError(
@@ -182,6 +184,8 @@ def unit_icosphere(subdivision: int) -> tuple[np.ndarray, np.ndarray]:
     faces = _ICO_FACES
     for _ in range(subdivision):
         verts, faces = _subdivide(verts, faces)
+    verts.setflags(write=False)
+    faces.setflags(write=False)
     return verts, faces
 
 
@@ -323,26 +327,12 @@ def oracle_curvatures_at_vertices(
 def oracle_geometry(surface: AnalyticSurface, mesh: Mesh):
     """Closed-form per-vertex curvature record in the mesh estimator's layout.
 
-    Only the frame-invariant fields are meaningful; the stored normal is
-    the analytic outward normal and the shape operator the principal-frame
-    diagonal.  Lets the pipeline run on exact curvature data.
+    Lets the pipeline run on exact curvature data.
     """
     o = oracle_curvatures_at_vertices(surface, mesh)
-    v = mesh.vertices
-    if isinstance(surface, Ellipsoid):
-        nrm = v * np.array([surface.a, surface.b, surface.c]) ** -2.0
-        nrm = nrm / np.linalg.norm(nrm, axis=1)[:, None]
-    else:
-        nrm = v / np.linalg.norm(v, axis=1)[:, None]
     kappa = np.stack([o.kappa1, o.kappa2], axis=1)
-    V = len(kappa)
-    shape_op = np.zeros((V, 2, 2))
-    shape_op[:, 0, 0] = o.kappa1
-    shape_op[:, 1, 1] = o.kappa2
     ricci_min, scalar = ricci_from_gauss(kappa)
     return SurfaceGeometry(
-        normal=nrm,
-        shape_operator=shape_op,
         kappa=kappa,
         H=o.H,
         A_traceless_norm=o.traceless_norm,

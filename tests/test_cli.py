@@ -1,9 +1,11 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from umbilic.cli import main
+from umbilic.cli import _build_parser, main
 from umbilic.diffgeo import estimate_geometry
 from umbilic.mesh import Mesh, load_mesh, save_mesh
 from umbilic.surfgen import Sphere, generate
@@ -35,6 +37,7 @@ def test_gen_and_verify_roundtrip(tmp_path):
     assert doc["report"]["hypothesis"]["holds"] is True
     assert doc["report"]["annulus"]["contained"] is True
     assert doc["report"]["failure"] is None
+    assert doc["tolerances"] == {"lambda1_tol": 1e-08, "ring_depth": 2}
 
 
 def test_verify_deterministic_payload(tmp_path):
@@ -113,9 +116,6 @@ def test_obj_negative_index_error_record(tmp_path, capsys):
      "validate", "mesh validation failed: closed=False oriented=False"),
     (["converge", "--subdivs", "2,3", "--tol", "1e-17", "--out", "{out}"],
      "lambda1", "subdivision 2: residual above tol=1e-17"),
-    (["verify", "--mesh", "{closed}", "--epsilon", "0.2", "--alpha", "0.5",
-      "--ring-depth", "0", "--out", "{out}"],
-     "verify", "ring_depth must be >= 1"),
     (["sweep", "--family", "l2", "--alpha", "0.5", "--eps", "0.2", "--subdiv", "1",
       "--slack", "1e9", "--out", "{out}"],
      "sweep", "amplitude search failed"),
@@ -130,9 +130,34 @@ def test_obj_negative_index_error_record(tmp_path, capsys):
     (["analyze", "--mesh", "{closed}", "--out", "{out}.dir/table.csv",
       "--json-out", "{out}"],
      "analyze", "[Errno 2] No such file or directory"),
-], ids=["analyze-open", "verify-open", "converge-tol", "verify-ring-depth",
-        "sweep-amplitude", "gen-axes", "unwritable-out", "analyze-unwritable-json",
-        "analyze-unwritable-table"])
+    (["verify", "--mesh", "{closed}", "--epsilon", "nan", "--alpha", "0.5",
+      "--out", "{out}"],
+     "verify", "epsilon must be finite, got nan"),
+    (["verify", "--mesh", "{closed}", "--epsilon", "inf", "--alpha", "0.5",
+      "--out", "{out}"],
+     "verify", "epsilon must be finite, got inf"),
+    (["verify", "--mesh", "{closed}", "--epsilon", "0.2", "--alpha", "0.5",
+      "--L", "nan", "--out", "{out}"],
+     "verify", "L must be finite, got nan"),
+    (["verify", "--mesh", "{closed}", "--epsilon", "0.2", "--alpha", "0.5",
+      "--p-roth", "inf", "--out", "{out}"],
+     "verify", "p_roth must be finite, got inf"),
+    # with tol = inf any residual would certify
+    (["verify", "--mesh", "{closed}", "--epsilon", "0.2", "--alpha", "0.5",
+      "--tol", "inf", "--out", "{out}"],
+     "verify", "tol must be finite and positive, got inf"),
+    (["sweep", "--family", "l2", "--alpha", "0.5", "--eps", "0.2,inf",
+      "--subdiv", "1", "--out", "{out}"],
+     "sweep", "eps grid must be finite and positive"),
+    # a nan target must fail the 1% check, not pass it
+    (["sweep", "--family", "l2", "--alpha", "0.5", "--eps", "0.2", "--subdiv", "1",
+      "--slack", "nan", "--out", "{out}"],
+     "sweep", "amplitude search failed: achieved ratio"),
+], ids=["analyze-open", "verify-open", "converge-tol", "sweep-amplitude",
+        "gen-axes", "unwritable-out", "analyze-unwritable-json",
+        "analyze-unwritable-table", "verify-eps-nan", "verify-eps-inf",
+        "verify-L-nan", "verify-p-roth-inf", "verify-tol-inf", "sweep-eps-inf",
+        "sweep-slack-nan"])
 def test_error_record_on_stdout_not_out(tmp_path, capsys, command, stage, message):
     # --out only ever holds a result; the record goes to stdout
     mesh = generate(Sphere(1.0), 2)
@@ -256,30 +281,6 @@ def test_converge_needs_two_distinct_subdivisions(capsys, subdivs):
     assert repr(subdivs) in doc["error"]["message"]
 
 
-def test_verify_csv_format(tmp_path):
-    mesh_path = tmp_path / "s2.off"
-    run(["gen", "--kind", "sphere", "--subdiv", "2", "--out", str(mesh_path)])
-    out = tmp_path / "report.csv"
-    assert run(["verify", "--mesh", str(mesh_path), "--epsilon", "0.2",
-                "--alpha", "0.5", "--format", "csv", "--out", str(out)]) == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "key,value"
-    keys = {l.split(",", 1)[0] for l in lines[1:]}
-    assert "report.annulus.contained" in keys
-    assert "constants.c_threshold" in keys
-    assert "tolerances.lambda1_tol" in keys
-
-
-def test_sweep_json_format(tmp_path):
-    out = tmp_path / "sweep.json"
-    assert run(["sweep", "--family", "l2", "--alpha", "0.5", "--eps", "0.3",
-                "--subdiv", "2", "--format", "json", "--out", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    assert doc["command"] == "sweep"
-    assert doc["family"] == {"degree": 2, "order": 0, "radius": 1.0}
-    assert len(doc["result"]["rows"]) == 1
-
-
 def test_verify_reports_failure_exit_code(tmp_path):
     # strongly perturbed sphere: hypothesis false is NOT a failure (exit 0)
     from umbilic.mesh import save_mesh as save
@@ -394,3 +395,19 @@ def test_sweep_rejects_nonpositive_alpha(capsys, alpha):
     doc = json.loads(captured.out)
     assert doc["error"]["stage"] == "sweep"
     assert "alpha must be in (0, 1)" in doc["error"]["message"]
+
+
+def test_readme_commands_parse():
+    # every `umbilic ...` line of the README's command block names only
+    # options the parser knows
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    commands = [
+        shlex.split(line)[1:] for line in block.splitlines()
+        if line.startswith("umbilic ")
+    ]
+    assert len(commands) == 6
+    parser = _build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

@@ -80,18 +80,27 @@ def test_am_gm_exact(geom_sphere5, geom_ellipsoid4, geom_perturbed4):
         assert np.all(g.H2 <= g.H * g.H)
 
 
-def test_shape_operator_eigenvalues(geom_ellipsoid4):
-    g = geom_ellipsoid4
-    eig = np.linalg.eigvalsh(g.shape_operator)
-    assert np.allclose(np.sort(eig, axis=1), g.kappa, atol=1e-10)
-    assert np.allclose(
-        g.shape_operator, np.swapaxes(g.shape_operator, 1, 2), atol=0.0
-    )
+def test_shape_operator_eigenvalues():
+    # random positive-definite first forms I and second forms II
+    rng = np.random.default_rng(7)
+    E, G = rng.uniform(0.5, 2.0, (2, 500))
+    F = rng.uniform(-0.9, 0.9, 500) * np.sqrt(E * G)
+    e, f, g = rng.uniform(-1.0, 1.0, (3, 500))
+    W = diffgeo.weingarten_matrix(E, F, G, e, f, g)
+    assert np.allclose(W, np.swapaxes(W, 1, 2), atol=0.0)
+    mean, disc = diffgeo.eigen_split(W)
+    split = np.stack([mean - disc, mean + disc], axis=1)
+    assert np.allclose(split, np.linalg.eigvalsh(W), atol=1e-10)
+    # W is similar to -I^-1 II, the Weingarten map in the coordinate frame
+    first = np.stack([np.stack([E, F], -1), np.stack([F, G], -1)], -2)
+    second = np.stack([np.stack([e, f], -1), np.stack([f, g], -1)], -2)
+    coordinate = np.sort(np.linalg.eigvals(-np.linalg.solve(first, second)).real)
+    assert np.allclose(split, coordinate, atol=1e-10)
 
 
-def test_normals_outward(geom_sphere4, sphere4):
+def test_normals_outward(sphere4):
     radial = sphere4.vertices / np.linalg.norm(sphere4.vertices, axis=1)[:, None]
-    dots = np.einsum("ij,ij->i", geom_sphere4.normal, radial)
+    dots = np.einsum("ij,ij->i", diffgeo.vertex_normals(sphere4), radial)
     assert np.all(dots > 0.99)
 
 
@@ -179,7 +188,6 @@ def test_rescaled_record(geom_sphere4):
     assert np.allclose(g2.kappa, geom_sphere4.kappa / 2.0, atol=0.0)
     assert np.allclose(g2.ricci_min, geom_sphere4.ricci_min / 4.0, atol=0.0)
     assert np.allclose(g2.H2, geom_sphere4.H2 / 4.0, atol=0.0)
-    assert g2.normal is geom_sphere4.normal
 
 
 def test_convergence_order_of_H():
@@ -210,12 +218,7 @@ def test_underdetermined_neighborhood(tetra):
 
     mesh = load_mesh(tetra)
     with pytest.raises(ValueError, match="underdetermined"):
-        estimate_geometry(mesh, ring_depth=1)
-
-
-def test_ring_depth_validation(sphere3):
-    with pytest.raises(ValueError):
-        estimate_geometry(sphere3, ring_depth=0)
+        estimate_geometry(mesh)
 
 
 @pytest.mark.parametrize("mesh_name", ["perturbed4", "tetra"])
@@ -224,7 +227,7 @@ def test_fit_block_size_does_not_change_result(
 ):
     if mesh_name == "tetra":
         mesh = subdivided_tetrahedron()
-        counts = np.diff(diffgeo.neighborhoods(mesh, 2).indptr)
+        counts = np.diff(diffgeo.neighborhoods(mesh).indptr)
         # at least two basis tiers in play
         assert counts.min() < diffgeo.CUBIC_MIN_NEIGHBORS
         assert counts.max() >= diffgeo.QUARTIC_MIN_NEIGHBORS
@@ -236,13 +239,17 @@ def test_fit_block_size_does_not_change_result(
         assert_geometry_identical(estimate_geometry(mesh), reference)
 
 
-def test_underdetermined_names_vertex_with_unit_blocks(sphere3, monkeypatch):
-    # ring_depth=1 on the icosphere: the 12 valence-5 vertices, 0 first
+def test_underdetermined_names_vertex_with_unit_blocks(monkeypatch):
+    # every octahedron vertex has the 5 others within two rings, 0 first
+    verts = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
+    faces = [[0, 2, 4], [2, 1, 4], [1, 3, 4], [3, 0, 4],
+             [2, 0, 5], [1, 2, 5], [3, 1, 5], [0, 3, 5]]
+    mesh = Mesh(verts, faces)
+    assert np.all(np.diff(diffgeo.neighborhoods(mesh).indptr) == 5)
     monkeypatch.setattr(diffgeo, "FIT_BLOCK", 1)
-    with pytest.raises(ValueError, match=r"vertex 0 has only 5 neighbors"):
-        estimate_geometry(sphere3, ring_depth=1)
-    valence = np.diff(sphere3.one_ring_matrix.indptr)
-    assert valence[0] == 5
+    with pytest.raises(ValueError, match=r"vertex 0 has only 5 neighbors at "
+                       r"ring_depth=2 \(need >= 6\)"):
+        estimate_geometry(mesh)
 
 
 def test_fit_memory_bounded():

@@ -180,7 +180,6 @@ def test_rescaling_law(sphere4, geom_sphere4):
         unit.geometries.ricci_min, geom_sphere4.ricci_min * (1.0 / c) ** 2
     )
     assert unit.constants.epsilon == 0.1 * c
-    assert unit.geometries.normal is geom_sphere4.normal
 
 
 def test_pinching_ratio_scale_invariant():

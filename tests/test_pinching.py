@@ -327,12 +327,9 @@ def _toy_geometry(kappas):
     from umbilic.diffgeo import SurfaceGeometry, ricci_from_gauss
 
     kappa = np.asarray(kappas, dtype=float)
-    V = len(kappa)
     H = kappa.mean(axis=1)
     rmin, scal = ricci_from_gauss(kappa)
     return SurfaceGeometry(
-        normal=np.tile([0.0, 0.0, 1.0], (V, 1)),
-        shape_operator=np.zeros((V, 2, 2)),
         kappa=kappa,
         H=H,
         A_traceless_norm=np.abs(kappa[:, 1] - kappa[:, 0]) / np.sqrt(2.0),

@@ -208,3 +208,27 @@ def test_verify_invariant_under_relabelling_and_rigid_motion(
             assert got == pytest.approx(want, rel=1e-9), name
         else:
             assert got == want, name
+
+
+# floats of every kind: nan, the infinities, zeros, subnormals and huge values
+@settings(max_examples=200)
+@given(
+    alpha=st.floats(),
+    epsilon=st.floats(),
+    p_roth=st.one_of(st.none(), st.floats()),
+    L=st.floats(),
+    c_n=st.floats(),
+    C_np_aubry=st.floats(),
+)
+@example(alpha=0.5, epsilon=np.nan, p_roth=None, L=1.0, c_n=1.0, C_np_aubry=1.0)
+@example(alpha=0.5, epsilon=0.2, p_roth=np.inf, L=np.nan, c_n=1.0, C_np_aubry=1.0)
+def test_constants_finite_or_rejected(alpha, epsilon, p_roth, L, c_n, C_np_aubry):
+    try:
+        constants = PinchingConstants(
+            alpha=alpha, epsilon=epsilon, p_roth=p_roth, L=L, c_n=c_n,
+            C_np_aubry=C_np_aubry,
+        )
+    except ValueError:
+        return
+    values = [getattr(constants, f.name) for f in dataclasses.fields(constants)]
+    assert all(np.isfinite(values))

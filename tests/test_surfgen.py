@@ -211,3 +211,14 @@ def test_icosphere_matches_reference_subdivision():
         got_v, got_f = unit_icosphere(s)
         assert got_v.tobytes() == verts.tobytes() and got_v.shape == verts.shape
         assert np.array_equal(got_f, faces) and got_f.dtype == faces.dtype
+
+
+def test_icosphere_shared_read_only():
+    # one cached pair per level: a caller that wrote into it would change
+    # every later mesh of that level
+    verts, faces = unit_icosphere(2)
+    assert unit_icosphere(2)[0] is verts and unit_icosphere(2)[1] is faces
+    with pytest.raises(ValueError):
+        verts[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        faces[0, 0] = 0
