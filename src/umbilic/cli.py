@@ -155,6 +155,13 @@ def _floored_alpha(alpha: float) -> float:
     return alpha
 
 
+def _check_tol(tol: float) -> None:
+    """Reject a --tol before any mesh is loaded: with tol = inf any residual
+    would certify, and a report could not hold it as JSON."""
+    if not 0.0 < tol < math.inf:
+        raise CliError("config", f"tol must be finite and positive, got {tol}")
+
+
 def _constants_from_args(args) -> pinching.PinchingConstants:
     return pinching.PinchingConstants(
         alpha=_floored_alpha(args.alpha),
@@ -239,6 +246,7 @@ def _analyze_summary(mesh: Mesh, geo) -> dict:
 
 
 def _cmd_verify(args) -> int:
+    _check_tol(args.tol)
     mesh = _load_validated(args.mesh)
     constants = _constants_from_args(args)
     report = pinching.verify_theorem(mesh, constants, tol=args.tol)
@@ -298,6 +306,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_converge(args) -> int:
+    _check_tol(args.tol)
     try:
         subdivs = [int(s) for s in args.subdivs.split(",")]
     except ValueError:

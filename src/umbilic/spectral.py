@@ -3,12 +3,18 @@
 The stiffness matrix uses the classical cotangent weights (positive
 semidefinite, constants in the kernel), the mass matrix is barycentric
 lumping.  lambda1 is sparse-direct shift-invert Lanczos: S + sigma M is
-factored once by SuperLU (scipy splu, COLAMD ordering), with sigma tied
-to the mesh's mass scale so nothing depends on length units, and ARPACK
-(scipy eigsh) iterates with that factor as the inverse operator.  The
-constant mode in the kernel of S is dropped, and the returned pair is
-certified by its independently recomputed Rayleigh quotient and
-generalized eigenvalue residual.
+factored once by SuperLU, with sigma tied to the mesh's mass scale so
+nothing depends on length units, and ARPACK (scipy eigsh) iterates with
+that factor as the inverse operator.  The constant mode in the kernel of
+S is dropped, and the returned pair is certified by its independently
+recomputed Rayleigh quotient and generalized eigenvalue residual.
+
+The factor's fill is kept low by a coordinate nested dissection of the
+mesh graph (George, SIAM J. Numer. Anal. 10, 1973; Lipton, Rose and
+Tarjan, SIAM J. Numer. Anal. 16, 1979: a genus-0 mesh is planar, so the
+fill is O(n log n)).  build_laplace computes the ordering once, and
+lambda1 factors S + sigma M, which is symmetric positive definite, in
+that order without pivoting.
 
 Also provides the Ricci-deficit lower bound the proof trace needs, with
 its configurable constant.
@@ -32,6 +38,8 @@ _SHIFT = 1e-3
 # restart limit
 BLOCK_SIZE = 4
 MAX_ITER = 500
+# nested dissection stops splitting a part of at most this many vertices
+LEAF_SIZE = 64
 
 
 class ConvergenceError(RuntimeError):
@@ -50,10 +58,15 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class LaplaceSystem:
-    """Sparse stiffness/mass pair of the P1 Laplace-Beltrami discretization."""
+    """Sparse stiffness/mass pair of the P1 Laplace-Beltrami discretization.
+
+    ordering is the nested-dissection elimination order of the vertices
+    that lambda1 factors in (ordering[k] is the k-th vertex eliminated).
+    """
 
     stiffness: sparse.csr_matrix
     mass: sparse.csr_matrix
+    ordering: np.ndarray
 
     @property
     def mass_diagonal(self) -> np.ndarray:
@@ -66,7 +79,11 @@ class LaplaceSystem:
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """First nonzero eigenpair with its certificate and gap diagnostics."""
+    """First nonzero eigenpair with its certificate and gap diagnostics.
+
+    factor_nnz is nnz(L) + nnz(U) of the factor of S + sigma M (each
+    counts the diagonal), the fill the ordering achieved.
+    """
 
     lambda1: float
     eigenfunction: np.ndarray
@@ -74,6 +91,7 @@ class SpectralResult:
     iterations: int
     ritz_values: tuple
     gap_warning: bool
+    factor_nnz: int
 
 
 def build_laplace(mesh: Mesh) -> LaplaceSystem:
@@ -105,7 +123,73 @@ def build_laplace(mesh: Mesh) -> LaplaceSystem:
     diag = -np.asarray(off.sum(axis=1)).ravel()
     stiffness = (off + sparse.diags(diag)).tocsr()
     mass = sparse.diags(mesh.vertex_areas).tocsr()
-    return LaplaceSystem(stiffness=stiffness, mass=mass)
+    ordering = nested_dissection(mesh.vertices, mesh.edges)
+    return LaplaceSystem(stiffness=stiffness, mass=mass, ordering=ordering)
+
+
+def nested_dissection(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Elimination order of a graph by coordinate nested dissection.
+
+    A part of more than LEAF_SIZE vertices is split at the median of its
+    longest bounding-box axis: the lower half, ties broken by vertex
+    index, goes left.  Its separator is the left vertices with a
+    neighbour on the right (an edge of `edges`, (E, 2) vertex pairs).
+    The left part without the separator comes first, then the right
+    part, then the separator, so no edge joins the two halves and every
+    separator follows both.  Leaves and separators keep vertex-index
+    order.  The tree is built one level at a time; a graph of at most
+    LEAF_SIZE vertices gets the identity.
+    """
+    V = len(points)
+    order = np.empty(V, dtype=np.int64)
+    # the vertices still to place, grouped by part, index order within each
+    verts = np.arange(V)
+    sizes = np.array([V])
+    offset = np.array([0])   # first position of each part in `order`
+    is_sep = np.array([False])
+    # the edges inside a part still to split
+    a, b = edges.T.copy()
+    while verts.size:
+        place = is_sep | (sizes <= LEAF_SIZE)
+        part = np.repeat(np.arange(len(sizes)), sizes)
+        rank = np.arange(verts.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        done = place[part]
+        order[offset[part[done]] + rank[done]] = verts[done]
+        if done.all():
+            break
+        split = ~place
+        verts, rank = verts[~done], rank[~done]
+        part = (np.cumsum(split) - 1)[part[~done]]
+        sizes, offset = sizes[split], offset[split]
+
+        x = points[verts]
+        starts = np.cumsum(sizes) - sizes
+        extent = np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts)
+        coord = x[np.arange(verts.size), np.argmax(extent, axis=1)[part]]
+        # a stable sort: ties keep index order.  It keeps the parts in
+        # place, so rank is the rank in the sort
+        left = np.empty(verts.size, dtype=bool)
+        left[np.lexsort((coord, part))] = rank < (sizes // 2)[part]
+
+        label = np.full(V, -1)
+        label[verts] = part
+        la, lb = label[a], label[b]
+        inside = (la == lb) & (la >= 0)
+        a, b = a[inside], b[inside]
+        on_left = np.zeros(V, dtype=bool)
+        on_left[verts] = left
+        cross = on_left[a] != on_left[b]
+        in_sep = np.zeros(V, dtype=bool)
+        in_sep[np.where(on_left[a], a, b)[cross]] = True
+
+        # children (left, right, separator) of each part, in that order
+        child = 3 * part + np.where(in_sep[verts], 2, np.where(left, 0, 1))
+        counts = np.bincount(child, minlength=3 * len(sizes)).reshape(-1, 3)
+        offset = (offset[:, None] + np.cumsum(counts, axis=1) - counts).ravel()
+        sizes = counts.ravel()
+        is_sep = np.tile([False, False, True], len(counts))
+        verts = verts[np.argsort(child, kind="stable")]
+    return order
 
 
 def _nonzero_pairs(vals, vecs, m):
@@ -134,8 +218,12 @@ def _certify(S, m, u):
 def lambda1(system: LaplaceSystem, tol: float = 1e-8) -> SpectralResult:
     """Smallest nonzero generalized eigenvalue of (stiffness, mass).
 
-    Factors S + sigma M once with SuperLU (COLAMD ordering), where
-    sigma = _SHIFT * 4 pi / area puts the shift in the mesh's own units, and
+    Factors S + sigma M once with SuperLU in the system's nested-dissection
+    ordering, where sigma = _SHIFT * 4 pi / area puts the shift in the
+    mesh's own units.  The matrix is symmetric positive definite, so it is
+    permuted to that order and factored without pivoting (natural column
+    order, SymmetricMode, diag_pivot_thresh 0); each solve permutes its
+    vector in and out, and factor_nnz reports nnz(L) + nnz(U).  Then it
     runs ARPACK shift-invert Lanczos for the BLOCK_SIZE + 1 eigenvalues
     nearest -sigma from a start vector seeded by _SEED.  The constant mode
     is dropped; the next eigenvector is mass-orthogonalised against the
@@ -166,13 +254,21 @@ def lambda1(system: LaplaceSystem, tol: float = 1e-8) -> SpectralResult:
     b = min(BLOCK_SIZE, V - 3)
 
     sigma = _SHIFT * 4.0 * np.pi / m.sum()
-    lu = splu((S + sigma * system.mass).tocsc())
+    p = system.ordering
+    # relax=1: no relaxed supernodes, so lu.nnz counts no stored zeros
+    # and is nnz(L) + nnz(U) without building the L and U copies
+    lu = splu(
+        (S + sigma * system.mass)[p][:, p].tocsc(), permc_spec="NATURAL",
+        diag_pivot_thresh=0.0, relax=1, options={"SymmetricMode": True},
+    )
     solves = 0
 
     def solve(x):
         nonlocal solves
         solves += 1
-        return lu.solve(x)
+        y = np.empty_like(x)
+        y[p] = lu.solve(x[p])
+        return y
 
     v0 = np.random.default_rng(_SEED).standard_normal(V)
     converged = True
@@ -209,6 +305,7 @@ def lambda1(system: LaplaceSystem, tol: float = 1e-8) -> SpectralResult:
         iterations=solves,
         ritz_values=ritz,
         gap_warning=bool(gap),
+        factor_nnz=int(lu.nnz),
     )
 
 

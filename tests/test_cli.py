@@ -8,7 +8,7 @@ import pytest
 from umbilic.cli import _build_parser, main
 from umbilic.diffgeo import estimate_geometry
 from umbilic.mesh import Mesh, load_mesh, save_mesh
-from umbilic.surfgen import Sphere, generate
+from umbilic.surfgen import PerturbedSphere, Sphere, generate
 
 
 def run(args):
@@ -145,7 +145,13 @@ def test_obj_negative_index_error_record(tmp_path, capsys):
     # with tol = inf any residual would certify
     (["verify", "--mesh", "{closed}", "--epsilon", "0.2", "--alpha", "0.5",
       "--tol", "inf", "--out", "{out}"],
-     "verify", "tol must be finite and positive, got inf"),
+     "config", "tol must be finite and positive, got inf"),
+    # mean convexity fails, so the pipeline would stop before lambda1
+    (["verify", "--mesh", "{bumpy}", "--epsilon", "0.2", "--alpha", "0.5",
+      "--tol", "inf", "--out", "{out}"],
+     "config", "tol must be finite and positive, got inf"),
+    (["converge", "--subdivs", "2,3", "--tol", "nan", "--out", "{out}"],
+     "config", "tol must be finite and positive, got nan"),
     (["sweep", "--family", "l2", "--alpha", "0.5", "--eps", "0.2,inf",
       "--subdiv", "1", "--out", "{out}"],
      "sweep", "eps grid must be finite and positive"),
@@ -156,20 +162,23 @@ def test_obj_negative_index_error_record(tmp_path, capsys):
 ], ids=["analyze-open", "verify-open", "converge-tol", "sweep-amplitude",
         "gen-axes", "unwritable-out", "analyze-unwritable-json",
         "analyze-unwritable-table", "verify-eps-nan", "verify-eps-inf",
-        "verify-L-nan", "verify-p-roth-inf", "verify-tol-inf", "sweep-eps-inf",
+        "verify-L-nan", "verify-p-roth-inf", "verify-tol-inf",
+        "verify-tol-inf-not-convex", "converge-tol-nan", "sweep-eps-inf",
         "sweep-slack-nan"])
 def test_error_record_on_stdout_not_out(tmp_path, capsys, command, stage, message):
     # --out only ever holds a result; the record goes to stdout
     mesh = generate(Sphere(1.0), 2)
     save_mesh(mesh, tmp_path / "closed.off")
     save_mesh(Mesh(mesh.vertices, mesh.faces[2:]), tmp_path / "open.off")
+    save_mesh(generate(PerturbedSphere(1.0, 0.45, 4, 0), 3), tmp_path / "bumpy.off")
     paths = dict(open=tmp_path / "open.off", closed=tmp_path / "closed.off",
-                 out=tmp_path / "result.out")
+                 bumpy=tmp_path / "bumpy.off", out=tmp_path / "result.out")
     assert run([arg.format(**paths) for arg in command]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"]["stage"] == stage
     assert doc["error"]["message"].startswith(message)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["closed.off", "open.off"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "bumpy.off", "closed.off", "open.off"]
 
 
 def test_verify_missing_file_error(capsys):
