@@ -59,7 +59,6 @@ from .surfgen import (
     Ellipsoid,
     PerturbedSphere,
     Sphere,
-    fd_curvatures,
     generate,
     oracle_curvatures,
     oracle_curvatures_at_vertices,

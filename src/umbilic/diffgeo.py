@@ -8,7 +8,7 @@ isotropic quartic (x^2 + y^2)^2 absorbs the dominant even fourth-order term
 of near-umbilical graphs, which otherwise aliases into the curvatures.
 Signs follow the outward-normal convention: round spheres get positive
 principal curvatures.  The tangent frame and the Weingarten map are the
-same kernels the finite-difference oracle in `surfgen` uses.  The result
+same kernels the perturbed-sphere oracle in `surfgen` uses.  The result
 is one `SurfaceGeometry` of whole per-vertex arrays; `rescaled` gives the
 exact record of the mesh scaled by a factor.
 

@@ -40,6 +40,12 @@ from .fields import (
 )
 from .mesh import Mesh, measures, validate_mesh
 
+# Amplitude search: stop at this relative error of the pinching ratio, or
+# after this many steps (enough for bisection alone to narrow [0, delta_max]
+# by 2^-60).
+RATIO_RTOL = 1e-6
+MAX_SEARCH_STEPS = 60
+
 
 @dataclass(frozen=True)
 class PinchingConstants:
@@ -617,7 +623,7 @@ def pinch_ratio(surface: surfgen.AnalyticSurface, mesh: Mesh, constants) -> floa
     if np.any(o.H <= 0.0):
         return math.inf
     ratio = float((o.traceless_norm / o.H).max())
-    return ratio * mesh.area ** ((2.0 + constants.alpha) / constants.n)
+    return ratio * float(mesh.area) ** ((2.0 + constants.alpha) / constants.n)
 
 
 def amplitude_for_ratio(
@@ -629,13 +635,17 @@ def amplitude_for_ratio(
     subdivision: int,
     slack: float = 1.0,
 ) -> tuple[float, float, Mesh]:
-    """Bisection for the harmonic amplitude realizing the pinching ratio.
+    """Search for the harmonic amplitude realizing the pinching ratio.
 
-    Finds delta with pinch_ratio = slack * eps^(2+alpha) within 1% in 40
-    steps; the ratio response is monotone in delta at these amplitudes.
-    Raises when the radial positivity limit is reached before the target.
-    Returns (delta, achieved ratio, the mesh at delta that ratio was
-    measured on).
+    Finds delta with pinch_ratio = slack * eps^(2+alpha) to a relative
+    error of RATIO_RTOL by regula falsi with the Illinois modification on
+    [0, delta_max], where the ratio is 0 (the round sphere) and above the
+    target; a step bisects instead when the secant point is not inside the
+    bracket, as when the upper value is +inf (the oracle lost
+    mean-convexity there).  At most MAX_SEARCH_STEPS steps; the result
+    must be within 1% of the target.  Raises when the radial positivity
+    limit is reached before the target.  Returns (delta, achieved ratio,
+    the mesh at delta that ratio was measured on).
     """
     target = slack * epsilon ** (2.0 + alpha)
     consts = PinchingConstants(alpha=alpha, epsilon=epsilon)
@@ -646,25 +656,35 @@ def amplitude_for_ratio(
         mesh = surfgen.generate(surf, subdivision)
         return pinch_ratio(surf, mesh, consts), mesh
 
-    if ratio_at(delta_max)[0] < target:
+    achieved, mesh = ratio_at(delta_max)
+    if achieved < target:
         raise ValueError(
             f"amplitude search failed: ratio at the positivity limit "
             f"delta = {delta_max:g} is below the target {target:g}"
         )
-    lo, hi = 0.0, delta_max
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if ratio_at(mid)[0] < target:
-            lo = mid
+    # f = ratio - target changes sign between `kept` and the newest point
+    # `delta`: f(0) = -target (the round sphere) and f(delta_max) >= 0
+    kept, f_kept = 0.0, -target
+    delta, f = delta_max, achieved - target
+    for _ in range(MAX_SEARCH_STEPS):
+        if abs(f) <= RATIO_RTOL * target:
+            break
+        # an infinite f puts the secant point at an end or at nan: bisect
+        step = delta - f * (delta - kept) / (f - f_kept)
+        if not min(kept, delta) < step < max(kept, delta):
+            step = 0.5 * (kept + delta)
+        achieved, mesh = ratio_at(step)
+        if (achieved < target) != (f < 0.0):
+            kept, f_kept = delta, f
         else:
-            hi = mid
-    delta = 0.5 * (lo + hi)
-    achieved, mesh = ratio_at(delta)
+            # Illinois: `kept` stays a second time, so halve its value
+            f_kept *= 0.5
+        delta, f = step, achieved - target
     # `not <=` also fails a nan ratio or target
     if not abs(achieved - target) <= 0.01 * target:
         raise ValueError(
             f"amplitude search failed: achieved ratio {achieved:g} not "
-            f"within 1% of target {target:g} (oracle noise floor?)"
+            f"within 1% of target {target:g}"
         )
     return delta, achieved, mesh
 

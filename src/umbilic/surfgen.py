@@ -5,13 +5,15 @@ spheres perturbed radially by a single real spherical harmonic.  Meshes are
 icospheres (subdivided icosahedra with vertices reprojected), which keeps
 triangle quality near-uniform and avoids pole clustering.
 
-Curvature oracles are independent of the mesh estimator: spheres and
-ellipsoids use closed forms, perturbed spheres a centered finite-difference
-second fundamental form of the radial graph.
+Curvature oracles are closed forms, independent of the mesh estimator:
+spheres and ellipsoids directly, perturbed spheres through the fundamental
+forms of the radial graph, built from the exact gradient and Hessian of the
+harmonic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,10 +30,6 @@ from .diffgeo import (
 from .mesh import Mesh, edge_table
 
 MAX_SUBDIVISION = 8
-
-# Step for the finite-difference fundamental forms; balances truncation
-# against round-off for second derivatives at double precision.
-FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -139,7 +137,7 @@ def harmonic_sup(degree: int, order: int) -> float:
     profile = _sph_norm(degree, m) * np.abs(lpmv(m, degree, np.cos(theta)))
     sup = float(profile.max())
     if order != 0:
-        sup *= np.sqrt(2.0)
+        sup *= math.sqrt(2.0)
     # dense-grid max can undershoot slightly
     return sup * (1.0 + 1e-6)
 
@@ -236,49 +234,8 @@ def surface_point(surface: AnalyticSurface, dirs: np.ndarray) -> np.ndarray:
     raise TypeError(f"unknown surface kind {type(surface).__name__}")
 
 
-def fd_curvatures(surface: AnalyticSurface, dirs) -> CurvatureOracle:
-    """Principal curvatures by centered finite differences at unit directions.
-
-    Works in a normalized-offset chart around each direction, which stays
-    regular at the coordinate poles.  Independent of the mesh estimator;
-    the second fundamental form is taken w.r.t. the outward normal, so
-    spheres come out with positive curvatures.
-    """
-    u = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
-    u = u / np.linalg.norm(u, axis=-1, keepdims=True)
-    e1, e2 = tangent_frame(u)
-
-    h = FD_STEP
-
-    def X(s, t):
-        v = u + s * e1 + t * e2
-        v = v / np.linalg.norm(v, axis=-1, keepdims=True)
-        return surface_point(surface, v)
-
-    x0 = X(0.0, 0.0)
-    xs_p, xs_m = X(h, 0.0), X(-h, 0.0)
-    xt_p, xt_m = X(0.0, h), X(0.0, -h)
-    x_s = (xs_p - xs_m) / (2 * h)
-    x_t = (xt_p - xt_m) / (2 * h)
-    x_ss = (xs_p - 2 * x0 + xs_m) / h**2
-    x_tt = (xt_p - 2 * x0 + xt_m) / h**2
-    x_st = (X(h, h) - X(h, -h) - X(-h, h) + X(-h, -h)) / (4 * h**2)
-
-    nrm = np.cross(x_s, x_t)
-    nrm /= np.linalg.norm(nrm, axis=-1, keepdims=True)
-
-    E = np.einsum("...i,...i", x_s, x_s)
-    F = np.einsum("...i,...i", x_s, x_t)
-    G = np.einsum("...i,...i", x_t, x_t)
-    e = np.einsum("...i,...i", x_ss, nrm)
-    f = np.einsum("...i,...i", x_st, nrm)
-    g = np.einsum("...i,...i", x_tt, nrm)
-    mean, disc = eigen_split(weingarten_matrix(E, F, G, e, f, g))
-    return CurvatureOracle(kappa1=mean - disc, kappa2=mean + disc)
-
-
 def oracle_curvatures(surface: AnalyticSurface, dirs) -> CurvatureOracle:
-    """Closed-form curvatures for spheres/ellipsoids, FD for perturbed ones."""
+    """Closed-form principal curvatures at unit directions (outward normal)."""
     dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
     dirs = dirs / np.linalg.norm(dirs, axis=-1, keepdims=True)
     if isinstance(surface, Sphere):
@@ -287,7 +244,7 @@ def oracle_curvatures(surface: AnalyticSurface, dirs) -> CurvatureOracle:
     if isinstance(surface, Ellipsoid):
         return _ellipsoid_curvatures(surface, dirs)
     if isinstance(surface, PerturbedSphere):
-        return fd_curvatures(surface, dirs)
+        return _perturbed_curvatures(surface, dirs)
     raise TypeError(f"unknown surface kind {type(surface).__name__}")
 
 
@@ -310,6 +267,74 @@ def _ellipsoid_curvatures(surface: Ellipsoid, dirs) -> CurvatureOracle:
     B = np.einsum("...ij,...jk,...kl->...il", P, H, P) / gn[..., None, None]
     w = np.linalg.eigvalsh(B)  # ascending: (~0, kappa1, kappa2)
     return CurvatureOracle(kappa1=w[..., 1], kappa2=w[..., 2])
+
+
+def _harmonic_jet(degree: int, order: int, u: np.ndarray, frame):
+    """Y_lm at unit rows of u with its first and second derivatives on S^2.
+
+    With m = |order| and lpmv's Condon-Shortley phase,
+    Y_lm(u) = c P_l^(m)(z) A(w) with w = x + iy: P_l^(m) is the m-th
+    derivative of the Legendre polynomial and A is Re w^m (order >= 0) or
+    Im w^m (order < 0), i.e. sin^m(theta) cos(m phi) or sin(m phi) on the
+    sphere.  That is a polynomial in R^3, so it is regular at the poles,
+    where the (theta, phi) chart is not.  A tangent vector t of `frame`
+    enters as t_x + i t_y and t_z.  Returns Y, its derivatives (Y_1, Y_2)
+    along the frame and its covariant Hessian (Y_11, Y_12, Y_22): the
+    ambient Hessian on the frame minus (u . grad Y) delta_ij.
+    """
+    m = abs(order)
+    c = (-1) ** m * _sph_norm(degree, m) * (np.sqrt(2.0) if order else 1.0)
+    z = u[:, 2]
+    legendre = np.polynomial.Legendre.basis(degree)
+    p0, p1, p2 = (c * legendre.deriv(k)(z) for k in (m, m + 1, m + 2))
+    # w^m and its complex derivatives m w^(m-1), m(m-1) w^(m-2)
+    w = u[:, 0] + 1j * u[:, 1]
+    w0, w1, w2 = (math.perm(m, k) * w ** max(m - k, 0) for k in range(3))
+    part = np.real if order >= 0 else np.imag
+    a = part(w0)
+    tw = [t[:, 0] + 1j * t[:, 1] for t in frame]
+    tz = [t[:, 2] for t in frame]
+    dw = [w1 * t for t in tw]
+    grad = tuple(p0 * part(dw[i]) + p1 * a * tz[i] for i in range(2))
+    # u . grad Y = c A (m P^(m) + z P^(m+1)): w^m is homogeneous of degree m
+    radial = a * (m * p0 + z * p1)
+
+    def hess(i, j):
+        return (
+            p0 * part(w2 * tw[i] * tw[j])
+            + p1 * (tz[i] * part(dw[j]) + tz[j] * part(dw[i]))
+            + p2 * a * tz[i] * tz[j]
+            - (radial if i == j else 0.0)
+        )
+
+    return p0 * a, grad, (hess(0, 0), hess(0, 1), hess(1, 1))
+
+
+def _perturbed_curvatures(surface: PerturbedSphere, u) -> CurvatureOracle:
+    """Principal curvatures of the radial graph X = rho(u) u, rho = R + delta Y.
+
+    In an orthonormal tangent frame of the unit sphere at u, with
+    q_i = rho_i / rho and q_ij = rho_ij / rho (rho_ij the covariant Hessian),
+    the fundamental forms are I = rho^2 (delta_ij + q_i q_j) and, for the
+    outward normal, II = rho (delta_ij + 2 q_i q_j - q_ij) / sqrt(1 + |q|^2)
+    (Goldman, CAGD 22, 2005).  The shared Weingarten kernel gets I / rho^2
+    and -II / rho, its sign convention; its eigenvalues are rho times the
+    curvatures, so delta = 0 gives exactly 1/R.
+    """
+    y, (y1, y2), (y11, y12, y22) = _harmonic_jet(
+        surface.degree, surface.order, u, tangent_frame(u)
+    )
+    rho = surface.radius + surface.delta * y
+    s = surface.delta / rho
+    q1, q2, q11, q12, q22 = s * y1, s * y2, s * y11, s * y12, s * y22
+    w = np.sqrt(1.0 + q1 * q1 + q2 * q2)
+    mean, disc = eigen_split(weingarten_matrix(
+        1.0 + q1 * q1, q1 * q2, 1.0 + q2 * q2,
+        -(1.0 + 2.0 * q1 * q1 - q11) / w,
+        -(2.0 * q1 * q2 - q12) / w,
+        -(1.0 + 2.0 * q2 * q2 - q22) / w,
+    ))
+    return CurvatureOracle(kappa1=(mean - disc) / rho, kappa2=(mean + disc) / rho)
 
 
 def oracle_curvatures_at_vertices(

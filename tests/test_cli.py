@@ -116,9 +116,11 @@ def test_obj_negative_index_error_record(tmp_path, capsys):
      "validate", "mesh validation failed: closed=False oriented=False"),
     (["converge", "--subdivs", "2,3", "--tol", "1e-17", "--out", "{out}"],
      "lambda1", "subdivision 2: residual above tol=1e-17"),
-    (["sweep", "--family", "l2", "--alpha", "0.5", "--eps", "0.2", "--subdiv", "1",
-      "--slack", "1e9", "--out", "{out}"],
-     "sweep", "amplitude search failed"),
+    # the constant harmonic never bends the sphere, so no amplitude reaches
+    # the target
+    (["sweep", "--family", "l0", "--alpha", "0.5", "--eps", "0.2", "--subdiv", "1",
+      "--out", "{out}"],
+     "sweep", "amplitude search failed: ratio at the positivity limit"),
     (["gen", "--kind", "ellipsoid", "--axes", "1,2", "--out", "{out}"],
      "config", "--axes must be 'a,b,c', got '1,2'"),
     (["verify", "--mesh", "{closed}", "--epsilon", "0.2", "--alpha", "0.5",

@@ -27,6 +27,7 @@ from umbilic.surfgen import (
     PerturbedSphere,
     Sphere,
     generate,
+    harmonic_sup,
     oracle_geometry,
 )
 
@@ -228,8 +229,6 @@ def test_annulus_perturbed(perturbed4):
     mesh = generate(PerturbedSphere(1.0, surf_delta, 2, 0), 4)
     res = verified(mesh, epsilon=0.1).annulus
     assert res.contained
-    from umbilic.surfgen import harmonic_sup
-
     assert res.oscillation <= 2 * surf_delta * harmonic_sup(2, 0) + 1e-6
 
 
@@ -475,9 +474,15 @@ def test_sweep_builds_each_mesh_once(monkeypatch):
                         count("generate", pinching.surfgen.generate))
     monkeypatch.setattr(pinching, "pinch_ratio",
                         count("ratio", pinching.pinch_ratio))
-    sharpness_sweep(1.0, 2, 0, alpha=0.5, eps_grid=[0.3, 0.2], subdivision=2)
-    assert calls["ratio"] == 2 * (1 + 40 + 1)
-    assert calls["generate"] == calls["ratio"]
+    counts = []
+    for _ in range(2):
+        calls.update(generate=0, ratio=0)
+        sharpness_sweep(1.0, 2, 0, alpha=0.5, eps_grid=[0.3, 0.2], subdivision=2)
+        assert calls["generate"] == calls["ratio"]
+        counts.append(calls["ratio"])
+    # the positivity limit plus nine search steps per eps, the same each run
+    assert counts == [2 * (1 + 9)] * 2
+    assert counts[0] <= 2 * 15
 
 
 def test_sweep_verifies_without_trace(monkeypatch):
@@ -514,6 +519,26 @@ def test_pinch_ratio_nonconvex_guard(torus):
     mesh = generate(surf, 2)
     c = PinchingConstants(alpha=0.5, epsilon=0.2)
     assert pinch_ratio(surf, mesh, c) == math.inf
+
+
+def test_amplitude_search_reaches_small_eps():
+    # the finite-difference oracle's noise stopped this search at 1.2% off
+    delta, achieved, _ = amplitude_for_ratio(1.0, 2, 0, 0.5, 0.05, 4)
+    assert delta > 0
+    assert achieved == pytest.approx(0.05**2.5, rel=1e-6)
+
+
+@pytest.mark.filterwarnings("error")
+def test_amplitude_search_bisects_past_lost_convexity():
+    # the oracle loses mean-convexity at the positivity limit (ratio inf),
+    # so the first steps bisect; no inf/inf reaches the secant as a warning
+    eps, alpha = 0.1, 0.5
+    delta_max = 0.9 / harmonic_sup(3, -1)
+    surf = PerturbedSphere(1.0, delta_max, 3, -1)
+    c = PinchingConstants(alpha=alpha, epsilon=eps)
+    assert pinch_ratio(surf, generate(surf, 3), c) == math.inf
+    _, achieved, _ = amplitude_for_ratio(1.0, 3, -1, alpha, eps, 3)
+    assert achieved == pytest.approx(eps**2.5, rel=1e-6)
 
 
 def test_amplitude_search_positivity_failure():

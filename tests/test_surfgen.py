@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
+from umbilic.diffgeo import eigen_split, tangent_frame, weingarten_matrix
 from umbilic.mesh import validate_mesh
 from umbilic.surfgen import (
+    CurvatureOracle,
     Ellipsoid,
     PerturbedSphere,
     Sphere,
-    fd_curvatures,
     generate,
     harmonic_sup,
     oracle_curvatures,
     oracle_curvatures_at_vertices,
     real_sph_harm,
+    surface_point,
     unit_icosphere,
 )
 
@@ -22,6 +24,54 @@ def dirs(theta, phi):
     phi = np.broadcast_to(np.asarray(phi, dtype=np.float64), theta.shape)
     st = np.sin(theta)
     return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+
+
+def fd_reference(surface, u, h=1e-3):
+    """Principal curvatures by centred differences of `surface_point`.
+
+    An independent reference for the closed-form oracles: the fundamental
+    forms come from a 9-point stencil in the normalized-offset chart
+    u + s t1 + t t2 (rescaled to unit length) around each unit direction,
+    which stays regular at the coordinate poles.  Truncation error is
+    O(h^2); at h = 1e-3 round-off is about 1e-10.
+    """
+    u = np.atleast_2d(np.asarray(u, dtype=np.float64))
+    u = u / np.linalg.norm(u, axis=-1, keepdims=True)
+    t1, t2 = tangent_frame(u)
+
+    def X(s, t):
+        v = u + s * t1 + t * t2
+        return surface_point(surface, v / np.linalg.norm(v, axis=-1, keepdims=True))
+
+    x0 = X(0.0, 0.0)
+    xs_p, xs_m, xt_p, xt_m = X(h, 0.0), X(-h, 0.0), X(0.0, h), X(0.0, -h)
+    x_s = (xs_p - xs_m) / (2 * h)
+    x_t = (xt_p - xt_m) / (2 * h)
+    x_ss = (xs_p - 2 * x0 + xs_m) / h**2
+    x_tt = (xt_p - 2 * x0 + xt_m) / h**2
+    x_st = (X(h, h) - X(h, -h) - X(-h, h) + X(-h, -h)) / (4 * h**2)
+    nrm = np.cross(x_s, x_t)
+    nrm /= np.linalg.norm(nrm, axis=-1, keepdims=True)
+
+    def dot(a, b):
+        return np.einsum("...i,...i", a, b)
+
+    mean, disc = eigen_split(weingarten_matrix(
+        dot(x_s, x_s), dot(x_s, x_t), dot(x_t, x_t),
+        dot(x_ss, nrm), dot(x_st, nrm), dot(x_tt, nrm),
+    ))
+    return CurvatureOracle(kappa1=mean - disc, kappa2=mean + disc)
+
+
+def random_dirs(n, seed):
+    u = np.random.default_rng(seed).normal(size=(n, 3))
+    return u / np.linalg.norm(u, axis=1)[:, None]
+
+
+POLES = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+
+# degree, order; m < 0 included, since `sweep --family l3m-1` is accepted
+HARMONICS = [(2, 0), (2, 1), (2, -1), (2, 2), (2, -2), (3, -1), (4, 3)]
 
 
 def test_generate_sphere_combinatorics():
@@ -97,28 +147,64 @@ def test_oracle_ellipsoid_long_axis_pole():
     )
     assert np.allclose(o.kappa1, 2.0, atol=1e-12)
     assert np.allclose(o.kappa2, 2.0, atol=1e-12)
-    fd = fd_curvatures(Ellipsoid(2.0, 1.0, 1.0), dirs([np.pi / 2], [0.0]))
+    fd = fd_reference(Ellipsoid(2.0, 1.0, 1.0), dirs([np.pi / 2], [0.0]))
     assert abs(fd.kappa1[0] - 2.0) < 1e-4
     assert abs(fd.kappa2[0] - 2.0) < 1e-4
 
 
 def test_fd_matches_closed_forms():
-    fd = fd_curvatures(Sphere(3.0), dirs([0.5, 1.5, np.pi - 0.2], [1.0, 3.0, 5.0]))
+    fd = fd_reference(Sphere(3.0), dirs([0.5, 1.5, np.pi - 0.2], [1.0, 3.0, 5.0]))
     assert np.abs(fd.kappa1 - 1 / 3).max() < 1e-5
     assert np.abs(fd.kappa2 - 1 / 3).max() < 1e-5
     ell = Ellipsoid(1.5, 1.0, 0.8)
     angles = ([0.4, 1.1, 2.0, np.pi / 2], [0.3, 2.5, 4.4, 1.0])
-    fd = fd_curvatures(ell, dirs(*angles))
+    fd = fd_reference(ell, dirs(*angles))
     cf = oracle_curvatures(ell, dirs(*angles))
     assert np.abs(fd.kappa1 - cf.kappa1).max() < 1e-4
     assert np.abs(fd.kappa2 - cf.kappa2).max() < 1e-4
 
 
 def test_fd_handles_poles():
-    o = fd_curvatures(Sphere(1.0), [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    o = fd_reference(Sphere(1.0), POLES)
     assert np.allclose(o.kappa1, 1.0, atol=1e-5)
-    o = fd_curvatures(PerturbedSphere(1.0, 0.01, 2, 0), dirs([0.0, np.pi], [0.0, 0.0]))
-    assert np.all(np.isfinite(o.kappa1)) and np.all(np.isfinite(o.kappa2))
+    # dirs() puts the south pole at sin(theta) = 1.2e-16, not at 0
+    for u in (POLES, dirs([0.0, np.pi], [0.0, 0.0])):
+        o = oracle_curvatures(PerturbedSphere(1.0, 0.01, 2, 0), u)
+        assert np.all(np.isfinite(o.kappa1)) and np.all(np.isfinite(o.kappa2))
+
+
+@pytest.mark.parametrize("degree, order", HARMONICS)
+@pytest.mark.parametrize("delta", [0.01, 0.1])
+def test_perturbed_oracle_matches_reference(degree, order, delta):
+    surf = PerturbedSphere(1.0, delta, degree, order)
+    u = random_dirs(100, seed=degree * 10 + order)
+    o, fd = oracle_curvatures(surf, u), fd_reference(surf, u)
+    assert np.abs(o.kappa1 - fd.kappa1).max() < 1e-5
+    assert np.abs(o.kappa2 - fd.kappa2).max() < 1e-5
+
+
+@pytest.mark.parametrize("degree, order", HARMONICS + [(1, 1), (3, 3)])
+def test_perturbed_oracle_at_poles(degree, order):
+    # only |m| <= 2 harmonics have a 1- or 2-jet at a pole; the limit must
+    # be the reference's value and be approached continuously
+    surf = PerturbedSphere(1.0, 0.1, degree, order)
+    o_near = oracle_curvatures(surf, POLES + np.array([[1e-9, -2e-9, 0.0]]))
+    for u in (POLES, dirs([0.0, np.pi], [0.0, 0.0])):
+        o, fd = oracle_curvatures(surf, u), fd_reference(surf, u)
+        assert np.all(np.isfinite(o.kappa1)) and np.all(np.isfinite(o.kappa2))
+        assert np.abs(o.kappa1 - fd.kappa1).max() < 1e-5
+        assert np.abs(o.kappa2 - fd.kappa2).max() < 1e-5
+        assert np.abs(o.kappa1 - o_near.kappa1).max() < 1e-8
+        assert np.abs(o.kappa2 - o_near.kappa2).max() < 1e-8
+
+
+@pytest.mark.parametrize("radius", [1.0, 0.7, 3.0])
+def test_unperturbed_oracle_is_exactly_round(radius):
+    u = np.vstack([random_dirs(50, seed=3), POLES])
+    for degree, order in HARMONICS:
+        o = oracle_curvatures(PerturbedSphere(radius, 0.0, degree, order), u)
+        assert np.all(o.kappa1 == 1.0 / radius) and np.all(o.kappa2 == 1.0 / radius)
+        assert np.all(o.traceless_norm == 0.0)
 
 
 def test_perturbed_mean_curvature_linearization():
@@ -127,10 +213,10 @@ def test_perturbed_mean_curvature_linearization():
     delta = 0.01
     ps = PerturbedSphere(1.0, delta, 2, 0)
     thetas = np.array([0.0, 0.4, 1.0, np.pi / 2, 2.3, np.pi])
-    fd = fd_curvatures(ps, dirs(thetas, 0.0))
+    o = oracle_curvatures(ps, dirs(thetas, 0.0))
     predicted = 1.0 + 2.0 * delta * real_sph_harm(2, 0, thetas, 0.0)
-    assert np.abs(fd.H - predicted).max() < 30 * delta**2
-    assert np.abs(fd.H - 1.0).max() < 5 * delta
+    assert np.abs(o.H - predicted).max() < 30 * delta**2
+    assert np.abs(o.H - 1.0).max() < 5 * delta
 
 
 def test_sphere_conclusion_radius_consistency():
