@@ -12,7 +12,6 @@ from .diffgeo import (
     convexity_status,
     estimate_geometry,
     ricci_deficit,
-    ricci_from_gauss,
 )
 from .fields import (
     ScalarField,
@@ -62,7 +61,6 @@ from .surfgen import (
     generate,
     oracle_curvatures,
     oracle_curvatures_at_vertices,
-    oracle_geometry,
     real_sph_harm,
 )
 

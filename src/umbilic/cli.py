@@ -185,6 +185,12 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    if args.out and args.json_out and (
+        os.path.realpath(args.out) == os.path.realpath(args.json_out)
+    ):
+        raise CliError(
+            "config", f"--out and --json-out are the same file: {args.out!r}"
+        )
     mesh = _load_validated(args.mesh)
     geo = diffgeo.estimate_geometry(mesh)
     summary = _analyze_summary(mesh, geo)
@@ -206,12 +212,10 @@ def _write_table(mesh: Mesh, geo, fh) -> None:
     """
     csv.writer(fh).writerow([
         "vertex", "x", "y", "z", "area_weight", "kappa1", "kappa2",
-        "H", "A_traceless_norm", "H2", "ricci_min", "scalar_curv",
+        "H", "A_traceless_norm", "H2",
     ])
-    columns = [
-        *mesh.vertices.T, mesh.vertex_areas, *geo.kappa.T, geo.H,
-        geo.A_traceless_norm, geo.H2, geo.ricci_min, geo.scalar_curv,
-    ]
+    columns = [*mesh.vertices.T, mesh.vertex_areas, *geo.kappa.T, geo.H,
+               geo.A_traceless_norm, geo.H2]
     for lo in range(0, mesh.n_vertices, CSV_BLOCK):
         hi = min(lo + CSV_BLOCK, mesh.n_vertices)
         cells = [range(lo, hi), *(c[lo:hi].tolist() for c in columns)]
@@ -426,7 +430,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, IndexError, OSError) as exc:
+    except (CliError, ValueError, IndexError, OSError, OverflowError) as exc:
         stage = getattr(exc, "stage", args.command)
         error = {"stage": stage, "message": str(exc)}
     # stdout, not --out: that file only ever holds a result

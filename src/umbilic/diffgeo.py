@@ -10,10 +10,8 @@ Signs follow the outward-normal convention: round spheres get positive
 principal curvatures.  The tangent frame and the Weingarten map are the
 same kernels the perturbed-sphere oracle in `surfgen` uses.  The result
 is one `SurfaceGeometry` of whole per-vertex arrays; `rescaled` gives the
-exact record of the mesh scaled by a factor.
-
-Ricci quantities come from the Gauss formula of a surface in R^3; in the
-principal frame the Ricci eigenvalues are 2*H*kappa_i - kappa_i^2.
+exact record of the mesh scaled by a factor, and `from_principal` builds
+the record of given principal curvatures, as the closed-form oracles do.
 """
 
 from __future__ import annotations
@@ -50,15 +48,22 @@ class SurfaceGeometry:
     kappa: np.ndarray            # (V, 2) principal curvatures, kappa1 <= kappa2
     H: np.ndarray                # (V,) normalized mean curvature
     A_traceless_norm: np.ndarray  # (V,) ||A - H g|| = |k1 - k2|/sqrt(2)
-    H2: np.ndarray               # (V,) second symmetric function k1*k2
-    ricci_min: np.ndarray        # (V,) smallest Ricci eigenvalue
-    scalar_curv: np.ndarray      # (V,) scalar curvature (= 2K)
+    H2: np.ndarray               # (V,) Gauss curvature k1*k2 (= Ric_min)
+
+    @classmethod
+    def from_principal(cls, kappa1, kappa2) -> "SurfaceGeometry":
+        """Record of the principal curvatures kappa1 <= kappa2 (same shape)."""
+        return cls(
+            kappa=np.stack([kappa1, kappa2], axis=-1),
+            H=0.5 * (kappa1 + kappa2),
+            A_traceless_norm=np.abs(kappa2 - kappa1) / np.sqrt(2.0),
+            H2=kappa1 * kappa2,
+        )
 
     def rescaled(self, factor: float) -> "SurfaceGeometry":
         """Exact curvature record of the mesh scaled by `factor`.
 
-        Curvatures scale by 1/factor, Ricci and scalar curvature by
-        1/factor^2.
+        Curvatures scale by 1/factor, H2 by 1/factor^2.
         """
         s = 1.0 / factor
         return SurfaceGeometry(
@@ -66,8 +71,6 @@ class SurfaceGeometry:
             H=self.H * s,
             A_traceless_norm=self.A_traceless_norm * s,
             H2=self.H2 * s**2,
-            ricci_min=self.ricci_min * s**2,
-            scalar_curv=self.scalar_curv * s**2,
         )
 
 
@@ -251,43 +254,18 @@ def estimate_geometry(mesh: Mesh) -> SurfaceGeometry:
     a_norm = np.sqrt(2.0) * disc
     # H*H - disc*disc keeps the AM-GM bound H2 <= H^2 exact in floating point
     h2 = H * H - disc * disc
-    ricci_min, scalar = ricci_from_gauss(kappa)
-    return SurfaceGeometry(
-        kappa=kappa,
-        H=H,
-        A_traceless_norm=a_norm,
-        H2=h2,
-        ricci_min=ricci_min,
-        scalar_curv=scalar,
-    )
+    return SurfaceGeometry(kappa=kappa, H=H, A_traceless_norm=a_norm, H2=h2)
 
 
-def ricci_from_gauss(kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ricci eigenvalue minimum and scalar curvature from principal curvatures.
-
-    In the principal frame Ric_ii = 2*H*kappa_i - kappa_i^2 and
-    R = 4 H^2 - sum kappa_i^2; the trailing axis of `kappa` must hold both
-    principal curvatures.
-    """
-    kappa = np.asarray(kappa, dtype=np.float64)
-    if kappa.shape[-1] != 2:
-        raise ValueError(
-            f"expected 2 principal curvatures, got {kappa.shape[-1]}"
-        )
-    H = kappa.mean(axis=-1)
-    ric = 2 * H[..., None] * kappa - kappa**2
-    scalar = 4 * H**2 - (kappa**2).sum(axis=-1)
-    return ric.min(axis=-1), scalar
-
-
-def ricci_deficit(ricci_min, reference: float):
+def ricci_deficit(ric, reference: float):
     """Negative part of (Ric_min/mu^2 - 1) after rescaling by mu.
 
-    `ricci_min` is a scalar or an array of smallest Ricci eigenvalues.
+    `ric` is a scalar or an array of smallest Ricci eigenvalues; by the
+    Gauss equation a surface in R^3 has Ric = K g, so that is the record's H2.
     """
     if reference <= 0:
         raise ValueError("reference scale mu must be positive")
-    r = np.asarray(ricci_min, dtype=np.float64)
+    r = np.asarray(ric, dtype=np.float64)
     return np.maximum(0.0, 1 - r / reference**2)
 
 

@@ -205,7 +205,7 @@ class UnitArea:
 
     factor: float
     weights: np.ndarray            # vertex areas * c^2, summing to 1
-    geometries: SurfaceGeometry    # curvatures / c, Ricci / c^2
+    geometries: SurfaceGeometry    # curvatures / c, H2 / c^2
     constants: PinchingConstants   # eps * c
     lambda1: float | None          # lambda1 / c^2
 
@@ -460,7 +460,7 @@ def proof_trace(unit: UnitArea) -> ProofTrace:
     log_p_bound = (n - kp) * math.log(mu0) + log_dev_kp
     p_bound = math.exp(log_p_bound) if log_p_bound < 700 else math.inf
 
-    deficit = ricci_deficit(geo_t.ricci_min, mu0)
+    deficit = ricci_deficit(geo_t.H2, mu0)
     log_def = lp_norm_log_pth_power(ScalarField(values=deficit, weights=w_hat), kp)
     deficit_integral = math.exp(log_def) if log_def < 700 else math.inf
     aubry = spectral.aubry_lower_bound(
@@ -622,7 +622,7 @@ def pinch_ratio(surface: surfgen.AnalyticSurface, mesh: Mesh, constants) -> floa
     o = surfgen.oracle_curvatures_at_vertices(surface, mesh)
     if np.any(o.H <= 0.0):
         return math.inf
-    ratio = float((o.traceless_norm / o.H).max())
+    ratio = float((o.A_traceless_norm / o.H).max())
     return ratio * float(mesh.area) ** ((2.0 + constants.alpha) / constants.n)
 
 
@@ -643,11 +643,17 @@ def amplitude_for_ratio(
     target; a step bisects instead when the secant point is not inside the
     bracket, as when the upper value is +inf (the oracle lost
     mean-convexity there).  At most MAX_SEARCH_STEPS steps; the result
-    must be within 1% of the target.  Raises when the radial positivity
-    limit is reached before the target.  Returns (delta, achieved ratio,
-    the mesh at delta that ratio was measured on).
+    must be within 1% of the target.  Raises before any mesh is built
+    unless the target is finite and positive, and when the radial
+    positivity limit is reached before the target.  Returns (delta,
+    achieved ratio, the mesh at delta that ratio was measured on).
     """
     target = slack * epsilon ** (2.0 + alpha)
+    if not 0.0 < target < math.inf:
+        raise ValueError(
+            f"amplitude search failed: target slack*eps^(2+alpha) = {target:g} "
+            "is not finite and positive"
+        )
     consts = PinchingConstants(alpha=alpha, epsilon=epsilon)
     delta_max = 0.9 * radius / surfgen.harmonic_sup(degree, order)
 
@@ -680,7 +686,7 @@ def amplitude_for_ratio(
             # Illinois: `kept` stays a second time, so halve its value
             f_kept *= 0.5
         delta, f = step, achieved - target
-    # `not <=` also fails a nan ratio or target
+    # `not <=` also fails a nan ratio
     if not abs(achieved - target) <= 0.01 * target:
         raise ValueError(
             f"amplitude search failed: achieved ratio {achieved:g} not "

@@ -8,7 +8,7 @@ triangle quality near-uniform and avoids pole clustering.
 Curvature oracles are closed forms, independent of the mesh estimator:
 spheres and ellipsoids directly, perturbed spheres through the fundamental
 forms of the radial graph, built from the exact gradient and Hessian of the
-harmonic.
+harmonic.  They return the estimator's record, `diffgeo.SurfaceGeometry`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from scipy.special import gammaln, lpmv
 from .diffgeo import (
     SurfaceGeometry,
     eigen_split,
-    ricci_from_gauss,
     tangent_frame,
     weingarten_matrix,
 )
@@ -75,26 +74,6 @@ class PerturbedSphere:
 
 
 AnalyticSurface = Sphere | Ellipsoid | PerturbedSphere
-
-
-@dataclass(frozen=True)
-class CurvatureOracle:
-    """Principal curvatures and derived quantities at sampled points."""
-
-    kappa1: np.ndarray
-    kappa2: np.ndarray
-
-    @property
-    def H(self) -> np.ndarray:
-        return 0.5 * (self.kappa1 + self.kappa2)
-
-    @property
-    def traceless_norm(self) -> np.ndarray:
-        return np.abs(self.kappa2 - self.kappa1) / np.sqrt(2.0)
-
-    @property
-    def K(self) -> np.ndarray:
-        return self.kappa1 * self.kappa2
 
 
 # -- real spherical harmonics -------------------------------------------------
@@ -234,13 +213,13 @@ def surface_point(surface: AnalyticSurface, dirs: np.ndarray) -> np.ndarray:
     raise TypeError(f"unknown surface kind {type(surface).__name__}")
 
 
-def oracle_curvatures(surface: AnalyticSurface, dirs) -> CurvatureOracle:
+def oracle_curvatures(surface: AnalyticSurface, dirs) -> SurfaceGeometry:
     """Closed-form principal curvatures at unit directions (outward normal)."""
     dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
     dirs = dirs / np.linalg.norm(dirs, axis=-1, keepdims=True)
     if isinstance(surface, Sphere):
         k = np.full(dirs.shape[:-1], 1.0 / surface.radius)
-        return CurvatureOracle(kappa1=k, kappa2=k.copy())
+        return SurfaceGeometry.from_principal(k, k)
     if isinstance(surface, Ellipsoid):
         return _ellipsoid_curvatures(surface, dirs)
     if isinstance(surface, PerturbedSphere):
@@ -248,7 +227,7 @@ def oracle_curvatures(surface: AnalyticSurface, dirs) -> CurvatureOracle:
     raise TypeError(f"unknown surface kind {type(surface).__name__}")
 
 
-def _ellipsoid_curvatures(surface: Ellipsoid, dirs) -> CurvatureOracle:
+def _ellipsoid_curvatures(surface: Ellipsoid, dirs) -> SurfaceGeometry:
     """Principal curvatures of the level set x^2/a^2 + y^2/b^2 + z^2/c^2 = 1.
 
     The shape operator is the tangential projection of the scaled Hessian
@@ -266,7 +245,7 @@ def _ellipsoid_curvatures(surface: Ellipsoid, dirs) -> CurvatureOracle:
     H[..., 0, 0], H[..., 1, 1], H[..., 2, 2] = inv_sq
     B = np.einsum("...ij,...jk,...kl->...il", P, H, P) / gn[..., None, None]
     w = np.linalg.eigvalsh(B)  # ascending: (~0, kappa1, kappa2)
-    return CurvatureOracle(kappa1=w[..., 1], kappa2=w[..., 2])
+    return SurfaceGeometry.from_principal(w[..., 1], w[..., 2])
 
 
 def _harmonic_jet(degree: int, order: int, u: np.ndarray, frame):
@@ -310,7 +289,7 @@ def _harmonic_jet(degree: int, order: int, u: np.ndarray, frame):
     return p0 * a, grad, (hess(0, 0), hess(0, 1), hess(1, 1))
 
 
-def _perturbed_curvatures(surface: PerturbedSphere, u) -> CurvatureOracle:
+def _perturbed_curvatures(surface: PerturbedSphere, u) -> SurfaceGeometry:
     """Principal curvatures of the radial graph X = rho(u) u, rho = R + delta Y.
 
     In an orthonormal tangent frame of the unit sphere at u, with
@@ -334,34 +313,16 @@ def _perturbed_curvatures(surface: PerturbedSphere, u) -> CurvatureOracle:
         -(2.0 * q1 * q2 - q12) / w,
         -(1.0 + 2.0 * q2 * q2 - q22) / w,
     ))
-    return CurvatureOracle(kappa1=(mean - disc) / rho, kappa2=(mean + disc) / rho)
+    return SurfaceGeometry.from_principal((mean - disc) / rho, (mean + disc) / rho)
 
 
 def oracle_curvatures_at_vertices(
     surface: AnalyticSurface, mesh: Mesh
-) -> CurvatureOracle:
-    """Oracle evaluated at each mesh vertex (vertices must lie on the surface)."""
+) -> SurfaceGeometry:
+    """Oracle record at each mesh vertex (vertices must lie on the surface)."""
     v = mesh.vertices
     if isinstance(surface, Ellipsoid):
         u = v / np.array([surface.a, surface.b, surface.c])
     else:
         u = v / np.linalg.norm(v, axis=1)[:, None]
     return oracle_curvatures(surface, u)
-
-
-def oracle_geometry(surface: AnalyticSurface, mesh: Mesh):
-    """Closed-form per-vertex curvature record in the mesh estimator's layout.
-
-    Lets the pipeline run on exact curvature data.
-    """
-    o = oracle_curvatures_at_vertices(surface, mesh)
-    kappa = np.stack([o.kappa1, o.kappa2], axis=1)
-    ricci_min, scalar = ricci_from_gauss(kappa)
-    return SurfaceGeometry(
-        kappa=kappa,
-        H=o.H,
-        A_traceless_norm=o.traceless_norm,
-        H2=o.K,
-        ricci_min=ricci_min,
-        scalar_curv=scalar,
-    )

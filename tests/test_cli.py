@@ -157,16 +157,35 @@ def test_obj_negative_index_error_record(tmp_path, capsys):
     (["sweep", "--family", "l2", "--alpha", "0.5", "--eps", "0.2,inf",
       "--subdiv", "1", "--out", "{out}"],
      "sweep", "eps grid must be finite and positive"),
-    # a nan target must fail the 1% check, not pass it
+    # one file for both outputs, rejected before the (missing) mesh is read
+    (["analyze", "--mesh", "{out}", "--out", "{out}", "--json-out",
+      "{out}.dir/../result.out"],
+     "config", "--out and --json-out are the same file"),
+    # a nan target fails before the search builds a mesh
     (["sweep", "--family", "l2", "--alpha", "0.5", "--eps", "0.2", "--subdiv", "1",
       "--slack", "nan", "--out", "{out}"],
-     "sweep", "amplitude search failed: achieved ratio"),
+     "sweep", "amplitude search failed: target slack*eps^(2+alpha) = nan"),
+    # a zero or infinite target would give meaningless rows
+    (["sweep", "--family", "l2", "--alpha", "0.5", "--eps", "0.2", "--subdiv", "1",
+      "--slack", "0", "--out", "{out}"],
+     "sweep", "amplitude search failed: target slack*eps^(2+alpha) = 0"),
+    (["sweep", "--family", "l2", "--alpha", "0.5", "--eps", "0.2", "--subdiv", "1",
+      "--slack", "inf", "--out", "{out}"],
+     "sweep", "amplitude search failed: target slack*eps^(2+alpha) = inf"),
+    # eps^(2+alpha) overflows a float
+    (["verify", "--mesh", "{closed}", "--epsilon", "1e200", "--alpha", "0.5",
+      "--out", "{out}"],
+     "verify", "(34, 'Numerical result out of range')"),
+    (["sweep", "--family", "l2", "--alpha", "0.5", "--eps", "1e200",
+      "--subdiv", "1", "--out", "{out}"],
+     "sweep", "(34, 'Numerical result out of range')"),
 ], ids=["analyze-open", "verify-open", "converge-tol", "sweep-amplitude",
         "gen-axes", "unwritable-out", "analyze-unwritable-json",
         "analyze-unwritable-table", "verify-eps-nan", "verify-eps-inf",
         "verify-L-nan", "verify-p-roth-inf", "verify-tol-inf",
         "verify-tol-inf-not-convex", "converge-tol-nan", "sweep-eps-inf",
-        "sweep-slack-nan"])
+        "analyze-same-path", "sweep-slack-nan", "sweep-slack-zero",
+        "sweep-slack-inf", "verify-eps-overflow", "sweep-eps-overflow"])
 def test_error_record_on_stdout_not_out(tmp_path, capsys, command, stage, message):
     # --out only ever holds a result; the record goes to stdout
     mesh = generate(Sphere(1.0), 2)
@@ -315,13 +334,12 @@ def test_analyze_csv_rows_match_geometry(tmp_path):
     mesh = load_mesh(mesh_path)
     geo = estimate_geometry(mesh)
     expected = [
-        "vertex,x,y,z,area_weight,kappa1,kappa2,H,A_traceless_norm,H2,"
-        "ricci_min,scalar_curv"
+        "vertex,x,y,z,area_weight,kappa1,kappa2,H,A_traceless_norm,H2"
     ]
     for i in range(mesh.n_vertices):
         values = [
             *mesh.vertices[i], mesh.vertex_areas[i], *geo.kappa[i], geo.H[i],
-            geo.A_traceless_norm[i], geo.H2[i], geo.ricci_min[i], geo.scalar_curv[i],
+            geo.A_traceless_norm[i], geo.H2[i],
         ]
         expected.append(",".join([str(i)] + [repr(float(x)) for x in values]))
     assert table.read_text().splitlines() == expected
@@ -359,19 +377,19 @@ def test_analyze_table_bytes_match_csv_writer(monkeypatch):
     import umbilic.cli as cli
 
     n = 9
-    cells = np.resize(np.array(EDGE_FLOATS), (n, 11))
+    cells = np.resize(np.array(EDGE_FLOATS), (n, 9))
     mesh = SimpleNamespace(
         n_vertices=n, vertices=cells[:, 0:3], vertex_areas=cells[:, 3]
     )
     geo = SimpleNamespace(
         kappa=cells[:, 4:6], H=cells[:, 6], A_traceless_norm=cells[:, 7],
-        H2=cells[:, 8], ricci_min=cells[:, 9], scalar_curv=cells[:, 10],
+        H2=cells[:, 8],
     )
     expected = io.StringIO()
     writer = csv.writer(expected)
     writer.writerow([
         "vertex", "x", "y", "z", "area_weight", "kappa1", "kappa2",
-        "H", "A_traceless_norm", "H2", "ricci_min", "scalar_curv",
+        "H", "A_traceless_norm", "H2",
     ])
     writer.writerows([i, *map(float, row)] for i, row in enumerate(cells))
     for block in (cli.CSV_BLOCK, 1, 4):
@@ -422,3 +440,11 @@ def test_readme_commands_parse():
     parser = _build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_readme_library_block_runs(capsys):
+    # the README's library example runs against the public names
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python", 1)[1]
+    exec(block.split("```", 1)[0], {})
+    assert capsys.readouterr().out.count("\n") == 3

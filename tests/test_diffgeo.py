@@ -9,7 +9,6 @@ from umbilic.diffgeo import (
     convexity_status,
     estimate_geometry,
     ricci_deficit,
-    ricci_from_gauss,
 )
 from umbilic.mesh import Mesh
 from umbilic.surfgen import (
@@ -60,8 +59,7 @@ def test_ellipsoid_matches_fd_oracle():
     mesh = generate(surf, 5)
     geo = estimate_geometry(mesh)
     o = oracle_curvatures_at_vertices(surf, mesh)
-    assert np.max(np.abs(geo.kappa[:, 0] - o.kappa1) / np.abs(o.kappa1)) < 0.05
-    assert np.max(np.abs(geo.kappa[:, 1] - o.kappa2) / np.abs(o.kappa2)) < 0.05
+    assert np.max(np.abs(geo.kappa - o.kappa) / np.abs(o.kappa)) < 0.05
     assert np.max(np.abs(geo.H - o.H) / o.H) < 0.05
 
 
@@ -105,39 +103,6 @@ def test_normals_outward(sphere4):
 
 
 @pytest.mark.parametrize(
-    "kappa,expected_min,expected_scalar",
-    [
-        ((1.0, 1.0), 1.0, 2.0),
-        ((0.5, 0.5), 0.25, 0.5),
-        ((1.0, 3.0), 3.0, 6.0),
-    ],
-)
-def test_ricci_from_gauss_examples(kappa, expected_min, expected_scalar):
-    rmin, scal = ricci_from_gauss(np.array(kappa))
-    assert rmin == pytest.approx(expected_min, rel=1e-14)
-    assert scal == pytest.approx(expected_scalar, rel=1e-14)
-    assert scal == pytest.approx(2.0 * kappa[0] * kappa[1], rel=1e-14)
-
-
-@pytest.mark.parametrize("r", [1.0, 2.5])
-def test_ricci_sphere(r):
-    rmin, scal = ricci_from_gauss(np.full(2, 1.0 / r))
-    assert rmin == pytest.approx(1 / r**2, rel=1e-13)
-    assert scal == pytest.approx(2 / r**2, rel=1e-13)
-
-
-def test_ricci_from_gauss_dimension_mismatch():
-    with pytest.raises(ValueError):
-        ricci_from_gauss(np.array([1.0, 2.0, 3.0]))
-
-
-def test_ricci_trace_identity(geom_sphere4, geom_ellipsoid4, geom_perturbed4):
-    for g in (geom_sphere4, geom_ellipsoid4, geom_perturbed4):
-        k1, k2 = g.kappa[:, 0], g.kappa[:, 1]
-        assert np.abs(g.scalar_curv - 2.0 * k1 * k2).max() < 1e-10
-
-
-@pytest.mark.parametrize(
     "rmin,mu,expected",
     [(1.0, 1.0, 0.0), (0.5, 1.0, 0.5), (3.0, 1.0, 0.0)],
 )
@@ -146,7 +111,7 @@ def test_ricci_deficit_values(rmin, mu, expected):
 
 
 def test_ricci_deficit_rescaling_and_errors(geom_sphere4):
-    d = ricci_deficit(geom_sphere4.ricci_min, 1.0)
+    d = ricci_deficit(geom_sphere4.H2, 1.0)
     assert d.shape == geom_sphere4.H.shape
     assert d.max() < 0.05  # unit sphere: Ric ~ 1, deficit ~ estimator noise
     with pytest.raises(ValueError):
@@ -168,7 +133,7 @@ def test_convexity_status(geom_sphere4, torus):
 def test_perturbed_sphere_convex(geom_perturbed4, perturbed4):
     assert convexity_status(geom_perturbed4).strictly_convex
     o = oracle_curvatures_at_vertices(PerturbedSphere(1.0, 0.01, 2, 0), perturbed4)
-    assert o.kappa1.min() > 0
+    assert o.kappa[:, 0].min() > 0
 
 
 def test_exact_scaling_covariance(sphere3):
@@ -180,13 +145,12 @@ def test_exact_scaling_covariance(sphere3):
         doubled.A_traceless_norm, base.A_traceless_norm / 2.0,
         rtol=1e-12, atol=1e-16,
     )
-    assert np.allclose(doubled.ricci_min, base.ricci_min / 4.0, rtol=1e-12)
+    assert np.allclose(doubled.H2, base.H2 / 4.0, rtol=1e-12)
 
 
 def test_rescaled_record(geom_sphere4):
     g2 = geom_sphere4.rescaled(2.0)
     assert np.allclose(g2.kappa, geom_sphere4.kappa / 2.0, atol=0.0)
-    assert np.allclose(g2.ricci_min, geom_sphere4.ricci_min / 4.0, atol=0.0)
     assert np.allclose(g2.H2, geom_sphere4.H2 / 4.0, atol=0.0)
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from umbilic.diffgeo import estimate_geometry
+from umbilic.diffgeo import SurfaceGeometry, estimate_geometry
 from umbilic.fields import ScalarField, lp_norm
 from umbilic.mesh import Mesh, measures, validate_mesh
 from umbilic.pinching import (
@@ -28,7 +28,7 @@ from umbilic.surfgen import (
     Sphere,
     generate,
     harmonic_sup,
-    oracle_geometry,
+    oracle_curvatures_at_vertices,
 )
 
 
@@ -90,10 +90,22 @@ def test_hypothesis_fails_beyond_threshold():
     assert np.array_equal(searched.vertices, mesh.vertices)
     assert np.array_equal(searched.faces, mesh.faces)
     res = check_hypothesis(
-        mesh, oracle_geometry(surf, mesh), PinchingConstants(alpha=alpha, epsilon=eps)
+        mesh, oracle_curvatures_at_vertices(surf, mesh),
+        PinchingConstants(alpha=alpha, epsilon=eps),
     )
     assert not res.holds
     assert res.worst_margin < 0
+
+
+@pytest.mark.parametrize("slack", [0.0, -1.0, math.inf, math.nan])
+def test_amplitude_search_rejects_bad_target(monkeypatch, slack):
+    # the target is checked before any mesh is built
+    def no_mesh(*args):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr("umbilic.surfgen.generate", no_mesh)
+    with pytest.raises(ValueError, match="not finite and positive"):
+        amplitude_for_ratio(1.0, 2, 0, 0.5, 0.2, 1, slack=slack)
 
 
 def test_hypothesis_requires_mean_convexity(torus):
@@ -109,8 +121,8 @@ def test_hypothesis_scale_covariance():
     m2 = Mesh(m1.vertices * 2.0, m1.faces)
     c1 = PinchingConstants(alpha=0.5, epsilon=0.3)
     c2 = c1.rescaled(2.0)
-    r1 = check_hypothesis(m1, oracle_geometry(surf1, m1), c1)
-    r2 = check_hypothesis(m2, oracle_geometry(surf2, m2), c2)
+    r1 = check_hypothesis(m1, oracle_curvatures_at_vertices(surf1, m1), c1)
+    r2 = check_hypothesis(m2, oracle_curvatures_at_vertices(surf2, m2), c2)
     assert r1.holds == r2.holds
     assert r1.epsilon_admissible == r2.epsilon_admissible
     assert np.allclose(r2.margins, 0.5 * r1.margins, rtol=1e-9, atol=1e-15)
@@ -323,19 +335,8 @@ def test_mu_fit_asymmetric_weights_grid_oracle():
 
 
 def _toy_geometry(kappas):
-    from umbilic.diffgeo import SurfaceGeometry, ricci_from_gauss
-
     kappa = np.asarray(kappas, dtype=float)
-    H = kappa.mean(axis=1)
-    rmin, scal = ricci_from_gauss(kappa)
-    return SurfaceGeometry(
-        kappa=kappa,
-        H=H,
-        A_traceless_norm=np.abs(kappa[:, 1] - kappa[:, 0]) / np.sqrt(2.0),
-        H2=kappa[:, 0] * kappa[:, 1],
-        ricci_min=rmin,
-        scalar_curv=scal,
-    )
+    return SurfaceGeometry.from_principal(kappa[:, 0], kappa[:, 1])
 
 
 def test_mu_fit_rejects_small_p(geom_sphere4, sphere4):

@@ -218,7 +218,7 @@ def test_invalid_tol(sphere3):
 def upper_bounds(geo):
     """lambda1 <= sup|R| <= 2 sup H^2 on a closed surface in R^3."""
     by_mean = 2 * float(np.abs(geo.H).max()) ** 2
-    by_scalar = float(np.abs(geo.scalar_curv).max())
+    by_scalar = float(np.abs(2.0 * geo.H2).max())
     return by_mean, by_scalar
 
 
