@@ -57,7 +57,6 @@ from .spectral import (
 from .surfgen import (
     Ellipsoid,
     PerturbedSphere,
-    Sphere,
     generate,
     oracle_curvatures,
     oracle_curvatures_at_vertices,

@@ -134,7 +134,7 @@ def _load_validated(path) -> Mesh:
 
 def _surface_from_args(args) -> surfgen.AnalyticSurface:
     if args.kind == "sphere":
-        return surfgen.Sphere(args.radius)
+        return surfgen.PerturbedSphere(args.radius)
     if args.kind == "ellipsoid":
         try:
             a, b, c = [float(x) for x in args.axes.split(",")]
@@ -162,6 +162,18 @@ def _check_tol(tol: float) -> None:
         raise CliError("config", f"tol must be finite and positive, got {tol}")
 
 
+def _check_paths(*flags) -> None:
+    """Reject two (option, path) pairs naming one file, symlinks resolved: an
+    output would overwrite the input mesh or the other output."""
+    seen = {}
+    for flag, path in flags:
+        if path:
+            real = os.path.realpath(path)
+            if real in seen:
+                raise CliError("config", f"{seen[real]} and {flag} are the same file: {path!r}")
+            seen[real] = flag
+
+
 def _constants_from_args(args) -> pinching.PinchingConstants:
     return pinching.PinchingConstants(
         alpha=_floored_alpha(args.alpha),
@@ -185,12 +197,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    if args.out and args.json_out and (
-        os.path.realpath(args.out) == os.path.realpath(args.json_out)
-    ):
-        raise CliError(
-            "config", f"--out and --json-out are the same file: {args.out!r}"
-        )
+    _check_paths(("--out", args.out), ("--json-out", args.json_out), ("--mesh", args.mesh))
     mesh = _load_validated(args.mesh)
     geo = diffgeo.estimate_geometry(mesh)
     summary = _analyze_summary(mesh, geo)
@@ -251,6 +258,7 @@ def _analyze_summary(mesh: Mesh, geo) -> dict:
 
 def _cmd_verify(args) -> int:
     _check_tol(args.tol)
+    _check_paths(("--out", args.out), ("--mesh", args.mesh))
     mesh = _load_validated(args.mesh)
     constants = _constants_from_args(args)
     report = pinching.verify_theorem(mesh, constants, tol=args.tol)
@@ -325,7 +333,7 @@ def _cmd_converge(args) -> int:
     rows = []
     errors_h, errors_lam, hs = [], [], []
     for s in subdivs:
-        mesh = surfgen.generate(surfgen.Sphere(radius), s)
+        mesh = surfgen.generate(surfgen.PerturbedSphere(radius), s)
         geo = diffgeo.estimate_geometry(mesh)
         h_err = float(np.abs(geo.H - 1.0 / radius).max())
         h_mean_err = float(np.abs(geo.H - 1.0 / radius).mean())

@@ -8,10 +8,10 @@ isotropic quartic (x^2 + y^2)^2 absorbs the dominant even fourth-order term
 of near-umbilical graphs, which otherwise aliases into the curvatures.
 Signs follow the outward-normal convention: round spheres get positive
 principal curvatures.  The tangent frame and the Weingarten map are the
-same kernels the perturbed-sphere oracle in `surfgen` uses.  The result
-is one `SurfaceGeometry` of whole per-vertex arrays; `rescaled` gives the
-exact record of the mesh scaled by a factor, and `from_principal` builds
-the record of given principal curvatures, as the closed-form oracles do.
+same kernels both closed-form oracles in `surfgen` use.  The result is one
+`SurfaceGeometry` of whole per-vertex arrays, built by `from_split` from
+the Weingarten map's eigenvalue mean and half-gap, here and in every
+oracle; `rescaled` gives the exact record of the mesh scaled by a factor.
 """
 
 from __future__ import annotations
@@ -51,13 +51,14 @@ class SurfaceGeometry:
     H2: np.ndarray               # (V,) Gauss curvature k1*k2 (= Ric_min)
 
     @classmethod
-    def from_principal(cls, kappa1, kappa2) -> "SurfaceGeometry":
-        """Record of the principal curvatures kappa1 <= kappa2 (same shape)."""
+    def from_split(cls, mean, disc) -> "SurfaceGeometry":
+        """Record of the principal curvatures mean -/+ disc (`eigen_split`)."""
         return cls(
-            kappa=np.stack([kappa1, kappa2], axis=-1),
-            H=0.5 * (kappa1 + kappa2),
-            A_traceless_norm=np.abs(kappa2 - kappa1) / np.sqrt(2.0),
-            H2=kappa1 * kappa2,
+            kappa=np.stack([mean - disc, mean + disc], axis=-1),
+            H=mean,
+            A_traceless_norm=np.sqrt(2.0) * disc,
+            # keeps the AM-GM bound H2 <= H^2 exact in floating point
+            H2=mean * mean - disc * disc,
         )
 
     def rescaled(self, factor: float) -> "SurfaceGeometry":
@@ -247,14 +248,9 @@ def estimate_geometry(mesh: Mesh) -> SurfaceGeometry:
     f = fxy / wn
     g = fyy / wn
 
-    mean, disc = eigen_split(weingarten_matrix(E, F, Gm, e, f, g))
-    kappa = np.stack([mean - disc, mean + disc], axis=1)
-
-    H = mean
-    a_norm = np.sqrt(2.0) * disc
-    # H*H - disc*disc keeps the AM-GM bound H2 <= H^2 exact in floating point
-    h2 = H * H - disc * disc
-    return SurfaceGeometry(kappa=kappa, H=H, A_traceless_norm=a_norm, H2=h2)
+    return SurfaceGeometry.from_split(
+        *eigen_split(weingarten_matrix(E, F, Gm, e, f, g))
+    )
 
 
 def ricci_deficit(ric, reference: float):

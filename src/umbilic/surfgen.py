@@ -1,14 +1,14 @@
 """Analytic test surfaces: generation as meshes and closed-form oracles.
 
-Three families are supported: round spheres, axis-aligned ellipsoids and
-spheres perturbed radially by a single real spherical harmonic.  Meshes are
+Two families: axis-aligned ellipsoids and spheres perturbed radially by a
+real spherical harmonic (delta = 0 is the round sphere).  Meshes are
 icospheres (subdivided icosahedra with vertices reprojected), which keeps
 triangle quality near-uniform and avoids pole clustering.
 
-Curvature oracles are closed forms, independent of the mesh estimator:
-spheres and ellipsoids directly, perturbed spheres through the fundamental
-forms of the radial graph, built from the exact gradient and Hessian of the
-harmonic.  They return the estimator's record, `diffgeo.SurfaceGeometry`.
+Curvature oracles are closed forms, independent of the mesh estimator: the
+exact fundamental forms of a chart over the unit sphere, with the harmonic
+a polynomial in the direction (no angle chart, no pole case), go through
+the estimator's Weingarten kernel into its record, `SurfaceGeometry`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, lpmv
+from scipy.special import gammaln
 
 from .diffgeo import (
     SurfaceGeometry,
@@ -29,15 +29,6 @@ from .diffgeo import (
 from .mesh import Mesh, edge_table
 
 MAX_SUBDIVISION = 8
-
-
-@dataclass(frozen=True)
-class Sphere:
-    radius: float = 1.0
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("sphere radius must be positive")
 
 
 @dataclass(frozen=True)
@@ -53,7 +44,8 @@ class Ellipsoid:
 
 @dataclass(frozen=True)
 class PerturbedSphere:
-    """Radial graph rho(theta, phi) = radius + delta * Y_lm(theta, phi)."""
+    """Radial graph rho(u) = radius + delta * Y_lm(u) over unit directions u,
+    Y_lm a polynomial in u (`real_sph_harm`); delta = 0 is the round sphere."""
 
     radius: float = 1.0
     delta: float = 0.0
@@ -63,60 +55,60 @@ class PerturbedSphere:
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("base radius must be positive")
-        if self.degree < 0 or abs(self.order) > self.degree:
-            raise ValueError("need degree >= 0 and |order| <= degree")
-        if abs(self.delta) * harmonic_sup(self.degree, self.order) >= self.radius:
+        # harmonic_sup rejects a degree < 0 or |order| > degree
+        reach = abs(self.delta) * harmonic_sup(self.degree, self.order)
+        if reach >= self.radius:
             raise ValueError(
                 "perturbation amplitude violates radial positivity: "
-                f"|delta|*max|Y| = {abs(self.delta) * harmonic_sup(self.degree, self.order):g}"
-                f" >= radius = {self.radius:g}"
+                f"|delta|*max|Y| = {reach:g} >= radius = {self.radius:g}"
             )
 
 
-AnalyticSurface = Sphere | Ellipsoid | PerturbedSphere
+AnalyticSurface = Ellipsoid | PerturbedSphere
 
 
 # -- real spherical harmonics -------------------------------------------------
 
 
-def _sph_norm(degree: int, m: int) -> float:
-    """Normalization of the order-m associated Legendre function, via logs."""
-    return np.exp(0.5 * (
+@lru_cache(maxsize=None)
+def _harmonic_factors(degree: int, order: int):
+    """(m, c, d^m P_l / dz^m, Re or Im) with Y_lm(u) = c P_l^(m)(z) A(x + iy).
+
+    m = |order|; A is Re w^m for order >= 0 and Im w^m for order < 0, that
+    is sin^m(theta) cos(m phi) or sin(m phi) on the sphere; c holds the
+    normalization, sqrt(2) for order != 0 and the Condon-Shortley phase (-1)^m.
+    """
+    m = abs(order)
+    if degree < 0 or m > degree:
+        raise ValueError("need degree >= 0 and |order| <= degree")
+    # the order-m associated Legendre function's normalization, via logs
+    norm = np.exp(0.5 * (
         np.log((2 * degree + 1) / (4.0 * np.pi))
         + gammaln(degree - m + 1)
         - gammaln(degree + m + 1)
     ))
+    c = (-1) ** m * norm * (np.sqrt(2.0) if order else 1.0)
+    legendre = np.polynomial.Legendre.basis(degree).deriv(m)
+    return m, c, legendre, np.real if order >= 0 else np.imag
 
 
-def real_sph_harm(degree: int, order: int, theta, phi):
-    """Real spherical harmonic, orthonormal w.r.t. the S^2 surface measure.
+def real_sph_harm(degree: int, order: int, u):
+    """Real spherical harmonic at unit vectors u (..., 3), orthonormal on S^2.
 
-    Uses cos(m*phi) for order > 0 and sin(|m|*phi) for order < 0; the
-    Condon-Shortley phase of lpmv is kept (any fixed sign convention gives
-    an orthonormal family).
+    A polynomial in the coordinates of u, so it is regular at the poles.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    phi = np.asarray(phi, dtype=np.float64)
-    m = abs(order)
-    if degree < 0 or m > degree:
-        raise ValueError("need degree >= 0 and |order| <= degree")
-    val = _sph_norm(degree, m) * lpmv(m, degree, np.cos(theta))
-    if order > 0:
-        val = np.sqrt(2.0) * val * np.cos(m * phi)
-    elif order < 0:
-        val = np.sqrt(2.0) * val * np.sin(m * phi)
-    return val
+    u = np.asarray(u, dtype=np.float64)
+    m, c, legendre, part = _harmonic_factors(degree, order)
+    return c * legendre(u[..., 2]) * part((u[..., 0] + 1j * u[..., 1]) ** m)
 
 
 @lru_cache(maxsize=None)
 def harmonic_sup(degree: int, order: int) -> float:
-    """max over S^2 of |Y_lm|, by dense sampling of the polar profile."""
+    """max over S^2 of |Y_lm|, by dense sampling of Y_l|m| on the meridian
+    y = 0 (Y_l,-m is Y_lm rotated about the z-axis)."""
     theta = np.linspace(0.0, np.pi, 20001)
-    m = abs(order)
-    profile = _sph_norm(degree, m) * np.abs(lpmv(m, degree, np.cos(theta)))
-    sup = float(profile.max())
-    if order != 0:
-        sup *= math.sqrt(2.0)
+    meridian = np.stack([np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=-1)
+    sup = float(np.abs(real_sph_harm(degree, abs(order), meridian)).max())
     # dense-grid max can undershoot slightly
     return sup * (1.0 + 1e-6)
 
@@ -199,77 +191,58 @@ def generate(surface: AnalyticSurface, subdivision: int) -> Mesh:
 
 def surface_point(surface: AnalyticSurface, dirs: np.ndarray) -> np.ndarray:
     """Embedding evaluated at unit direction vectors, shape (..., 3)."""
-    if isinstance(surface, Sphere):
-        return surface.radius * dirs
     if isinstance(surface, Ellipsoid):
         return dirs * np.array([surface.a, surface.b, surface.c])
-    if isinstance(surface, PerturbedSphere):
-        theta = np.arccos(np.clip(dirs[..., 2], -1.0, 1.0))
-        phi = np.arctan2(dirs[..., 1], dirs[..., 0])
-        rho = surface.radius + surface.delta * real_sph_harm(
-            surface.degree, surface.order, theta, phi
-        )
-        return rho[..., None] * dirs
-    raise TypeError(f"unknown surface kind {type(surface).__name__}")
+    rho = surface.radius + surface.delta * real_sph_harm(
+        surface.degree, surface.order, dirs
+    )
+    return rho[..., None] * dirs
 
 
 def oracle_curvatures(surface: AnalyticSurface, dirs) -> SurfaceGeometry:
-    """Closed-form principal curvatures at unit directions (outward normal)."""
-    dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
-    dirs = dirs / np.linalg.norm(dirs, axis=-1, keepdims=True)
-    if isinstance(surface, Sphere):
-        k = np.full(dirs.shape[:-1], 1.0 / surface.radius)
-        return SurfaceGeometry.from_principal(k, k)
-    if isinstance(surface, Ellipsoid):
-        return _ellipsoid_curvatures(surface, dirs)
-    if isinstance(surface, PerturbedSphere):
-        return _perturbed_curvatures(surface, dirs)
-    raise TypeError(f"unknown surface kind {type(surface).__name__}")
+    """Closed-form principal curvatures at unit directions (outward normal).
 
-
-def _ellipsoid_curvatures(surface: Ellipsoid, dirs) -> SurfaceGeometry:
-    """Principal curvatures of the level set x^2/a^2 + y^2/b^2 + z^2/c^2 = 1.
-
-    The shape operator is the tangential projection of the scaled Hessian
-    P Hess(F) P / |grad F|; its two nonzero eigenvalues are the principal
-    curvatures (positive: the ellipsoid is convex).
+    Each family is a chart u -> X(u) over the unit sphere with exact
+    fundamental forms in `tangent_frame(u)`; the estimator's Weingarten
+    kernel turns them into the record.  A family returns its forms scaled
+    so that the kernel's eigenvalues are `scale` times the curvatures.
     """
-    pts = surface_point(surface, dirs)
-    inv_sq = np.array([surface.a, surface.b, surface.c]) ** -2.0
-    grad = pts * inv_sq
-    gn = np.linalg.norm(grad, axis=-1)
-    n = grad / gn[..., None]
-    eye = np.eye(3)
-    P = eye - np.einsum("...i,...j->...ij", n, n)
-    H = np.zeros(pts.shape[:-1] + (3, 3))
-    H[..., 0, 0], H[..., 1, 1], H[..., 2, 2] = inv_sq
-    B = np.einsum("...ij,...jk,...kl->...il", P, H, P) / gn[..., None, None]
-    w = np.linalg.eigvalsh(B)  # ascending: (~0, kappa1, kappa2)
-    return SurfaceGeometry.from_principal(w[..., 1], w[..., 2])
+    u = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
+    u = u / np.linalg.norm(u, axis=-1, keepdims=True)
+    forms = _ellipsoid_forms if isinstance(surface, Ellipsoid) else _perturbed_forms
+    scale, fundamental = forms(surface, u, tangent_frame(u))
+    mean, disc = eigen_split(weingarten_matrix(*fundamental))
+    return SurfaceGeometry.from_split(mean / scale, disc / scale)
+
+
+def _ellipsoid_forms(surface: Ellipsoid, u, frame):
+    """Fundamental forms of the linear chart X = D u, D = diag(a, b, c).
+
+    Along the great circles of the frame X_ij = -delta_ij X, and the outward
+    normal is D^-1 u / |D^-1 u|, so I_ij = D t_i . D t_j and
+    <X_ij, n> = -delta_ij / |D^-1 u|; the kernel takes -II, and scale is 1.
+    """
+    d = np.array([surface.a, surface.b, surface.c])
+    t1, t2 = frame[0] * d, frame[1] * d
+    e = -1.0 / np.linalg.norm(u / d, axis=-1)
+    return 1.0, ((t1 * t1).sum(-1), (t1 * t2).sum(-1), (t2 * t2).sum(-1), e, 0.0, e)
 
 
 def _harmonic_jet(degree: int, order: int, u: np.ndarray, frame):
     """Y_lm at unit rows of u with its first and second derivatives on S^2.
 
-    With m = |order| and lpmv's Condon-Shortley phase,
-    Y_lm(u) = c P_l^(m)(z) A(w) with w = x + iy: P_l^(m) is the m-th
-    derivative of the Legendre polynomial and A is Re w^m (order >= 0) or
-    Im w^m (order < 0), i.e. sin^m(theta) cos(m phi) or sin(m phi) on the
-    sphere.  That is a polynomial in R^3, so it is regular at the poles,
-    where the (theta, phi) chart is not.  A tangent vector t of `frame`
-    enters as t_x + i t_y and t_z.  Returns Y, its derivatives (Y_1, Y_2)
-    along the frame and its covariant Hessian (Y_11, Y_12, Y_22): the
-    ambient Hessian on the frame minus (u . grad Y) delta_ij.
+    Y_lm(u) = c P_l^(m)(z) A(w) with w = x + iy (see `_harmonic_factors`) is
+    a polynomial in R^3, so it is regular at the poles.  A tangent vector t
+    of `frame` enters as t_x + i t_y and t_z.  Returns Y, its derivatives
+    (Y_1, Y_2) along the frame and its covariant Hessian (Y_11, Y_12, Y_22):
+    the ambient Hessian on the frame minus (u . grad Y) delta_ij.
     """
-    m = abs(order)
-    c = (-1) ** m * _sph_norm(degree, m) * (np.sqrt(2.0) if order else 1.0)
+    m, c, legendre, part = _harmonic_factors(degree, order)
     z = u[:, 2]
-    legendre = np.polynomial.Legendre.basis(degree)
-    p0, p1, p2 = (c * legendre.deriv(k)(z) for k in (m, m + 1, m + 2))
+    p0, p1, p2 = (c * legendre.deriv(k)(z) for k in range(3))
     # w^m and its complex derivatives m w^(m-1), m(m-1) w^(m-2)
     w = u[:, 0] + 1j * u[:, 1]
     w0, w1, w2 = (math.perm(m, k) * w ** max(m - k, 0) for k in range(3))
-    part = np.real if order >= 0 else np.imag
     a = part(w0)
     tw = [t[:, 0] + 1j * t[:, 1] for t in frame]
     tz = [t[:, 2] for t in frame]
@@ -289,31 +262,27 @@ def _harmonic_jet(degree: int, order: int, u: np.ndarray, frame):
     return p0 * a, grad, (hess(0, 0), hess(0, 1), hess(1, 1))
 
 
-def _perturbed_curvatures(surface: PerturbedSphere, u) -> SurfaceGeometry:
-    """Principal curvatures of the radial graph X = rho(u) u, rho = R + delta Y.
+def _perturbed_forms(surface: PerturbedSphere, u, frame):
+    """Fundamental forms of the radial graph X = rho(u) u, rho = R + delta Y.
 
     In an orthonormal tangent frame of the unit sphere at u, with
     q_i = rho_i / rho and q_ij = rho_ij / rho (rho_ij the covariant Hessian),
     the fundamental forms are I = rho^2 (delta_ij + q_i q_j) and, for the
     outward normal, II = rho (delta_ij + 2 q_i q_j - q_ij) / sqrt(1 + |q|^2)
-    (Goldman, CAGD 22, 2005).  The shared Weingarten kernel gets I / rho^2
-    and -II / rho, its sign convention; its eigenvalues are rho times the
-    curvatures, so delta = 0 gives exactly 1/R.
+    (Goldman, CAGD 22, 2005).  The kernel gets I / rho^2 and -II / rho, its
+    sign convention, so scale is rho and delta = 0 gives exactly 1/R.
     """
-    y, (y1, y2), (y11, y12, y22) = _harmonic_jet(
-        surface.degree, surface.order, u, tangent_frame(u)
-    )
+    y, (y1, y2), (y11, y12, y22) = _harmonic_jet(surface.degree, surface.order, u, frame)
     rho = surface.radius + surface.delta * y
     s = surface.delta / rho
     q1, q2, q11, q12, q22 = s * y1, s * y2, s * y11, s * y12, s * y22
     w = np.sqrt(1.0 + q1 * q1 + q2 * q2)
-    mean, disc = eigen_split(weingarten_matrix(
+    return rho, (
         1.0 + q1 * q1, q1 * q2, 1.0 + q2 * q2,
         -(1.0 + 2.0 * q1 * q1 - q11) / w,
         -(2.0 * q1 * q2 - q12) / w,
         -(1.0 + 2.0 * q2 * q2 - q22) / w,
-    ))
-    return SurfaceGeometry.from_principal((mean - disc) / rho, (mean + disc) / rho)
+    )
 
 
 def oracle_curvatures_at_vertices(
@@ -322,7 +291,5 @@ def oracle_curvatures_at_vertices(
     """Oracle record at each mesh vertex (vertices must lie on the surface)."""
     v = mesh.vertices
     if isinstance(surface, Ellipsoid):
-        u = v / np.array([surface.a, surface.b, surface.c])
-    else:
-        u = v / np.linalg.norm(v, axis=1)[:, None]
-    return oracle_curvatures(surface, u)
+        v = v / np.array([surface.a, surface.b, surface.c])
+    return oracle_curvatures(surface, v)

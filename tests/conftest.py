@@ -11,7 +11,7 @@ from hypothesis import settings
 from umbilic.diffgeo import estimate_geometry
 from umbilic.mesh import Mesh
 from umbilic.spectral import build_laplace, lambda1
-from umbilic.surfgen import Ellipsoid, PerturbedSphere, Sphere, generate
+from umbilic.surfgen import Ellipsoid, PerturbedSphere, generate
 
 # property tests draw the same few examples on every run, with no per-example
 # deadline, so the suite stays reproducible and quick on a slow host
@@ -42,17 +42,17 @@ def tetra(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def sphere3():
-    return generate(Sphere(1.0), 3)
+    return generate(PerturbedSphere(1.0), 3)
 
 
 @pytest.fixture(scope="session")
 def sphere4():
-    return generate(Sphere(1.0), 4)
+    return generate(PerturbedSphere(1.0), 4)
 
 
 @pytest.fixture(scope="session")
 def sphere5():
-    return generate(Sphere(1.0), 5)
+    return generate(PerturbedSphere(1.0), 5)
 
 
 @pytest.fixture(scope="session")

@@ -27,7 +27,6 @@ from umbilic.spectral import aubry_lower_bound, build_laplace, lambda1
 from umbilic.surfgen import (
     Ellipsoid,
     PerturbedSphere,
-    Sphere,
     generate,
     oracle_curvatures_at_vertices,
 )
@@ -58,7 +57,7 @@ class Budget:
 
 def test_criterion_1_sphere_model_case():
     with Budget("1 (sphere model case)", 30):
-        mesh = generate(Sphere(1.0), 5)
+        mesh = generate(PerturbedSphere(1.0), 5)
         geo = estimate_geometry(mesh)
         assert np.abs(geo.H - 1.0).mean() <= 1e-2
         assert geo.A_traceless_norm.max() <= 2e-2
@@ -108,7 +107,7 @@ def test_criterion_3_gauss_formula_consistency(
     with Budget("3 (Gauss-formula consistency)", 30):
         cases = [
             geom_sphere4, geom_sphere5, geom_ellipsoid4, geom_perturbed4,
-            estimate_geometry(generate(Sphere(2.0), 3)),
+            estimate_geometry(generate(PerturbedSphere(2.0), 3)),
         ]
         for geo in cases:
             product = geo.kappa[:, 0] * geo.kappa[:, 1]
@@ -118,8 +117,8 @@ def test_criterion_3_gauss_formula_consistency(
 def test_criterion_4_mu_fit_oracle_equivalence():
     with Budget("4 (mu-fit oracle equivalence)", 10):
         meshes = [
-            (Sphere(1.0), 3),
-            (Sphere(2.0), 3),
+            (PerturbedSphere(1.0), 3),
+            (PerturbedSphere(2.0), 3),
             (Ellipsoid(2.0, 1.0, 1.0), 3),
             (Ellipsoid(1.5, 1.2, 0.9), 3),
             (PerturbedSphere(1.0, 0.01, 2, 0), 3),

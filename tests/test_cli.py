@@ -8,7 +8,7 @@ import pytest
 from umbilic.cli import _build_parser, main
 from umbilic.diffgeo import estimate_geometry
 from umbilic.mesh import Mesh, load_mesh, save_mesh
-from umbilic.surfgen import PerturbedSphere, Sphere, generate
+from umbilic.surfgen import PerturbedSphere, generate
 
 
 def run(args):
@@ -56,7 +56,7 @@ def test_verify_deterministic_payload(tmp_path):
 
 def test_verify_invalid_mesh_error_record(tmp_path, capsys):
     bad = tmp_path / "open.off"
-    mesh = generate(Sphere(1.0), 2)
+    mesh = generate(PerturbedSphere(1.0), 2)
     from umbilic.mesh import Mesh
 
     save_mesh(Mesh(mesh.vertices, mesh.faces[2:]), bad)
@@ -71,7 +71,7 @@ def test_verify_pinched_vertex_error_record(tmp_path, capsys):
     from test_mesh import pinched_sphere
 
     path = tmp_path / "pinched.off"
-    save_mesh(pinched_sphere(generate(Sphere(1.0), 3)), path)
+    save_mesh(pinched_sphere(generate(PerturbedSphere(1.0), 3)), path)
     code = run(["verify", "--mesh", str(path), "--epsilon", "0.1", "--alpha", "0.5"])
     assert code == 2
     doc = json.loads(capsys.readouterr().out)
@@ -188,7 +188,7 @@ def test_obj_negative_index_error_record(tmp_path, capsys):
         "sweep-slack-inf", "verify-eps-overflow", "sweep-eps-overflow"])
 def test_error_record_on_stdout_not_out(tmp_path, capsys, command, stage, message):
     # --out only ever holds a result; the record goes to stdout
-    mesh = generate(Sphere(1.0), 2)
+    mesh = generate(PerturbedSphere(1.0), 2)
     save_mesh(mesh, tmp_path / "closed.off")
     save_mesh(Mesh(mesh.vertices, mesh.faces[2:]), tmp_path / "open.off")
     save_mesh(generate(PerturbedSphere(1.0, 0.45, 4, 0), 3), tmp_path / "bumpy.off")
@@ -200,6 +200,28 @@ def test_error_record_on_stdout_not_out(tmp_path, capsys, command, stage, messag
     assert doc["error"]["message"].startswith(message)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "bumpy.off", "closed.off", "open.off"]
+
+
+@pytest.mark.parametrize("command, mesh_name, message", [
+    (["verify", "--mesh", "{dir}/m.off", "--epsilon", "0.2", "--alpha", "0.5",
+      "--out", "{dir}/m.off"], "m.off", "--out and --mesh are the same file"),
+    (["analyze", "--mesh", "{dir}/a.off", "--json-out", "{dir}/a.off"],
+     "a.off", "--json-out and --mesh are the same file"),
+    # link.off is a symlink to b.off
+    (["analyze", "--mesh", "{dir}/link.off", "--out", "{dir}/b.off"],
+     "b.off", "--out and --mesh are the same file"),
+], ids=["verify-out", "analyze-json-out", "analyze-out-symlink"])
+def test_output_cannot_overwrite_mesh(tmp_path, capsys, command, mesh_name, message):
+    mesh_path = tmp_path / mesh_name
+    save_mesh(generate(PerturbedSphere(1.0), 2), mesh_path)
+    (tmp_path / "link.off").symlink_to(mesh_path)
+    before = mesh_path.read_bytes()
+    assert run([arg.format(dir=tmp_path) for arg in command]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["stage"] == "config"
+    assert doc["error"]["message"].startswith(message)
+    assert mesh_path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([mesh_name, "link.off"])
 
 
 def test_verify_missing_file_error(capsys):

@@ -14,7 +14,6 @@ from umbilic.mesh import Mesh
 from umbilic.surfgen import (
     Ellipsoid,
     PerturbedSphere,
-    Sphere,
     _subdivide,
     generate,
     oracle_curvatures_at_vertices,
@@ -48,7 +47,7 @@ def test_unit_sphere_estimates(geom_sphere5):
 
 
 def test_sphere_radius_two():
-    mesh = generate(Sphere(2.0), 4)
+    mesh = generate(PerturbedSphere(2.0), 4)
     geo = estimate_geometry(mesh)
     assert np.abs(geo.H - 0.5).max() < 5e-3
     assert np.abs(geo.H2 - 0.25).max() < 5e-3
@@ -157,7 +156,7 @@ def test_rescaled_record(geom_sphere4):
 def test_convergence_order_of_H():
     errs = []
     for s in (3, 4, 5):
-        mesh = generate(Sphere(1.0), s)
+        mesh = generate(PerturbedSphere(1.0), s)
         geo = estimate_geometry(mesh)
         errs.append(np.abs(geo.H - 1.0).max())
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]

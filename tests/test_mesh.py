@@ -11,7 +11,7 @@ from umbilic.mesh import (
     save_mesh,
     validate_mesh,
 )
-from umbilic.surfgen import Sphere, generate
+from umbilic.surfgen import PerturbedSphere, generate
 
 
 def test_load_off_tetrahedron(tetra):
@@ -23,7 +23,7 @@ def test_load_off_tetrahedron(tetra):
 
 def test_load_off_icosahedron(tmp_path):
     path = tmp_path / "ico.off"
-    save_mesh(generate(Sphere(1.0), 0), path)
+    save_mesh(generate(PerturbedSphere(1.0), 0), path)
     mesh = load_mesh(path)
     assert mesh.n_vertices == 12
     assert mesh.n_faces == 20

@@ -25,7 +25,6 @@ from umbilic.spectral import build_laplace, lambda1
 from umbilic.surfgen import (
     Ellipsoid,
     PerturbedSphere,
-    Sphere,
     generate,
     harmonic_sup,
     oracle_curvatures_at_vertices,
@@ -228,7 +227,7 @@ def barycenter_distances(mesh):
 
 
 def test_annulus_sphere_three():
-    res = verified(generate(Sphere(3.0), 4), epsilon=0.05).annulus
+    res = verified(generate(PerturbedSphere(3.0), 4), epsilon=0.05).annulus
     assert res.r_lambda == pytest.approx(3.0, rel=1e-3)
     assert res.min_dist == pytest.approx(3.0, rel=1e-12)
     assert res.max_dist == pytest.approx(3.0, rel=1e-12)
@@ -336,7 +335,9 @@ def test_mu_fit_asymmetric_weights_grid_oracle():
 
 def _toy_geometry(kappas):
     kappa = np.asarray(kappas, dtype=float)
-    return SurfaceGeometry.from_principal(kappa[:, 0], kappa[:, 1])
+    return SurfaceGeometry.from_split(
+        0.5 * (kappa[:, 0] + kappa[:, 1]), 0.5 * (kappa[:, 1] - kappa[:, 0])
+    )
 
 
 def test_mu_fit_rejects_small_p(geom_sphere4, sphere4):
@@ -571,7 +572,7 @@ def test_sweep_rejects_bad_grid():
 def test_verify_reports_phi_when_annulus_raises():
     # eps = 1.5 breaks both the spectral condition (eps~ >= 2/(3 sup H~)) and
     # the annulus (eps >= sqrt(2/lambda1)); phi_sup is still reported
-    mesh = generate(Sphere(1.0), 3)
+    mesh = generate(PerturbedSphere(1.0), 3)
     report = verify_theorem(
         mesh, PinchingConstants(alpha=0.5, epsilon=1.5), with_trace=False
     )

@@ -12,7 +12,7 @@ from umbilic.spectral import (
     lambda1,
     nested_dissection,
 )
-from umbilic.surfgen import Ellipsoid, Sphere, generate
+from umbilic.surfgen import Ellipsoid, PerturbedSphere, generate
 
 
 def test_stiffness_row_sums_zero(tetra):
@@ -103,7 +103,7 @@ def test_rayleigh_certificate(sphere4, lam1_sphere4):
 def test_refinement_monotonicity():
     errs = []
     for s in (3, 4, 5):
-        res = lambda1(build_laplace(generate(Sphere(1.0), s)))
+        res = lambda1(build_laplace(generate(PerturbedSphere(1.0), s)))
         errs.append(abs(res.lambda1 - 2.0))
     assert errs[1] < errs[0] and errs[2] < errs[1]
 
@@ -129,7 +129,7 @@ def test_residual_above_tol_raises_with_certificate(sphere3):
     assert err.value.best_residual > 1e-17
 
 
-@pytest.mark.parametrize("surface", [Sphere(1.0), Ellipsoid(2.0, 1.0, 1.0)])
+@pytest.mark.parametrize("surface", [PerturbedSphere(1.0), Ellipsoid(2.0, 1.0, 1.0)])
 def test_dense_cross_check(surface):
     system = build_laplace(generate(surface, 2))
     dense = scipy.linalg.eigh(
@@ -146,12 +146,12 @@ def test_dense_cross_check(surface):
 
 @pytest.mark.parametrize("radius", [10.0, 1000.0])
 def test_shift_follows_length_units(radius):
-    base = lambda1(build_laplace(generate(Sphere(1.0), 3))).lambda1
-    res = lambda1(build_laplace(generate(Sphere(radius), 3)))
+    base = lambda1(build_laplace(generate(PerturbedSphere(1.0), 3))).lambda1
+    res = lambda1(build_laplace(generate(PerturbedSphere(radius), 3)))
     assert res.lambda1 * radius**2 == pytest.approx(base, rel=1e-9)
 
 
-@pytest.mark.parametrize("surface", [Sphere(1.0), Ellipsoid(2.0, 1.0, 1.0)])
+@pytest.mark.parametrize("surface", [PerturbedSphere(1.0), Ellipsoid(2.0, 1.0, 1.0)])
 def test_factor_fill_below_colamd(surface):
     # COLAMD's nnz(L) + nnz(U) on the s5 sphere was 1,341,206
     res = lambda1(build_laplace(generate(surface, 5)))
@@ -186,7 +186,7 @@ def reference_dissection(points, edges):
 
 
 @pytest.mark.parametrize("surface, subdiv", [
-    (Sphere(1.0), 4), (Ellipsoid(2.0, 1.0, 1.0), 3),
+    (PerturbedSphere(1.0), 4), (Ellipsoid(2.0, 1.0, 1.0), 3),
 ])
 def test_ordering_is_nested_dissection(surface, subdiv):
     mesh = generate(surface, subdiv)
@@ -203,7 +203,7 @@ def test_ordering_is_nested_dissection(surface, subdiv):
 
 
 def test_ordering_identity_up_to_leaf_size(tetra):
-    mesh = generate(Sphere(1.0), 1)
+    mesh = generate(PerturbedSphere(1.0), 1)
     assert mesh.n_vertices <= spectral.LEAF_SIZE
     for m in (mesh, load_mesh(tetra)):
         order = nested_dissection(m.vertices, m.edges)

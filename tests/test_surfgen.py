@@ -1,17 +1,20 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import lpmv
 
+from umbilic.cli import main
 from umbilic.diffgeo import (
     SurfaceGeometry,
     eigen_split,
     tangent_frame,
     weingarten_matrix,
 )
-from umbilic.mesh import validate_mesh
+from umbilic.mesh import Mesh, save_mesh, validate_mesh
 from umbilic.surfgen import (
     Ellipsoid,
     PerturbedSphere,
-    Sphere,
     generate,
     harmonic_sup,
     oracle_curvatures,
@@ -64,7 +67,7 @@ def fd_reference(surface, u, h=1e-3):
         dot(x_s, x_s), dot(x_s, x_t), dot(x_t, x_t),
         dot(x_ss, nrm), dot(x_st, nrm), dot(x_tt, nrm),
     ))
-    return SurfaceGeometry.from_principal(mean - disc, mean + disc)
+    return SurfaceGeometry.from_split(mean, disc)
 
 
 def random_dirs(n, seed):
@@ -79,7 +82,7 @@ HARMONICS = [(2, 0), (2, 1), (2, -1), (2, 2), (2, -2), (3, -1), (4, 3)]
 
 
 def test_generate_sphere_combinatorics():
-    mesh = generate(Sphere(1.0), 3)
+    mesh = generate(PerturbedSphere(1.0), 3)
     assert mesh.n_faces == 1280
     norms = np.linalg.norm(mesh.vertices, axis=1)
     assert np.abs(norms - 1.0).max() < 1e-12
@@ -92,25 +95,34 @@ def test_generate_outward_orientation(sphere4):
     assert vol > 0
 
 
-def test_zero_perturbation_is_sphere():
-    a = generate(PerturbedSphere(1.0, 0.0, 2, 0), 2)
-    b = generate(Sphere(1.0), 2)
-    assert np.array_equal(a.vertices, b.vertices)
-    assert np.array_equal(a.faces, b.faces)
+def test_zero_perturbation_is_sphere(tmp_path):
+    # the round sphere is delta = 0: radius * direction, bit for bit, from
+    # the API and from `gen --kind sphere`
+    for radius in (0.7, 1.0, 1.7, 3.0):
+        for s in (0, 2):
+            dirs_s, faces = unit_icosphere(s)
+            mesh = generate(PerturbedSphere(radius), s)
+            assert mesh.vertices.tobytes() == (radius * dirs_s).tobytes()
+            assert np.array_equal(mesh.faces, faces)
+            got, want = tmp_path / "gen.off", tmp_path / "want.off"
+            assert main(["gen", "--kind", "sphere", "--radius", repr(radius),
+                         "--subdiv", str(s), "--out", str(got)]) == 0
+            save_mesh(Mesh(radius * dirs_s, faces), want)
+            assert got.read_bytes() == want.read_bytes()
 
 
 def test_degenerate_ellipsoid_is_sphere():
     a = generate(Ellipsoid(1.0, 1.0, 1.0), 2)
-    b = generate(Sphere(1.0), 2)
-    assert np.allclose(a.vertices, b.vertices, atol=0.0)
-    assert np.array_equal(a.faces, b.faces)
+    dirs_2, faces = unit_icosphere(2)
+    assert a.vertices.tobytes() == dirs_2.tobytes()
+    assert np.array_equal(a.faces, faces)
 
 
 def test_subdivision_guard():
     with pytest.raises(ValueError):
-        generate(Sphere(1.0), 9)
+        generate(PerturbedSphere(1.0), 9)
     with pytest.raises(ValueError):
-        generate(Sphere(1.0), -1)
+        generate(PerturbedSphere(1.0), -1)
 
 
 def test_positivity_guard():
@@ -129,15 +141,16 @@ def test_face_diameter_halves():
         d20 = np.linalg.norm(c[:, 2] - c[:, 0], axis=1)
         return np.max([d01, d12, d20])
 
-    prev = max_diam(generate(Sphere(1.0), 2))
+    prev = max_diam(generate(PerturbedSphere(1.0), 2))
     for s in (3, 4):
-        cur = max_diam(generate(Sphere(1.0), s))
+        cur = max_diam(generate(PerturbedSphere(1.0), s))
         assert abs(cur / prev - 0.5) < 0.05 * 0.5
         prev = cur
 
 
 def test_oracle_sphere_values():
-    o = oracle_curvatures(Sphere(2.0), dirs([0.3, 1.2, np.pi / 2], [0.0, 2.0, 4.0]))
+    u = dirs([0.3, 1.2, np.pi / 2], [0.0, 2.0, 4.0])
+    o = oracle_curvatures(PerturbedSphere(2.0), u)
     assert np.allclose(o.kappa, 0.5, atol=0.0)
     assert np.allclose(o.H, 0.5) and np.allclose(o.H2, 0.25)
     assert np.allclose(o.A_traceless_norm, 0.0)
@@ -154,7 +167,7 @@ def test_oracle_ellipsoid_long_axis_pole():
 
 
 def test_fd_matches_closed_forms():
-    fd = fd_reference(Sphere(3.0), dirs([0.5, 1.5, np.pi - 0.2], [1.0, 3.0, 5.0]))
+    fd = fd_reference(PerturbedSphere(3.0), dirs([0.5, 1.5, np.pi - 0.2], [1.0, 3.0, 5.0]))
     assert np.abs(fd.kappa - 1 / 3).max() < 1e-5
     ell = Ellipsoid(1.5, 1.0, 0.8)
     angles = ([0.4, 1.1, 2.0, np.pi / 2], [0.3, 2.5, 4.4, 1.0])
@@ -164,7 +177,7 @@ def test_fd_matches_closed_forms():
 
 
 def test_fd_handles_poles():
-    o = fd_reference(Sphere(1.0), POLES)
+    o = fd_reference(PerturbedSphere(1.0), POLES)
     assert np.allclose(o.kappa[:, 0], 1.0, atol=1e-5)
     # dirs() puts the south pole at sin(theta) = 1.2e-16, not at 0
     for u in (POLES, dirs([0.0, np.pi], [0.0, 0.0])):
@@ -186,8 +199,9 @@ def test_perturbed_oracle_at_poles(degree, order):
     # only |m| <= 2 harmonics have a 1- or 2-jet at a pole; the limit must
     # be the reference's value and be approached continuously
     surf = PerturbedSphere(1.0, 0.1, degree, order)
-    o_near = oracle_curvatures(surf, POLES + np.array([[1e-9, -2e-9, 0.0]]))
-    for u in (POLES, dirs([0.0, np.pi], [0.0, 0.0])):
+    near = POLES + np.array([[1e-9, -2e-9, 0.0]])
+    o_near = oracle_curvatures(surf, near)
+    for u in (POLES, dirs([0.0, np.pi], [0.0, 0.0]), near):
         o, fd = oracle_curvatures(surf, u), fd_reference(surf, u)
         assert np.all(np.isfinite(o.kappa))
         assert np.abs(o.kappa - fd.kappa).max() < 1e-5
@@ -210,7 +224,7 @@ def test_perturbed_mean_curvature_linearization():
     ps = PerturbedSphere(1.0, delta, 2, 0)
     thetas = np.array([0.0, 0.4, 1.0, np.pi / 2, 2.3, np.pi])
     o = oracle_curvatures(ps, dirs(thetas, 0.0))
-    predicted = 1.0 + 2.0 * delta * real_sph_harm(2, 0, thetas, 0.0)
+    predicted = 1.0 + 2.0 * delta * real_sph_harm(2, 0, dirs(thetas, 0.0))
     assert np.abs(o.H - predicted).max() < 30 * delta**2
     assert np.abs(o.H - 1.0).max() < 5 * delta
 
@@ -219,7 +233,7 @@ def test_sphere_conclusion_radius_consistency():
     # on the model case 1/H = r = sqrt(2/lambda1) with lambda1 = 2/r^2, and
     # the umbilicity defect is 0
     r = 1.7
-    o = oracle_curvatures(Sphere(r), dirs([1.0], [0.0]))
+    o = oracle_curvatures(PerturbedSphere(r), dirs([1.0], [0.0]))
     lam = 2.0 / r**2
     assert np.allclose(o.A_traceless_norm, 0.0)
     assert np.sqrt(2.0 / lam) == pytest.approx(r, rel=1e-15)
@@ -234,11 +248,12 @@ def test_real_sph_harm_orthonormal():
     phi = 2 * np.pi * np.arange(nphi) / nphi
     TH, PH = np.meshgrid(theta, phi, indexing="ij")
     W = np.broadcast_to(wts[:, None], TH.shape) * (2 * np.pi / nphi)
+    U = dirs(TH, PH)
     basis = [(l, m) for l in range(4) for m in range(-l, l + 1)]
     for i, (l1, m1) in enumerate(basis):
-        y1 = real_sph_harm(l1, m1, TH, PH)
+        y1 = real_sph_harm(l1, m1, U)
         for l2, m2 in basis[i:]:
-            y2 = real_sph_harm(l2, m2, TH, PH)
+            y2 = real_sph_harm(l2, m2, U)
             ip = float(np.sum(W * y1 * y2))
             expected = 1.0 if (l1, m1) == (l2, m2) else 0.0
             assert abs(ip - expected) < 1e-12
@@ -246,9 +261,30 @@ def test_real_sph_harm_orthonormal():
 
 def test_y20_closed_form():
     theta = np.array([0.0, np.pi / 2, np.pi / 3])
-    got = real_sph_harm(2, 0, theta, 0.0)
+    got = real_sph_harm(2, 0, dirs(theta, 0.0))
     expected = np.sqrt(5.0 / (16.0 * np.pi)) * (3.0 * np.cos(theta) ** 2 - 1.0)
     assert np.allclose(got, expected, atol=1e-15)
+
+
+def test_real_sph_harm_matches_lpmv():
+    # orthonormality leaves the normalization's sign free: pin it, with the
+    # Condon-Shortley phase, to scipy's associated Legendre function on
+    # chart angles away from the poles
+    rng = np.random.default_rng(7)
+    theta = rng.uniform(0.1, np.pi - 0.1, 200)
+    phi = rng.uniform(0.0, 2.0 * np.pi, 200)
+    for l in range(5):
+        for order in range(-l, l + 1):
+            m = abs(order)
+            norm = math.sqrt((2 * l + 1) / (4 * math.pi)
+                             * math.factorial(l - m) / math.factorial(l + m))
+            expected = norm * lpmv(m, l, np.cos(theta))
+            if order > 0:
+                expected = math.sqrt(2.0) * expected * np.cos(m * phi)
+            elif order < 0:
+                expected = math.sqrt(2.0) * expected * np.sin(m * phi)
+            got = real_sph_harm(l, order, dirs(theta, phi))
+            assert np.abs(got - expected).max() < 1e-13
 
 
 def test_oracle_at_vertices_matches_positions(perturbed4):
@@ -257,9 +293,7 @@ def test_oracle_at_vertices_matches_positions(perturbed4):
     assert len(o.kappa) == perturbed4.n_vertices
     # vertices really lie on the surface: |X| = rho(direction)
     u = perturbed4.vertices / np.linalg.norm(perturbed4.vertices, axis=1)[:, None]
-    theta = np.arccos(np.clip(u[:, 2], -1, 1))
-    phi = np.arctan2(u[:, 1], u[:, 0])
-    rho = 1.0 + 0.01 * real_sph_harm(2, 0, theta, phi)
+    rho = 1.0 + 0.01 * real_sph_harm(2, 0, u)
     assert np.allclose(np.linalg.norm(perturbed4.vertices, axis=1), rho, atol=1e-12)
 
 
