@@ -34,6 +34,10 @@ MIN_CLI_ALPHA = 0.1
 # rows of the analyze table formatted at a time
 CSV_BLOCK = 4096
 
+# the shape options each `gen --kind` reads; gen rejects the others
+GEN_OPTIONS = {"sphere": {"radius"}, "ellipsoid": {"axes"},
+               "perturbed": {"radius", "delta", "degree", "order"}}
+
 
 class CliError(Exception):
     """Validation/precondition failure with a machine-readable record."""
@@ -41,6 +45,11 @@ class CliError(Exception):
     def __init__(self, stage: str, message: str):
         super().__init__(message)
         self.stage = stage
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error gets an error record, too
+        raise CliError("config", message)
 
 
 def _jsonable(obj):
@@ -73,15 +82,9 @@ def _hypothesis_summary(h):
         "worst_vertex": h.worst_vertex,
         "epsilon_admissible": h.epsilon_admissible,
         "rhs_scale": h.rhs_scale,
-        "margin_min": float(h.margins.min()),
+        "margin_min": h.worst_margin,
         "margin_max": float(h.margins.max()),
     }
-
-
-def _report_payload(report: pinching.PinchingReport) -> dict:
-    out = _jsonable(report)
-    out["hypothesis"] = _hypothesis_summary(report.hypothesis)
-    return out
 
 
 @contextlib.contextmanager
@@ -133,15 +136,20 @@ def _load_validated(path) -> Mesh:
 
 
 def _surface_from_args(args) -> surfgen.AnalyticSurface:
-    if args.kind == "sphere":
-        return surfgen.PerturbedSphere(args.radius)
+    # a shape option is in args only when given, so the surface's defaults apply
+    options = set().union(*GEN_OPTIONS.values())
+    shape = {k: v for k, v in vars(args).items() if k in options}
+    unread = ", ".join(f"--{k}" for k in sorted(shape.keys() - GEN_OPTIONS[args.kind]))
+    if unread:
+        raise CliError("config", f"--kind {args.kind} does not read {unread}")
     if args.kind == "ellipsoid":
+        axes = shape.get("axes", "1,1,1")
         try:
-            a, b, c = [float(x) for x in args.axes.split(",")]
+            a, b, c = [float(x) for x in axes.split(",")]
         except ValueError:
-            raise CliError("config", f"--axes must be 'a,b,c', got {args.axes!r}")
+            raise CliError("config", f"--axes must be 'a,b,c', got {axes!r}")
         return surfgen.Ellipsoid(a, b, c)
-    return surfgen.PerturbedSphere(args.radius, args.delta, args.degree, args.order)
+    return surfgen.PerturbedSphere(**shape)
 
 
 def _floored_alpha(alpha: float) -> float:
@@ -172,17 +180,6 @@ def _check_paths(*flags) -> None:
             if real in seen:
                 raise CliError("config", f"{seen[real]} and {flag} are the same file: {path!r}")
             seen[real] = flag
-
-
-def _constants_from_args(args) -> pinching.PinchingConstants:
-    return pinching.PinchingConstants(
-        alpha=_floored_alpha(args.alpha),
-        epsilon=args.epsilon,
-        p_roth=args.p_roth,
-        L=args.L,
-        c_n=args.cn,
-        C_np_aubry=args.C_aubry,
-    )
 
 
 # -- commands -------------------------------------------------------------------
@@ -233,6 +230,7 @@ def _analyze_summary(mesh: Mesh, geo) -> dict:
     mm = measures(mesh)
     anorm = fields.ScalarField(values=geo.A_traceless_norm, weights=mesh.vertex_areas)
     hfield = fields.ScalarField(values=geo.H, weights=mesh.vertex_areas)
+    convexity = diffgeo.convexity_status(geo)
     return {
         "schema": SCHEMA,
         "command": "analyze",
@@ -249,10 +247,10 @@ def _analyze_summary(mesh: Mesh, geo) -> dict:
             "A_traceless_sup": fields.lp_norm(anorm, float("inf")),
             "H_integral": fields.integrate(hfield),
             "H_sup": fields.lp_norm(hfield, float("inf")),
-            "H_min": float(geo.H.min()),
-            "kappa1_min": float(geo.kappa[:, 0].min()),
+            "H_min": convexity.min_H,
+            "kappa1_min": convexity.min_kappa1,
         },
-        "convexity": _jsonable(diffgeo.convexity_status(geo)),
+        "convexity": _jsonable(convexity),
     }
 
 
@@ -260,17 +258,21 @@ def _cmd_verify(args) -> int:
     _check_tol(args.tol)
     _check_paths(("--out", args.out), ("--mesh", args.mesh))
     mesh = _load_validated(args.mesh)
-    constants = _constants_from_args(args)
+    constants = pinching.PinchingConstants(
+        alpha=_floored_alpha(args.alpha), epsilon=args.epsilon,
+        L=args.L, c_n=args.cn, C_np_aubry=args.C_aubry,
+    )
     report = pinching.verify_theorem(mesh, constants, tol=args.tol)
-    constants_block = _jsonable(constants)
-    constants_block["c_threshold"] = constants.c_threshold
-    constants_block["kp"] = constants.kp
     document = {
         "schema": SCHEMA,
         "command": "verify",
-        "constants": constants_block,
+        "constants": dict(
+            _jsonable(constants), c_threshold=constants.c_threshold, kp=constants.kp
+        ),
         "tolerances": {"lambda1_tol": args.tol, "ring_depth": diffgeo.RING_DEPTH},
-        "report": _report_payload(report),
+        "report": dict(
+            _jsonable(report), hypothesis=_hypothesis_summary(report.hypothesis)
+        ),
     }
     _emit_json(document, args.out)
     return 0 if report.failure is None else 3
@@ -344,7 +346,9 @@ def _cmd_converge(args) -> int:
         lam_exact = 2.0 / radius**2
         lam_err = abs(lam.lambda1 - lam_exact)
         area_err = abs(mesh.area - 4 * math.pi * radius**2)
-        gauss = float(np.sum(geo.H2 * mesh.vertex_areas))
+        gauss = fields.integrate(
+            fields.ScalarField(values=geo.H2, weights=mesh.vertex_areas)
+        )
         rows.append([
             s, mesh.n_vertices, h_err, h_mean_err, lam.lambda1, lam_err,
             area_err, gauss,
@@ -378,7 +382,7 @@ def _cmd_converge(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="umbilic",
         description="Almost-umbilical pinching checks on triangle meshes.",
     )
@@ -387,11 +391,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate an analytic surface mesh")
     p.add_argument("--kind", required=True,
                    choices=["sphere", "ellipsoid", "perturbed"])
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--axes", default="1,1,1", help="ellipsoid semi-axes a,b,c")
-    p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--degree", type=int, default=2)
-    p.add_argument("--order", type=int, default=0)
+    shape = p.add_argument_group("shape", argument_default=argparse.SUPPRESS)
+    shape.add_argument("--radius", type=float)
+    shape.add_argument("--axes", help="ellipsoid semi-axes a,b,c (default 1,1,1)")
+    shape.add_argument("--delta", type=float)
+    shape.add_argument("--degree", type=int)
+    shape.add_argument("--order", type=int)
     p.add_argument("--subdiv", type=int, default=4)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)
@@ -406,11 +411,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mesh", required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--p-roth", dest="p_roth", type=float, default=None)
     p.add_argument("--L", type=float, default=1.0)
     p.add_argument("--cn", type=float, default=1.0)
     p.add_argument("--C-aubry", dest="C_aubry", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=spectral.DEFAULT_TOL)
     p.add_argument("--out", help="report path (stdout when omitted)")
     p.set_defaults(func=_cmd_verify)
 
@@ -427,7 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("converge", help="refinement study on the round sphere")
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--subdivs", default="3,4,5,6")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=spectral.DEFAULT_TOL)
     p.add_argument("--out", help="CSV path (stdout when omitted)")
     p.set_defaults(func=_cmd_converge)
 
@@ -435,11 +439,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (CliError, ValueError, IndexError, OSError, OverflowError) as exc:
-        stage = getattr(exc, "stage", args.command)
+        # parsing raises only CliError, so args is set for the others
+        stage = exc.stage if isinstance(exc, CliError) else args.command
         error = {"stage": stage, "message": str(exc)}
     # stdout, not --out: that file only ever holds a result
     _emit_json({"schema": SCHEMA, "error": error}, None)

@@ -66,10 +66,7 @@ def integrate(field: ScalarField) -> float:
     return float(np.sum(field.weights * field.values))
 
 
-def sublevel_measure(field: ScalarField, threshold: float) -> tuple[float, float]:
-    """(measure of {f < t}, measure of {f >= t}); the two sum to the area."""
-    below = field.values < threshold
-    m_below = float(np.sum(field.weights[below]))
-    m_above = float(np.sum(field.weights[~below]))
-    return m_below, m_above
+def sublevel_measure(field: ScalarField, threshold: float) -> float:
+    """Measure of {f >= t}, the complement of the sublevel set: nan counts."""
+    return float(np.sum(field.weights[~(field.values < threshold)]))
 

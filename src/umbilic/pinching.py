@@ -34,6 +34,7 @@ from .diffgeo import (
 )
 from .fields import (
     ScalarField,
+    integrate,
     lp_norm,
     lp_norm_log_pth_power,
     sublevel_measure,
@@ -53,14 +54,15 @@ class PinchingConstants:
 
     alpha is the pinching order (the hypothesis uses eps^(2+alpha)); L and
     c_n parametrize C_eps; C_np_aubry is the Ricci-deficit constant.  All
-    three default to 1 and are stamped into every report, as is the
-    dimension n, which is 2 and not settable.
+    three default to 1 and are stamped into every report, as are the
+    dimension n = 2 and the integrability exponent p_roth = n + 1, which
+    are not settable.
     """
 
     alpha: float
     epsilon: float
     n: int = field(default=2, init=False)
-    p_roth: float | None = None
+    p_roth: float = field(default=3.0, init=False)
     L: float = 1.0
     c_n: float = 1.0
     C_np_aubry: float = 1.0
@@ -68,16 +70,12 @@ class PinchingConstants:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.p_roth is None:
-            object.__setattr__(self, "p_roth", float(self.n + 1))
-        for name in ("epsilon", "p_roth", "L", "c_n", "C_np_aubry"):
+        for name in ("epsilon", "L", "c_n", "C_np_aubry"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.p_roth < 2:
-            raise ValueError("p_roth must be >= 2")
         if min(self.L, self.c_n, self.C_np_aubry) <= 0:
             raise ValueError("L, c_n and C_np_aubry must be positive")
 
@@ -96,8 +94,8 @@ class PinchingConstants:
 
     @property
     def kp(self) -> float:
-        """Large integrability exponent k*p with p = n+1."""
-        return self.k_exponent * (self.n + 1)
+        """Large integrability exponent k*p with p = p_roth."""
+        return self.k_exponent * self.p_roth
 
     def rescaled(self, factor: float) -> "PinchingConstants":
         """Constants for the mesh scaled by `factor` (eps is a length)."""
@@ -141,12 +139,6 @@ class AnnulusResult:
     max_dist: float
     contained: bool
     oscillation: float         # max_dist - min_dist
-
-
-@dataclass(frozen=True)
-class MuFit:
-    mu_star: float
-    mean_H: float              # area-weighted mean of H (p = 2 minimizer)
 
 
 @dataclass(frozen=True)
@@ -285,7 +277,7 @@ def roth_condition(unit: UnitArea) -> RothResult:
         raise ValueError(
             f"eps = {eps:g} >= 2/(3 sup H) = {2.0 / (3.0 * h_inf):g}"
         )
-    integral_h = float(np.sum(weights * geometries.H))
+    integral_h = integrate(ScalarField(values=geometries.H, weights=weights))
     h2_norm = lp_norm(
         ScalarField(values=geometries.H2, weights=weights), 2.0 * constants.p_roth
     )
@@ -353,35 +345,9 @@ def eta_of_epsilon(lam1: float, h_inf: float, epsilon: float) -> float:
 # -- best-fit umbilical factor --------------------------------------------------
 
 
-def _mu_derivative_sign(k1, k2, logw, p):
-    """Sign of d/dmu of sum_i w_i ((k1_i-mu)^2 + (k2_i-mu)^2)^(p/2).
-
-    The derivative is -p * sum w sq^(p/2-1) ((k1-mu) + (k2-mu)); terms are
-    combined with a signed log-sum so large p stays stable.
-    """
-
-    def sign_at(mu: float) -> float:
-        sq = (k1 - mu) ** 2 + (k2 - mu) ** 2
-        lin = (k1 - mu) + (k2 - mu)
-        nz = (sq > 0.0) & (lin != 0.0)
-        if not np.any(nz):
-            return 0.0
-        logs = (
-            logw[nz]
-            + (0.5 * p - 1.0) * np.log(sq[nz])
-            + np.log(np.abs(lin[nz]))
-        )
-        total, sign = logsumexp(logs, b=np.sign(lin[nz]), return_sign=True)
-        if not np.isfinite(total):
-            return 0.0
-        return -float(sign)
-
-    return sign_at
-
-
 def fit_umbilical_mu(
     geometries: SurfaceGeometry, weights: np.ndarray, p: float
-) -> MuFit:
+) -> float:
     """Minimize ||A - mu g||_p over mu on the bracket [min k1, max k2].
 
     The p-th power objective is convex in mu, so the minimizer is located
@@ -391,15 +357,25 @@ def fit_umbilical_mu(
     """
     if p < 2:
         raise ValueError("p must be >= 2")
-    weights = np.asarray(weights, dtype=np.float64)
-    k1 = geometries.kappa[:, 0]
-    k2 = geometries.kappa[:, 1]
-    lo = float(k1.min())
-    hi = float(k2.max())
-    mean_h = float(np.sum(weights * geometries.H) / np.sum(weights))
-    sign_at = _mu_derivative_sign(k1, k2, np.log(weights), p)
-    a, b = lo, hi
-    width_tol = 1e-12 * max(1.0, abs(lo), abs(hi))
+    k1, k2 = geometries.kappa.T
+    logw = np.log(weights)
+
+    def sign_at(mu: float) -> float:
+        # sign of d/dmu sum w ((k1-mu)^2 + (k2-mu)^2)^(p/2) = -p sum w sq^(p/2-1) lin,
+        # by a signed log-sum so large p stays stable
+        sq = (k1 - mu) ** 2 + (k2 - mu) ** 2
+        lin = (k1 - mu) + (k2 - mu)
+        nz = (sq > 0.0) & (lin != 0.0)
+        if not np.any(nz):
+            return 0.0
+        logs = logw[nz] + (0.5 * p - 1.0) * np.log(sq[nz]) + np.log(np.abs(lin[nz]))
+        total, sign = logsumexp(logs, b=np.sign(lin[nz]), return_sign=True)
+        if not np.isfinite(total):
+            return 0.0
+        return -float(sign)
+
+    a, b = float(k1.min()), float(k2.max())
+    width_tol = 1e-12 * max(1.0, abs(a), abs(b))
     for _ in range(200):
         if b - a <= width_tol:
             break
@@ -411,8 +387,7 @@ def fit_umbilical_mu(
             b = mid
         else:
             a = b = mid
-    mu = 0.5 * (a + b)
-    return MuFit(mu_star=float(mu), mean_H=mean_h)
+    return float(0.5 * (a + b))
 
 
 # -- proof trace ----------------------------------------------------------------
@@ -431,15 +406,11 @@ def proof_trace(unit: UnitArea) -> ProofTrace:
             f"{geo_t.kappa[bad, 0]:g} <= 0"
         )
     lam1_t = _lambda1_of(unit)
-    constants = unit.constants
-    n = constants.n
-    alpha = constants.alpha
-    kp = constants.kp
-    eps_t = constants.epsilon
-    w_t = unit.weights
+    constants, w_t = unit.constants, unit.weights
+    n, alpha, kp, eps_t = constants.n, constants.alpha, constants.kp, constants.epsilon
 
-    fit = fit_umbilical_mu(geo_t, w_t, kp)
-    mu0 = fit.mu_star
+    mu0 = fit_umbilical_mu(geo_t, w_t, kp)
+    mean_h = integrate(ScalarField(values=geo_t.H, weights=w_t)) / float(np.sum(w_t))
     bracket = (float(geo_t.kappa[:, 0].min()), float(geo_t.kappa[:, 1].max()))
     gamma = eps_t ** (2.0 + 0.5 * alpha)
 
@@ -448,7 +419,7 @@ def proof_trace(unit: UnitArea) -> ProofTrace:
     dev_field = ScalarField(values=dev, weights=w_t)
     log_dev_kp = lp_norm_log_pth_power(dev_field, kp)   # log int ||A~-mu0 g~||^kp
 
-    _, pgamma_bad = sublevel_measure(dev_field, gamma)
+    pgamma_bad = sublevel_measure(dev_field, gamma)
     log_cheb_pgamma = log_dev_kp - kp * math.log(gamma)
     cheb_pgamma = math.exp(log_cheb_pgamma) if log_cheb_pgamma < 700 else math.inf
     eps_rate = eps_t ** (0.5 * alpha * kp)
@@ -456,7 +427,7 @@ def proof_trace(unit: UnitArea) -> ProofTrace:
     # mu0-rescaled surface: curvature kappa/mu0, measure mu0^n * measure
     w_hat = w_t * mu0**n
     hat_field = ScalarField(values=dev / mu0, weights=w_hat)
-    _, p_bad = sublevel_measure(hat_field, 1.0)
+    p_bad = sublevel_measure(hat_field, 1.0)
     log_p_bound = (n - kp) * math.log(mu0) + log_dev_kp
     p_bound = math.exp(log_p_bound) if log_p_bound < 700 else math.inf
 
@@ -494,8 +465,8 @@ def proof_trace(unit: UnitArea) -> ProofTrace:
         gamma=gamma,
         mu0=mu0,
         mu0_bracket=bracket,
-        mean_H_normalized=fit.mean_H,
-        mu0_mean_gap=abs(mu0 - fit.mean_H),
+        mean_H_normalized=mean_h,
+        mu0_mean_gap=abs(mu0 - mean_h),
         dev_norm_kp=math.exp(log_dev_kp / kp) if log_dev_kp > -math.inf else 0.0,
         bad_set_P_measure=p_bad,
         bad_set_P_bound=p_bound,
@@ -518,7 +489,7 @@ def proof_trace(unit: UnitArea) -> ProofTrace:
 def verify_theorem(
     mesh: Mesh,
     constants: PinchingConstants,
-    tol: float = 1e-8,
+    tol: float = spectral.DEFAULT_TOL,
     with_trace: bool = True,
 ) -> PinchingReport:
     """Run the full pipeline and assemble the report.
@@ -644,17 +615,18 @@ def amplitude_for_ratio(
     bracket, as when the upper value is +inf (the oracle lost
     mean-convexity there).  At most MAX_SEARCH_STEPS steps; the result
     must be within 1% of the target.  Raises before any mesh is built
-    unless the target is finite and positive, and when the radial
+    unless alpha and eps are valid constants and the target is finite and
+    positive, and when the radial
     positivity limit is reached before the target.  Returns (delta,
     achieved ratio, the mesh at delta that ratio was measured on).
     """
+    consts = PinchingConstants(alpha=alpha, epsilon=epsilon)
     target = slack * epsilon ** (2.0 + alpha)
     if not 0.0 < target < math.inf:
         raise ValueError(
             f"amplitude search failed: target slack*eps^(2+alpha) = {target:g} "
             "is not finite and positive"
         )
-    consts = PinchingConstants(alpha=alpha, epsilon=epsilon)
     delta_max = 0.9 * radius / surfgen.harmonic_sup(degree, order)
 
     def ratio_at(delta: float) -> tuple[float, Mesh]:

@@ -40,6 +40,8 @@ BLOCK_SIZE = 4
 MAX_ITER = 500
 # nested dissection stops splitting a part of at most this many vertices
 LEAF_SIZE = 64
+# the residual a lambda1 certificate must reach unless a caller sets another
+DEFAULT_TOL = 1e-8
 
 
 class ConvergenceError(RuntimeError):
@@ -215,7 +217,7 @@ def _certify(S, m, u):
     return lam, u, residual
 
 
-def lambda1(system: LaplaceSystem, tol: float = 1e-8) -> SpectralResult:
+def lambda1(system: LaplaceSystem, tol: float = DEFAULT_TOL) -> SpectralResult:
     """Smallest nonzero generalized eigenvalue of (stiffness, mass).
 
     Factors S + sigma M once with SuperLU in the system's nested-dissection

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from umbilic.cli import _build_parser, main
+from umbilic.cli import _build_parser, _surface_from_args, main
 from umbilic.diffgeo import estimate_geometry
 from umbilic.mesh import Mesh, load_mesh, save_mesh
 from umbilic.surfgen import PerturbedSphere, generate
@@ -141,9 +141,10 @@ def test_obj_negative_index_error_record(tmp_path, capsys):
     (["verify", "--mesh", "{closed}", "--epsilon", "0.2", "--alpha", "0.5",
       "--L", "nan", "--out", "{out}"],
      "verify", "L must be finite, got nan"),
+    # p = n + 1 is fixed: the option is gone
     (["verify", "--mesh", "{closed}", "--epsilon", "0.2", "--alpha", "0.5",
       "--p-roth", "inf", "--out", "{out}"],
-     "verify", "p_roth must be finite, got inf"),
+     "config", "unrecognized arguments: --p-roth inf"),
     # with tol = inf any residual would certify
     (["verify", "--mesh", "{closed}", "--epsilon", "0.2", "--alpha", "0.5",
       "--tol", "inf", "--out", "{out}"],
@@ -179,13 +180,24 @@ def test_obj_negative_index_error_record(tmp_path, capsys):
     (["sweep", "--family", "l2", "--alpha", "0.5", "--eps", "1e200",
       "--subdiv", "1", "--out", "{out}"],
      "sweep", "(34, 'Numerical result out of range')"),
+    # usage errors found by the parser
+    (["verify", "--mesh", "{closed}", "--alpha", "0.5", "--out", "{out}"],
+     "config", "the following arguments are required: --epsilon"),
+    (["verify", "--mesh", "{closed}", "--epsilon", "abc", "--alpha", "0.5",
+      "--out", "{out}"],
+     "config", "argument --epsilon: invalid float value: 'abc'"),
+    (["gen", "--kind", "cube", "--out", "{out}"],
+     "config", "argument --kind: invalid choice: 'cube'"),
+    ([], "config", "the following arguments are required: command"),
 ], ids=["analyze-open", "verify-open", "converge-tol", "sweep-amplitude",
         "gen-axes", "unwritable-out", "analyze-unwritable-json",
         "analyze-unwritable-table", "verify-eps-nan", "verify-eps-inf",
         "verify-L-nan", "verify-p-roth-inf", "verify-tol-inf",
         "verify-tol-inf-not-convex", "converge-tol-nan", "sweep-eps-inf",
         "analyze-same-path", "sweep-slack-nan", "sweep-slack-zero",
-        "sweep-slack-inf", "verify-eps-overflow", "sweep-eps-overflow"])
+        "sweep-slack-inf", "verify-eps-overflow", "sweep-eps-overflow",
+        "verify-no-epsilon", "verify-eps-not-float", "gen-kind-cube",
+        "no-command"])
 def test_error_record_on_stdout_not_out(tmp_path, capsys, command, stage, message):
     # --out only ever holds a result; the record goes to stdout
     mesh = generate(PerturbedSphere(1.0), 2)
@@ -239,6 +251,26 @@ def test_gen_ellipsoid_and_obj(tmp_path):
     mesh = load_mesh(path)
     assert mesh.n_vertices == 162
     assert np.abs(mesh.vertices[:, 0]).max() == pytest.approx(2.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("kind, option", [
+    ("sphere", ["--delta", "0.3"]),
+    ("sphere", ["--degree", "3"]),
+    ("sphere", ["--order", "1"]),
+    ("sphere", ["--axes", "1,2,3"]),
+    ("ellipsoid", ["--radius", "5"]),
+    ("ellipsoid", ["--delta", "0.1"]),
+    ("perturbed", ["--axes", "1,2,3"]),
+])
+def test_gen_rejects_option_kind_does_not_read(tmp_path, capsys, kind, option):
+    out = tmp_path / "x.off"
+    assert run(["gen", "--kind", kind, *option, "--subdiv", "0", "--out", str(out)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == {
+        "stage": "config",
+        "message": f"--kind {kind} does not read {option[0]}",
+    }
+    assert not out.exists()
 
 
 def test_gen_bad_axes(tmp_path, capsys):
@@ -461,7 +493,10 @@ def test_readme_commands_parse():
     assert len(commands) == 6
     parser = _build_parser()
     for argv in commands:
-        parser.parse_args(argv)
+        args = parser.parse_args(argv)
+        if args.command == "gen":
+            # gen reads every shape option the line gives
+            _surface_from_args(args)
 
 
 def test_readme_library_block_runs(capsys):

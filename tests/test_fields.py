@@ -104,26 +104,24 @@ def test_chebyshev_bound():
     f = unit_area_field(rng.uniform(0.0, 2.0, 500))
     for t in (0.5, 1.0, 1.5):
         for p in (2.0, 6.0, 12.0):
-            _, above = sublevel_measure(f, t)
+            above = sublevel_measure(f, t)
             assert above <= (lp_norm(f, p) / t) ** p * (1 + 1e-12)
 
 
 def test_sublevel_traceless_norm_sphere(geom_sphere5, sphere5):
     f = ScalarField(values=geom_sphere5.A_traceless_norm, weights=sphere5.vertex_areas)
-    below, above = sublevel_measure(f, 0.1)
-    assert above == 0.0
-    assert below == pytest.approx(sphere5.area, rel=1e-14)
+    assert sublevel_measure(f, 0.1) == 0.0
+    assert sublevel_measure(f, 0.0) == pytest.approx(sphere5.area, rel=1e-14)
 
 
 def test_sublevel_edges():
     f = ScalarField(values=np.array([1.0, 2.0, 3.0]), weights=np.array([1.0, 2.0, 4.0]))
-    below, above = sublevel_measure(f, 0.5)
-    assert below == 0.0 and above == 7.0
-    below, above = sublevel_measure(f, 10.0)
-    assert below == 7.0 and above == 0.0
-    below, above = sublevel_measure(f, 2.0)   # threshold at a value: >= side
-    assert below == 1.0 and above == 6.0
-    assert below + above == pytest.approx(float(np.sum(f.weights)), rel=1e-14)
+    assert sublevel_measure(f, 0.5) == 7.0
+    assert sublevel_measure(f, 10.0) == 0.0
+    assert sublevel_measure(f, 2.0) == 6.0   # threshold at a value: >= side
+    # a nan value is not below the threshold, so it is measured
+    f = ScalarField(values=np.array([1.0, np.nan, 3.0]), weights=f.weights)
+    assert sublevel_measure(f, 2.0) == 6.0
 
 
 def test_normalize_mesh(sphere4, geom_sphere4):

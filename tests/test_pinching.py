@@ -48,8 +48,9 @@ def test_constants_validation():
         PinchingConstants(alpha=0.5, epsilon=-1.0)
     with pytest.raises(ValueError):
         PinchingConstants(alpha=0.5, epsilon=0.1, L=0.0)
-    with pytest.raises(ValueError):
-        PinchingConstants(alpha=0.5, epsilon=0.1, p_roth=1.0)
+    # p = n + 1 is fixed, like n
+    with pytest.raises(TypeError):
+        PinchingConstants(alpha=0.5, epsilon=0.1, p_roth=4.0)
 
 
 def test_constants_derived_values():
@@ -96,15 +97,21 @@ def test_hypothesis_fails_beyond_threshold():
     assert res.worst_margin < 0
 
 
-@pytest.mark.parametrize("slack", [0.0, -1.0, math.inf, math.nan])
-def test_amplitude_search_rejects_bad_target(monkeypatch, slack):
-    # the target is checked before any mesh is built
+@pytest.mark.parametrize("slack, epsilon, message", [
+    *(pytest.param(s, 0.2, "not finite and positive", id=str(s))
+      for s in (0.0, -1.0, math.inf, math.nan)),
+    # (-0.2)^2.5 is complex: eps is checked before the target is formed
+    *(pytest.param(1.0, e, "epsilon must be positive", id=f"eps{e}")
+      for e in (-0.2, 0.0)),
+])
+def test_amplitude_search_rejects_bad_target(monkeypatch, slack, epsilon, message):
+    # the constants and the target are checked before any mesh is built
     def no_mesh(*args):
         raise AssertionError("a mesh was built")
 
     monkeypatch.setattr("umbilic.surfgen.generate", no_mesh)
-    with pytest.raises(ValueError, match="not finite and positive"):
-        amplitude_for_ratio(1.0, 2, 0, 0.5, 0.2, 1, slack=slack)
+    with pytest.raises(ValueError, match=message):
+        amplitude_for_ratio(1.0, 2, 0, 0.5, epsilon, 1, slack=slack)
 
 
 def test_hypothesis_requires_mean_convexity(torus):
@@ -295,15 +302,16 @@ def test_eta_inequality(geom_perturbed4, perturbed4):
 
 
 def test_mu_fit_p2_closed_form(geom_ellipsoid4, ellipsoid4):
-    fit = fit_umbilical_mu(geom_ellipsoid4, ellipsoid4.vertex_areas, 2.0)
-    assert fit.mu_star == pytest.approx(fit.mean_H, rel=1e-8)
+    w = ellipsoid4.vertex_areas
+    mu = fit_umbilical_mu(geom_ellipsoid4, w, 2.0)
+    assert mu == pytest.approx(np.sum(w * geom_ellipsoid4.H) / np.sum(w), rel=1e-8)
 
 
 def test_mu_fit_sphere_all_p(geom_sphere4, sphere4):
     for p in (2.0, 4.0, 36.0):
-        fit = fit_umbilical_mu(geom_sphere4, sphere4.vertex_areas, p)
-        assert fit.mu_star == pytest.approx(1.0, abs=2e-3)
-        dev = np.hypot(*(geom_sphere4.kappa - fit.mu_star).T)
+        mu = fit_umbilical_mu(geom_sphere4, sphere4.vertex_areas, p)
+        assert mu == pytest.approx(1.0, abs=2e-3)
+        dev = np.hypot(*(geom_sphere4.kappa - mu).T)
         assert lp_norm(ScalarField(values=dev, weights=sphere4.vertex_areas), p) <= 1e-2
 
 
@@ -311,26 +319,26 @@ def test_mu_fit_two_point_toy_grid_oracle():
     # kappa = (1,1) and (3,3), equal weights, p = 4; independent grid scan
     geo = _toy_geometry([[1.0, 1.0], [3.0, 3.0]])
     weights = np.array([0.5, 0.5])
-    fit = fit_umbilical_mu(geo, weights, 4.0)
+    mu = fit_umbilical_mu(geo, weights, 4.0)
     mus = np.arange(1.0, 3.0 + 1e-12, 1e-6)
     vals = 0.5 * (2.0 * (1.0 - mus) ** 2) ** 2 + 0.5 * (2.0 * (3.0 - mus) ** 2) ** 2
     mu_grid = mus[np.argmin(vals)]
-    assert abs(fit.mu_star - mu_grid) < 1e-5
+    assert abs(mu - mu_grid) < 1e-5
 
 
 def test_mu_fit_asymmetric_weights_grid_oracle():
     geo = _toy_geometry([[0.5, 1.0], [2.0, 2.5], [3.0, 3.0]])
     weights = np.array([0.2, 0.5, 0.3])
-    fit = fit_umbilical_mu(geo, weights, 6.0)
+    mu = fit_umbilical_mu(geo, weights, 6.0)
     mus = np.arange(0.5, 3.0 + 1e-12, 1e-6)
     k = np.array([[0.5, 1.0], [2.0, 2.5], [3.0, 3.0]])
     dev2 = (k[:, 0][:, None] - mus) ** 2 + (k[:, 1][:, None] - mus) ** 2
     vals = (weights[:, None] * dev2**3.0).sum(axis=0)
     mu_grid = mus[np.argmin(vals)]
-    assert abs(fit.mu_star - mu_grid) < 1e-5
+    assert abs(mu - mu_grid) < 1e-5
     lo = k[:, 0].min()
     hi = k[:, 1].max()
-    assert lo <= fit.mu_star <= hi
+    assert lo <= mu <= hi
 
 
 def _toy_geometry(kappas):

@@ -215,18 +215,16 @@ def test_verify_invariant_under_relabelling_and_rigid_motion(
 @given(
     alpha=st.floats(),
     epsilon=st.floats(),
-    p_roth=st.one_of(st.none(), st.floats()),
     L=st.floats(),
     c_n=st.floats(),
     C_np_aubry=st.floats(),
 )
-@example(alpha=0.5, epsilon=np.nan, p_roth=None, L=1.0, c_n=1.0, C_np_aubry=1.0)
-@example(alpha=0.5, epsilon=0.2, p_roth=np.inf, L=np.nan, c_n=1.0, C_np_aubry=1.0)
-def test_constants_finite_or_rejected(alpha, epsilon, p_roth, L, c_n, C_np_aubry):
+@example(alpha=0.5, epsilon=np.nan, L=1.0, c_n=1.0, C_np_aubry=1.0)
+@example(alpha=0.5, epsilon=0.2, L=np.nan, c_n=1.0, C_np_aubry=1.0)
+def test_constants_finite_or_rejected(alpha, epsilon, L, c_n, C_np_aubry):
     try:
         constants = PinchingConstants(
-            alpha=alpha, epsilon=epsilon, p_roth=p_roth, L=L, c_n=c_n,
-            C_np_aubry=C_np_aubry,
+            alpha=alpha, epsilon=epsilon, L=L, c_n=c_n, C_np_aubry=C_np_aubry,
         )
     except ValueError:
         return
