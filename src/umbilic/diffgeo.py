@@ -85,12 +85,9 @@ class ConvexityStatus:
 
 def vertex_normals(mesh: Mesh) -> np.ndarray:
     """Area-weighted average of incident face normals, unit length."""
-    acc = np.zeros((mesh.n_vertices, 3))
-    fc = mesh.face_cross  # already area-weighted (2*A*n)
-    for k in range(3):
-        np.add.at(acc, mesh.faces[:, k], fc)
+    acc = np.stack([mesh.vertex_sum(fc) for fc in mesh.face_cross.T], axis=1)
     norms = np.linalg.norm(acc, axis=1)
-    # acc accumulates 2*area-weighted normals, so the area sets its scale
+    # face_cross is 2*area-weighted, so the area sets the scale of acc
     bad = norms <= 1e-12 * mesh.face_areas.mean()
     if np.any(bad):
         raise ValueError(

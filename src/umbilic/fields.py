@@ -41,9 +41,9 @@ def lp_norm(field: ScalarField, p) -> float:
     Powers are accumulated in log space, so non-integer and very large p
     (e.g. kp = 18/alpha) stay finite.
     """
-    if np.isinf(p):
+    if p == np.inf:
         return float(np.abs(field.values).max())
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     return float(np.exp(lp_norm_log_pth_power(field, p) / p))
 

@@ -2,10 +2,11 @@
 
 Meshes are closed oriented triangle surfaces embedded in R^3.  Vertices and
 faces are immutable numpy arrays.  Combinatorics come from one keyed edge
-table (see `edge_table`), built on first use and cached with the one-ring
-adjacency derived from it.  Structural validation (closedness,
-orientability, connectivity, vertex manifoldness, degeneracy) is a separate,
-reporting-only step so that broken inputs can still be inspected.
+table (see `edge_table`), built on first use and cached; the one-ring
+adjacency and the cotangent stiffness are `Mesh.edge_matrix` matrices on
+it.  Structural validation (closedness, orientability, connectivity,
+vertex manifoldness, degeneracy) is a separate, reporting-only step so
+that broken inputs can still be inspected.
 """
 
 from __future__ import annotations
@@ -154,20 +155,27 @@ class Mesh:
     def euler_characteristic(self) -> int:
         return self.n_vertices - len(self._edge_table[0]) + self.n_faces
 
-    @cached_property
-    def one_ring_matrix(self) -> sparse.csr_matrix:
-        """Vertex adjacency as a 0/1 csr matrix (no diagonal)."""
+    @property
+    def half_edges(self) -> tuple[np.ndarray, ...]:
+        """(tail, head, opposite vertex, row of `edges`) of each `_half_edges` entry."""
+        tail, head = _half_edges(self.faces)
+        return tail, head, self.faces[:, [2, 0, 1]].T.ravel(), self._edge_table[1]
+
+    def edge_matrix(self, values: np.ndarray) -> sparse.csr_matrix:
+        """Symmetric csr matrix, values[k] at both ends of edge k (row k of `edges`)."""
         V = self.n_vertices
         i, j = np.divmod(self._edge_table[0], V)
         # the sorted keys (i < j) are the upper triangle's rows, in order
         indptr = np.zeros(V + 1, dtype=np.int32)
         np.cumsum(np.bincount(i, minlength=V), out=indptr[1:])
-        upper = sparse.csr_matrix(
-            (np.ones(len(j), dtype=np.int8), j.astype(np.int32), indptr),
-            shape=(V, V),
-        )
+        upper = sparse.csr_matrix((values, j.astype(np.int32), indptr), shape=(V, V))
         del i, j   # the sum below sets the memory peak
         return upper + upper.T
+
+    @cached_property
+    def one_ring_matrix(self) -> sparse.csr_matrix:
+        """Vertex adjacency as a 0/1 csr matrix (no diagonal)."""
+        return self.edge_matrix(np.ones(len(self._edge_table[0]), dtype=np.int8))
 
     # -- geometry ------------------------------------------------------------
 
@@ -192,11 +200,11 @@ class Mesh:
 
         Positive, and an exact partition of the total area.
         """
-        va = np.zeros(self.n_vertices)
-        np.add.at(va, self.faces[:, 0], self.face_areas / 3.0)
-        np.add.at(va, self.faces[:, 1], self.face_areas / 3.0)
-        np.add.at(va, self.faces[:, 2], self.face_areas / 3.0)
-        return va
+        return self.vertex_sum(self.face_areas / 3.0)
+
+    def vertex_sum(self, values: np.ndarray) -> np.ndarray:
+        """Per vertex, the sum of a per-face value over the faces at its corners."""
+        return np.bincount(self.faces.T.ravel(), np.tile(values, 3), self.n_vertices)
 
     @cached_property
     def area(self) -> float:

@@ -199,14 +199,11 @@ class UnitArea:
     weights: np.ndarray            # vertex areas * c^2, summing to 1
     geometries: SurfaceGeometry    # curvatures / c, H2 / c^2
     constants: PinchingConstants   # eps * c
-    lambda1: float | None          # lambda1 / c^2
+    lambda1: float                 # lambda1 / c^2
 
 
 def unit_area(
-    mesh: Mesh,
-    geometries: SurfaceGeometry,
-    constants: PinchingConstants,
-    lam1: float | None = None,
+    mesh: Mesh, geometries: SurfaceGeometry, constants: PinchingConstants, lam1: float
 ) -> UnitArea:
     """Rescale the weights, curvatures, eps and lambda1 of `mesh` to unit area."""
     c = mesh.area ** (-1.0 / constants.n)
@@ -215,14 +212,8 @@ def unit_area(
         weights=mesh.vertex_areas * c ** 2,
         geometries=geometries.rescaled(c),
         constants=constants.rescaled(c),
-        lambda1=None if lam1 is None else lam1 * c ** -2,
+        lambda1=lam1 * c ** -2,
     )
-
-
-def _lambda1_of(unit: UnitArea) -> float:
-    if unit.lambda1 is None:
-        raise ValueError("the unit-area record carries no lambda1")
-    return unit.lambda1
 
 
 # -- hypothesis --------------------------------------------------------------
@@ -263,7 +254,6 @@ def roth_condition(unit: UnitArea) -> RothResult:
     everywhere and eps < 2/(3 sup H) are hypotheses, violated ones raise.
     """
     weights, geometries, constants = unit.weights, unit.geometries, unit.constants
-    lam1 = _lambda1_of(unit)
     area = float(weights.sum())
     if abs(area - 1.0) > 1e-6:
         raise ValueError(f"spectral condition needs unit-area weights, |M| = {area:g}")
@@ -281,9 +271,9 @@ def roth_condition(unit: UnitArea) -> RothResult:
     h2_norm = lp_norm(
         ScalarField(values=geometries.H2, weights=weights), 2.0 * constants.p_roth
     )
-    lhs = lam1 * integral_h**2 - n * h2_norm**2
+    lhs = unit.lambda1 * integral_h**2 - n * h2_norm**2
     constituents = {
-        "L_sqrt_term": constants.L * _r_lambda(lam1) * eps**2,
+        "L_sqrt_term": constants.L * _r_lambda(unit.lambda1) * eps**2,
         "L": constants.L,
         "c_n": constants.c_n,
         "half_n_h2_norm_sq": 0.5 * n * h2_norm**2,
@@ -355,7 +345,7 @@ def fit_umbilical_mu(
     stall at a sqrt(machine-eps) plateau around the minimum.  For p = 2
     the result is the weighted mean of H to round-off.
     """
-    if p < 2:
+    if not p >= 2:
         raise ValueError("p must be >= 2")
     k1, k2 = geometries.kappa.T
     logw = np.log(weights)
@@ -405,8 +395,7 @@ def proof_trace(unit: UnitArea) -> ProofTrace:
             f"strict convexity violated: kappa1({bad}) = "
             f"{geo_t.kappa[bad, 0]:g} <= 0"
         )
-    lam1_t = _lambda1_of(unit)
-    constants, w_t = unit.constants, unit.weights
+    lam1_t, constants, w_t = unit.lambda1, unit.constants, unit.weights
     n, alpha, kp, eps_t = constants.n, constants.alpha, constants.kp, constants.epsilon
 
     mu0 = fit_umbilical_mu(geo_t, w_t, kp)

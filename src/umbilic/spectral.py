@@ -1,13 +1,14 @@
 """Cotangent Laplace-Beltrami operator and its first nonzero eigenvalue.
 
-The stiffness matrix uses the classical cotangent weights (positive
-semidefinite, constants in the kernel), the mass matrix is barycentric
-lumping.  lambda1 is sparse-direct shift-invert Lanczos: S + sigma M is
+The stiffness matrix holds one cotangent weight per edge of the mesh's edge
+table (Pinkall and Polthier, Experiment. Math. 2, 1993) and is positive
+semidefinite; the mass is barycentric lumping, kept as its diagonal, the
+vertex areas.  lambda1 is sparse-direct shift-invert Lanczos: S + sigma M is
 factored once by SuperLU, with sigma tied to the mesh's mass scale so
-nothing depends on length units, and ARPACK (scipy eigsh) iterates with
-that factor as the inverse operator.  The constant mode in the kernel of
-S is dropped, and the returned pair is certified by its independently
-recomputed Rayleigh quotient and generalized eigenvalue residual.
+nothing depends on length units, and ARPACK (scipy eigsh) iterates with that
+factor as the inverse operator.  The constant mode in the kernel of S is
+dropped, and the returned pair is certified by its independently recomputed
+Rayleigh quotient and generalized eigenvalue residual.
 
 The factor's fill is kept low by a coordinate nested dissection of the
 mesh graph (George, SIAM J. Numer. Anal. 10, 1973; Lipton, Rose and
@@ -60,23 +61,15 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class LaplaceSystem:
-    """Sparse stiffness/mass pair of the P1 Laplace-Beltrami discretization.
+    """Cotangent stiffness and lumped mass (the vertex areas) of the P1 Laplacian.
 
     ordering is the nested-dissection elimination order of the vertices
     that lambda1 factors in (ordering[k] is the k-th vertex eliminated).
     """
 
     stiffness: sparse.csr_matrix
-    mass: sparse.csr_matrix
+    mass: np.ndarray
     ordering: np.ndarray
-
-    @property
-    def mass_diagonal(self) -> np.ndarray:
-        return np.asarray(self.mass.diagonal())
-
-    @property
-    def n(self) -> int:
-        return self.stiffness.shape[0]
 
 
 @dataclass(frozen=True)
@@ -98,35 +91,22 @@ class SpectralResult:
 
 def build_laplace(mesh: Mesh) -> LaplaceSystem:
     """Assemble cotangent stiffness and lumped mass for a validated mesh."""
-    f = mesh.faces
-    c = mesh.face_corners
-    V = mesh.n_vertices
-
-    rows, cols, vals = [], [], []
-    for corner, (ja, jb) in enumerate([(1, 2), (2, 0), (0, 1)]):
-        e1 = c[:, ja] - c[:, corner]
-        e2 = c[:, jb] - c[:, corner]
-        cross = np.linalg.norm(np.cross(e1, e2), axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cot = np.einsum("ij,ij->i", e1, e2) / cross
-        if not np.all(np.isfinite(cot)):
-            raise ValueError("non-finite cotangent weight (degenerate face)")
-        # edge (ja, jb) opposite this corner gets weight cot/2
-        rows.append(f[:, ja])
-        cols.append(f[:, jb])
-        vals.append(-0.5 * cot)
-        rows.append(f[:, jb])
-        cols.append(f[:, ja])
-        vals.append(-0.5 * cot)
-    off = sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(V, V),
-    )
+    v = mesh.vertices
+    tail, head, opposite, edge = mesh.half_edges
+    e1 = v[tail] - v[opposite]
+    e2 = v[head] - v[opposite]
+    del tail, head, opposite   # the cross product below sets the memory peak
+    cross = np.linalg.norm(np.cross(e1, e2), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cot = np.einsum("ij,ij->i", e1, e2) / cross
+    if not np.all(np.isfinite(cot)):
+        raise ValueError("non-finite cotangent weight (degenerate face)")
+    # each edge weighs -1/2 the sum of the cotangents at its opposite corners
+    off = mesh.edge_matrix(-0.5 * np.bincount(edge, weights=cot))
     diag = -np.asarray(off.sum(axis=1)).ravel()
     stiffness = (off + sparse.diags(diag)).tocsr()
-    mass = sparse.diags(mesh.vertex_areas).tocsr()
     ordering = nested_dissection(mesh.vertices, mesh.edges)
-    return LaplaceSystem(stiffness=stiffness, mass=mass, ordering=ordering)
+    return LaplaceSystem(stiffness=stiffness, mass=mesh.vertex_areas, ordering=ordering)
 
 
 def nested_dissection(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -248,19 +228,19 @@ def lambda1(system: LaplaceSystem, tol: float = DEFAULT_TOL) -> SpectralResult:
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    S = system.stiffness
-    m = system.mass_diagonal
-    V = system.n
+    S, m = system.stiffness, system.mass
+    V = len(m)
     if V < 4:
         raise ValueError("need at least 4 vertices")
     b = min(BLOCK_SIZE, V - 3)
 
     sigma = _SHIFT * 4.0 * np.pi / m.sum()
     p = system.ordering
+    M = sparse.diags(m)
     # relax=1: no relaxed supernodes, so lu.nnz counts no stored zeros
     # and is nnz(L) + nnz(U) without building the L and U copies
     lu = splu(
-        (S + sigma * system.mass)[p][:, p].tocsc(), permc_spec="NATURAL",
+        (S + sigma * M)[p][:, p].tocsc(), permc_spec="NATURAL",
         diag_pivot_thresh=0.0, relax=1, options={"SymmetricMode": True},
     )
     solves = 0
@@ -276,7 +256,7 @@ def lambda1(system: LaplaceSystem, tol: float = DEFAULT_TOL) -> SpectralResult:
     converged = True
     try:
         vals, vecs = eigsh(
-            S, k=b + 1, M=system.mass, sigma=-sigma, v0=v0, maxiter=MAX_ITER,
+            S, k=b + 1, M=M, sigma=-sigma, v0=v0, maxiter=MAX_ITER,
             OPinv=LinearOperator((V, V), matvec=solve, dtype=np.float64),
         )
     except ArpackNoConvergence as exc:
@@ -324,13 +304,13 @@ def aubry_lower_bound(
     C(2, p) is not quantified by the theory and must be supplied; results
     are conditional on it.
     """
-    if p <= 1:
+    if not p > 1:
         raise ValueError(f"need p > 1, got p={p}")
-    if C_np <= 0:
+    if not C_np > 0:
         raise ValueError("C_np must be positive")
-    if volume <= 0:
+    if not volume > 0:
         raise ValueError("volume must be positive")
-    if deficit_integral < 0:
+    if not deficit_integral >= 0:
         raise ValueError("deficit integral cannot be negative")
     if deficit_integral >= volume / C_np:
         return None

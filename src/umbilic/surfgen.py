@@ -40,6 +40,8 @@ class Ellipsoid:
     def __post_init__(self):
         if min(self.a, self.b, self.c) <= 0:
             raise ValueError("ellipsoid semi-axes must be positive")
+        if not np.isfinite([self.a, self.b, self.c]).all():
+            raise ValueError(f"ellipsoid semi-axes must be finite, got {self}")
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,9 @@ class PerturbedSphere:
                 "perturbation amplitude violates radial positivity: "
                 f"|delta|*max|Y| = {reach:g} >= radius = {self.radius:g}"
             )
+        for name in ("radius", "delta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 AnalyticSurface = Ellipsoid | PerturbedSphere

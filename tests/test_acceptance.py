@@ -163,7 +163,8 @@ def test_criterion_5_proof_trace_inequalities(perturbed4, geom_perturbed4):
             )
 
         unit = unit_area(
-            perturbed4, geom_perturbed4, PinchingConstants(alpha=0.5, epsilon=0.05)
+            perturbed4, geom_perturbed4, PinchingConstants(alpha=0.5, epsilon=0.05),
+            lam,
         )
         field = ScalarField(
             values=unit.geometries.A_traceless_norm, weights=unit.weights

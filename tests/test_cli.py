@@ -189,6 +189,8 @@ def test_obj_negative_index_error_record(tmp_path, capsys):
     (["gen", "--kind", "cube", "--out", "{out}"],
      "config", "argument --kind: invalid choice: 'cube'"),
     ([], "config", "the following arguments are required: command"),
+    (["gen", "--kind", "sphere", "--radius", "nan", "--out", "{out}"],
+     "gen", "radius must be finite, got nan"),
 ], ids=["analyze-open", "verify-open", "converge-tol", "sweep-amplitude",
         "gen-axes", "unwritable-out", "analyze-unwritable-json",
         "analyze-unwritable-table", "verify-eps-nan", "verify-eps-inf",
@@ -197,7 +199,7 @@ def test_obj_negative_index_error_record(tmp_path, capsys):
         "analyze-same-path", "sweep-slack-nan", "sweep-slack-zero",
         "sweep-slack-inf", "verify-eps-overflow", "sweep-eps-overflow",
         "verify-no-epsilon", "verify-eps-not-float", "gen-kind-cube",
-        "no-command"])
+        "no-command", "gen-radius-nan"])
 def test_error_record_on_stdout_not_out(tmp_path, capsys, command, stage, message):
     # --out only ever holds a result; the record goes to stdout
     mesh = generate(PerturbedSphere(1.0), 2)

@@ -15,8 +15,8 @@ from umbilic.surfgen import Ellipsoid, PerturbedSphere, generate, oracle_curvatu
 
 
 def normalize(mesh, geometries):
-    """Unit-area rescaling of a mesh and its curvature record (eps = 0.1)."""
-    return unit_area(mesh, geometries, PinchingConstants(alpha=0.5, epsilon=0.1))
+    """Unit-area record of a mesh and its curvatures (eps = 0.1, lambda1 = 2)."""
+    return unit_area(mesh, geometries, PinchingConstants(alpha=0.5, epsilon=0.1), 2.0)
 
 
 def unit_area_field(values):
@@ -44,8 +44,9 @@ def test_traceless_norm_small_on_sphere(geom_sphere5, sphere5):
 
 def test_invalid_p():
     f = unit_area_field([1.0, 2.0])
-    with pytest.raises(ValueError):
-        lp_norm(f, 0.5)
+    for p in (0.5, -np.inf, np.nan):
+        with pytest.raises(ValueError):
+            lp_norm(f, p)
 
 
 def test_zero_field_norms():

@@ -210,14 +210,6 @@ def test_roth_epsilon_too_large(normalized_sphere4):
         roth_condition(big)
 
 
-def test_unit_area_stages_need_lambda1(sphere4, geom_sphere4):
-    unit = unit_area(sphere4, geom_sphere4, PinchingConstants(alpha=0.5, epsilon=0.2))
-    assert unit.lambda1 is None
-    for stage in (roth_condition, proof_trace):
-        with pytest.raises(ValueError, match="no lambda1"):
-            stage(unit)
-
-
 # -- annulus and phi ---------------------------------------------------------------
 
 
@@ -349,8 +341,9 @@ def _toy_geometry(kappas):
 
 
 def test_mu_fit_rejects_small_p(geom_sphere4, sphere4):
-    with pytest.raises(ValueError):
-        fit_umbilical_mu(geom_sphere4, sphere4.vertex_areas, 1.5)
+    for p in (1.5, np.nan):
+        with pytest.raises(ValueError):
+            fit_umbilical_mu(geom_sphere4, sphere4.vertex_areas, p)
 
 
 # -- proof trace --------------------------------------------------------------------

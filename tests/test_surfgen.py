@@ -133,6 +133,23 @@ def test_positivity_guard():
     PerturbedSphere(1.0, bad_delta * 0.9, 2, 0)  # just inside is fine
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: Ellipsoid(np.nan, 1.0, 1.0), "semi-axes must be finite"),
+    (lambda: Ellipsoid(np.inf, 1.0, 1.0), "semi-axes must be finite"),
+    (lambda: PerturbedSphere(radius=np.nan), "radius must be finite"),
+    (lambda: PerturbedSphere(radius=np.inf), "radius must be finite"),
+    (lambda: PerturbedSphere(delta=np.nan), "delta must be finite"),
+    # values that failed before keep their messages
+    (lambda: Ellipsoid(-1.0, np.inf, 1.0), "semi-axes must be positive"),
+    (lambda: PerturbedSphere(radius=-np.inf), "base radius must be positive"),
+    (lambda: PerturbedSphere(delta=np.inf), "radial positivity"),
+], ids=["ellipsoid-nan", "ellipsoid-inf", "radius-nan", "radius-inf", "delta-nan",
+        "ellipsoid-negative", "radius-minus-inf", "delta-inf"])
+def test_non_finite_parameters_rejected(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_face_diameter_halves():
     def max_diam(mesh):
         c = mesh.face_corners
