@@ -24,15 +24,12 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import diffgeo, fields, pinching, spectral, surfgen
-from .mesh import Mesh, _row_text, load_mesh, measures, save_mesh, validate_mesh
+from .mesh import Mesh, load_mesh, measures, save_mesh, validate_mesh, write_rows
 
 SCHEMA = "umbilic/1"
 
 # kp = 6(n+1)/alpha: keep the exponent at or below 180
 MIN_CLI_ALPHA = 0.1
-
-# rows of the analyze table formatted at a time
-CSV_BLOCK = 4096
 
 # the shape options each `gen --kind` reads; gen rejects the others
 GEN_OPTIONS = {"sphere": {"radius"}, "ellipsoid": {"axes"},
@@ -211,19 +208,16 @@ def _cmd_analyze(args) -> int:
 def _write_table(mesh: Mesh, geo, fh) -> None:
     """The per-vertex CSV, bytes as `csv.writer` writes them.
 
-    A block of rows at a time is sliced from the per-vertex arrays and
-    formatted by one `repr`: `csv` writes a float as its repr, too.
+    `write_rows` formats the per-vertex arrays: `csv` writes a float as
+    its repr, too.
     """
     csv.writer(fh).writerow([
         "vertex", "x", "y", "z", "area_weight", "kappa1", "kappa2",
         "H", "A_traceless_norm", "H2",
     ])
-    columns = [*mesh.vertices.T, mesh.vertex_areas, *geo.kappa.T, geo.H,
-               geo.A_traceless_norm, geo.H2]
-    for lo in range(0, mesh.n_vertices, CSV_BLOCK):
-        hi = min(lo + CSV_BLOCK, mesh.n_vertices)
-        cells = [range(lo, hi), *(c[lo:hi].tolist() for c in columns)]
-        fh.write(_row_text(cells, sep=",", end="\r\n"))
+    columns = [np.arange(mesh.n_vertices), *mesh.vertices.T, mesh.vertex_areas,
+               *geo.kappa.T, geo.H, geo.A_traceless_norm, geo.H2]
+    write_rows(fh, columns, sep=",", end="\r\n")
 
 
 def _analyze_summary(mesh: Mesh, geo) -> dict:
@@ -270,8 +264,10 @@ def _cmd_verify(args) -> int:
             _jsonable(constants), c_threshold=constants.c_threshold, kp=constants.kp
         ),
         "tolerances": {"lambda1_tol": args.tol, "ring_depth": diffgeo.RING_DEPTH},
+        # the summary replaces the hypothesis, whose margins go unserialized
         "report": dict(
-            _jsonable(report), hypothesis=_hypothesis_summary(report.hypothesis)
+            _jsonable(dataclasses.replace(report, hypothesis=None)),
+            hypothesis=_hypothesis_summary(report.hypothesis),
         ),
     }
     _emit_json(document, args.out)

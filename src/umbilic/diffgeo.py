@@ -175,8 +175,6 @@ def _fit_block(verts, indices, lo, counts, m, n_terms, t1, t2, normals):
              u**3, u * u * w, u * w * w, w**3,
              (u * u + w * w) ** 2]
     A = np.stack(terms, axis=-1)
-    A[~mask] = 0.0
-    z = np.where(mask, z, 0.0)
 
     coef = np.zeros((B, 5))
     for nt in np.unique(n_terms):

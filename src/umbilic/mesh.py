@@ -23,8 +23,8 @@ from scipy.sparse import csgraph
 # curvature fitting divides by local area scales.
 DEGENERATE_AREA_FACTOR = 1e-14
 
-# lines of mesh text parsed or formatted at a time: bounds the Python
-# strings and numbers alive at once
+# lines of text parsed or written at a time (mesh files, the analyze
+# table): bounds the Python strings and numbers alive at once
 TEXT_BLOCK = 4096
 
 
@@ -110,8 +110,8 @@ class Mesh:
     """
 
     def __init__(self, vertices, faces):
-        v = np.ascontiguousarray(vertices, dtype=np.float64)
-        f = np.ascontiguousarray(faces, dtype=np.int64)
+        v = np.array(vertices, dtype=np.float64, order="C")
+        f = np.array(faces, dtype=np.int64, order="C")
         if v.ndim != 2 or v.shape[1] != 3:
             raise ValueError(f"vertices must be (V, 3), got {v.shape}")
         if f.ndim != 2 or f.shape[1] != 3:
@@ -146,23 +146,18 @@ class Mesh:
     def _validation(self) -> ValidationReport:
         return _validation_report(self)
 
-    @cached_property
-    def edges(self) -> np.ndarray:
-        """Unique undirected edges as sorted (E, 2) index pairs."""
-        return np.stack(np.divmod(self._edge_table[0], self.n_vertices), axis=1)
-
     @property
     def euler_characteristic(self) -> int:
         return self.n_vertices - len(self._edge_table[0]) + self.n_faces
 
     @property
     def half_edges(self) -> tuple[np.ndarray, ...]:
-        """(tail, head, opposite vertex, row of `edges`) of each `_half_edges` entry."""
+        """(tail, head, opposite vertex, edge key index) of each `_half_edges` entry."""
         tail, head = _half_edges(self.faces)
         return tail, head, self.faces[:, [2, 0, 1]].T.ravel(), self._edge_table[1]
 
     def edge_matrix(self, values: np.ndarray) -> sparse.csr_matrix:
-        """Symmetric csr matrix, values[k] at both ends of edge k (row k of `edges`)."""
+        """Symmetric csr matrix, values[k] at both ends of the edge with key index k."""
         V = self.n_vertices
         i, j = np.divmod(self._edge_table[0], V)
         # the sorted keys (i < j) are the upper triangle's rows, in order
@@ -374,34 +369,31 @@ def save_mesh(mesh: Mesh, path) -> None:
     to bitwise-equal arrays.
     """
     path = os.fspath(path)
+    faces = mesh.faces
     if _format_of(path) == "off":
-        head = f"OFF\n{mesh.n_vertices} {mesh.n_faces} {len(mesh.edges)}\n"
-        v_prefix, f_prefix, f_base = "", "3 ", 0
+        head = f"OFF\n{mesh.n_vertices} {mesh.n_faces} {len(mesh._edge_table[0])}\n"
+        v_prefix, f_prefix = "", "3 "
     else:
-        head, v_prefix, f_prefix, f_base = "", "v ", "f ", 1
+        head, v_prefix, f_prefix, faces = "", "v ", "f ", faces + 1
     with open(path, "w", encoding="ascii") as fh:
         fh.write(head)
-        for lo in range(0, mesh.n_vertices, TEXT_BLOCK):
-            block = mesh.vertices[lo:lo + TEXT_BLOCK]
-            fh.write(_row_text(block.T.tolist(), prefix=v_prefix))
-        for lo in range(0, mesh.n_faces, TEXT_BLOCK):
-            block = mesh.faces[lo:lo + TEXT_BLOCK] + f_base
-            fh.write(_row_text(block.T.tolist(), prefix=f_prefix))
+        write_rows(fh, mesh.vertices.T, prefix=v_prefix)
+        write_rows(fh, faces.T, prefix=f_prefix)
 
 
-def _row_text(columns, prefix: str = "", sep: str = " ", end: str = "\n") -> str:
-    """One line per row of two or more equal-length `columns`.
+def write_rows(fh, columns, prefix: str = "", sep: str = " ", end: str = "\n") -> None:
+    """Write one line per row of two or more equal-length array `columns`.
 
     Each line is `prefix`, then the cells' `repr` joined by `sep`, then
-    `end`.  One `repr` of the list of row tuples formats every cell at C
-    speed; the separators it writes are then replaced, which is safe
-    because no int or float repr contains ", " or "), (".
+    `end`.  TEXT_BLOCK rows at a time are sliced from the columns and
+    formatted by one `repr` of the list of row tuples, at C speed; the
+    separators it writes are then replaced, which is safe because no int
+    or float repr contains ", " or "), (".
     """
-    rows = list(zip(*columns))
-    if not rows:
-        return ""
-    body = repr(rows)[2:-2].replace("), (", end + prefix).replace(", ", sep)
-    return prefix + body + end
+    for lo in range(0, len(columns[0]), TEXT_BLOCK):
+        rows = list(zip(*(c[lo:lo + TEXT_BLOCK].tolist() for c in columns)))
+        body = repr(rows)[2:-2].replace("), (", end + prefix).replace(", ", sep)
+        fh.write(prefix + body + end)
 
 
 def validate_mesh(mesh: Mesh) -> ValidationReport:

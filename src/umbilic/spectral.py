@@ -13,9 +13,9 @@ Rayleigh quotient and generalized eigenvalue residual.
 The factor's fill is kept low by a coordinate nested dissection of the
 mesh graph (George, SIAM J. Numer. Anal. 10, 1973; Lipton, Rose and
 Tarjan, SIAM J. Numer. Anal. 16, 1979: a genus-0 mesh is planar, so the
-fill is O(n log n)).  build_laplace computes the ordering once, and
-lambda1 factors S + sigma M, which is symmetric positive definite, in
-that order without pivoting.
+fill is O(n log n)).  build_laplace computes the ordering once, on the
+mesh's cached one-ring adjacency, and lambda1 factors S + sigma M, which
+is symmetric positive definite, in that order without pivoting.
 
 Also provides the Ricci-deficit lower bound the proof trace needs, with
 its configurable constant.
@@ -105,73 +105,48 @@ def build_laplace(mesh: Mesh) -> LaplaceSystem:
     off = mesh.edge_matrix(-0.5 * np.bincount(edge, weights=cot))
     diag = -np.asarray(off.sum(axis=1)).ravel()
     stiffness = (off + sparse.diags(diag)).tocsr()
-    ordering = nested_dissection(mesh.vertices, mesh.edges)
+    ordering = nested_dissection(mesh.vertices, mesh.one_ring_matrix)
     return LaplaceSystem(stiffness=stiffness, mass=mesh.vertex_areas, ordering=ordering)
 
 
-def nested_dissection(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
+def nested_dissection(points: np.ndarray, adjacency: sparse.csr_matrix) -> np.ndarray:
     """Elimination order of a graph by coordinate nested dissection.
 
+    `adjacency` is the graph's csr adjacency (the mesh's one-ring matrix).
     A part of more than LEAF_SIZE vertices is split at the median of its
     longest bounding-box axis: the lower half, ties broken by vertex
     index, goes left.  Its separator is the left vertices with a
-    neighbour on the right (an edge of `edges`, (E, 2) vertex pairs).
-    The left part without the separator comes first, then the right
-    part, then the separator, so no edge joins the two halves and every
-    separator follows both.  Leaves and separators keep vertex-index
-    order.  The tree is built one level at a time; a graph of at most
-    LEAF_SIZE vertices gets the identity.
+    neighbour on the right.  The left part without the separator comes
+    first, then the right part, then the separator, so no edge joins the
+    two halves and every separator follows both.  Leaves and separators
+    keep vertex-index order; a graph of at most LEAF_SIZE vertices gets
+    the identity.  The right half of n vertices has ceil(n/2) < n, so the
+    recursion is at most log2(V) + 1 deep.
     """
-    V = len(points)
-    order = np.empty(V, dtype=np.int64)
-    # the vertices still to place, grouped by part, index order within each
-    verts = np.arange(V)
-    sizes = np.array([V])
-    offset = np.array([0])   # first position of each part in `order`
-    is_sep = np.array([False])
-    # the edges inside a part still to split
-    a, b = edges.T.copy()
-    while verts.size:
-        place = is_sep | (sizes <= LEAF_SIZE)
-        part = np.repeat(np.arange(len(sizes)), sizes)
-        rank = np.arange(verts.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        done = place[part]
-        order[offset[part[done]] + rank[done]] = verts[done]
-        if done.all():
-            break
-        split = ~place
-        verts, rank = verts[~done], rank[~done]
-        part = (np.cumsum(split) - 1)[part[~done]]
-        sizes, offset = sizes[split], offset[split]
+    indptr, indices = adjacency.indptr, adjacency.indices
+    degree = np.diff(indptr)
+    on_right = np.zeros(len(points), dtype=bool)
 
-        x = points[verts]
-        starts = np.cumsum(sizes) - sizes
-        extent = np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts)
-        coord = x[np.arange(verts.size), np.argmax(extent, axis=1)[part]]
-        # a stable sort: ties keep index order.  It keeps the parts in
-        # place, so rank is the rank in the sort
-        left = np.empty(verts.size, dtype=bool)
-        left[np.lexsort((coord, part))] = rank < (sizes // 2)[part]
+    def dissect(part):
+        if len(part) <= LEAF_SIZE:
+            return [part]
+        x = points[part]
+        coord = x[:, np.argmax(x.max(axis=0) - x.min(axis=0))]
+        is_left = np.zeros(len(part), dtype=bool)
+        is_left[np.argsort(coord, kind="stable")[:len(part) // 2]] = True
+        left, right = part[is_left], part[~is_left]
+        # the left vertices' neighbours, row after row
+        counts = degree[left]
+        row = np.repeat(np.arange(len(left)), counts)
+        first = indptr[left] - np.cumsum(counts) + counts
+        on_right[right] = True
+        cut = on_right[indices[first[row] + np.arange(len(row))]]
+        on_right[right] = False
+        in_sep = np.zeros(len(left), dtype=bool)
+        in_sep[row[cut]] = True
+        return dissect(left[~in_sep]) + dissect(right) + [left[in_sep]]
 
-        label = np.full(V, -1)
-        label[verts] = part
-        la, lb = label[a], label[b]
-        inside = (la == lb) & (la >= 0)
-        a, b = a[inside], b[inside]
-        on_left = np.zeros(V, dtype=bool)
-        on_left[verts] = left
-        cross = on_left[a] != on_left[b]
-        in_sep = np.zeros(V, dtype=bool)
-        in_sep[np.where(on_left[a], a, b)[cross]] = True
-
-        # children (left, right, separator) of each part, in that order
-        child = 3 * part + np.where(in_sep[verts], 2, np.where(left, 0, 1))
-        counts = np.bincount(child, minlength=3 * len(sizes)).reshape(-1, 3)
-        offset = (offset[:, None] + np.cumsum(counts, axis=1) - counts).ravel()
-        sizes = counts.ravel()
-        is_sep = np.tile([False, False, True], len(counts))
-        verts = verts[np.argsort(child, kind="stable")]
-    return order
+    return np.concatenate(dissect(np.arange(len(points))))
 
 
 def _nonzero_pairs(vals, vecs, m):

@@ -402,13 +402,13 @@ def test_analyze_csv_rows_match_geometry(tmp_path):
 
 
 def test_analyze_csv_independent_of_row_block(tmp_path, monkeypatch):
-    import umbilic.cli as cli
+    import umbilic.mesh as mesh_module
 
     mesh_path = tmp_path / "s2.off"
     run(["gen", "--kind", "sphere", "--subdiv", "2", "--out", str(mesh_path)])
     texts = []
-    for block in (cli.CSV_BLOCK, 1, 7):
-        monkeypatch.setattr(cli, "CSV_BLOCK", block)
+    for block in (mesh_module.TEXT_BLOCK, 1, 7):
+        monkeypatch.setattr(mesh_module, "TEXT_BLOCK", block)
         table = tmp_path / f"table{block}.csv"
         assert run(["analyze", "--mesh", str(mesh_path), "--out", str(table)]) == 0
         texts.append(table.read_bytes())
@@ -431,6 +431,7 @@ def test_analyze_table_bytes_match_csv_writer(monkeypatch):
     from types import SimpleNamespace
 
     import umbilic.cli as cli
+    import umbilic.mesh as mesh_module
 
     n = 9
     cells = np.resize(np.array(EDGE_FLOATS), (n, 9))
@@ -448,8 +449,8 @@ def test_analyze_table_bytes_match_csv_writer(monkeypatch):
         "H", "A_traceless_norm", "H2",
     ])
     writer.writerows([i, *map(float, row)] for i, row in enumerate(cells))
-    for block in (cli.CSV_BLOCK, 1, 4):
-        monkeypatch.setattr(cli, "CSV_BLOCK", block)
+    for block in (mesh_module.TEXT_BLOCK, 1, 4):
+        monkeypatch.setattr(mesh_module, "TEXT_BLOCK", block)
         got = io.StringIO()
         cli._write_table(mesh, geo, got)
         assert got.getvalue() == expected.getvalue(), block

@@ -27,7 +27,7 @@ def test_load_off_icosahedron(tmp_path):
     mesh = load_mesh(path)
     assert mesh.n_vertices == 12
     assert mesh.n_faces == 20
-    assert len(mesh.edges) == 30
+    assert mesh.one_ring_matrix.nnz == 60
     assert mesh.euler_characteristic == 2
 
 
@@ -62,7 +62,7 @@ def test_save_mesh_bytes(tmp_path, monkeypatch):
     faces = np.array([[0, 1, 2], [2**31 + 5, 2**40, 0], [4, 3, 2**63 - 2]])
     mesh = SimpleNamespace(
         vertices=vertices, faces=faces, n_vertices=5, n_faces=3,
-        edges=np.zeros((7, 2)),
+        _edge_table=(np.zeros(7), None, None),
     )
     off = ["OFF", "5 3 7"]
     off += [f"{float(x)!r} {float(y)!r} {float(z)!r}" for x, y, z in vertices]
@@ -214,7 +214,7 @@ def test_validation_failure_message(sphere3):
 def test_validate_degenerate_face(sphere3):
     verts = sphere3.vertices.copy()
     # collapse one vertex onto a neighbor: topology intact, two zero-area faces
-    j = sphere3.edges[0, 1]   # the first neighbour of vertex 0
+    j = sphere3.one_ring_matrix.indices[0]   # the first neighbour of vertex 0
     verts[0] = verts[j]
     report = validate_mesh(Mesh(verts, sphere3.faces))
     assert report.closed and report.oriented and report.connected
@@ -284,6 +284,20 @@ def test_constructor_rejects_bad_faces():
         Mesh(verts, [[0, 1, 3]])
     with pytest.raises(ValueError):
         Mesh([[0, 0]], [[0, 0, 0]])
+
+
+def test_mesh_copies_its_inputs(sphere3):
+    # a view made before construction must move neither the mesh nor its caches
+    verts, faces = sphere3.vertices.copy(), sphere3.faces.copy()
+    vert_view, face_view = verts.view(), faces.view()
+    mesh = Mesh(verts, faces)
+    area = mesh.area
+    assert verts.flags.writeable and faces.flags.writeable
+    vert_view *= 2.0
+    face_view[0] = face_view[1]
+    assert np.array_equal(mesh.vertices, sphere3.vertices)
+    assert np.array_equal(mesh.faces, sphere3.faces)
+    assert mesh.area == area == sphere3.area
 
 
 def test_mesh_arrays_immutable(sphere3):
@@ -386,8 +400,6 @@ def topology_cases(sphere3, torus):
 def test_edge_table_matches_reference(sphere3, torus):
     for name, mesh in topology_cases(sphere3, torus).items():
         edges, fields, adj = reference_topology(mesh)
-        assert np.array_equal(mesh.edges, edges), name
-        assert mesh.edges.dtype == edges.dtype, name
         assert mesh.euler_characteristic == mesh.n_vertices - len(edges) + mesh.n_faces
         assert dataclasses.astuple(validate_mesh(mesh)) == fields, name
         ring = mesh.one_ring_matrix

@@ -103,7 +103,7 @@ def test_obtuse_mesh_still_psd(sphere3):
 
 def test_degenerate_face_rejected(sphere3):
     verts = sphere3.vertices.copy()
-    j = sphere3.edges[0, 1]   # the first neighbour of vertex 0
+    j = sphere3.one_ring_matrix.indices[0]   # the first neighbour of vertex 0
     verts[0] = verts[j]
     with pytest.raises(ValueError, match="degenerate"):
         build_laplace(Mesh(verts, sphere3.faces))
@@ -210,15 +210,12 @@ def test_factor_fill_below_colamd(surface):
     assert res.factor_nnz <= 0.8 * 1_341_206
 
 
-def reference_dissection(points, edges):
-    """Recursive nested dissection by the rule nested_dissection vectorises.
+def reference_dissection(points, adjacency):
+    """Recursive nested dissection by the rule nested_dissection implements.
 
     Returns the order and every split as (left part, right part, separator).
     """
-    neighbours = [set() for _ in points]
-    for i, j in edges.tolist():
-        neighbours[i].add(j)
-        neighbours[j].add(i)
+    neighbours = [set(row) for row in adjacency.tolil().rows]
     splits = []
 
     def order(part):
@@ -237,15 +234,13 @@ def reference_dissection(points, edges):
     return np.array(order(list(range(len(points))))), splits
 
 
-@pytest.mark.parametrize("surface, subdiv", [
-    (PerturbedSphere(1.0), 4), (Ellipsoid(2.0, 1.0, 1.0), 3),
-])
-def test_ordering_is_nested_dissection(surface, subdiv):
-    mesh = generate(surface, subdiv)
-    order = nested_dissection(mesh.vertices, mesh.edges)
+def check_dissection(mesh):
+    """Assert that nested_dissection is the reference's order, with separators last."""
+    ring = mesh.one_ring_matrix
+    order = nested_dissection(mesh.vertices, ring)
     assert np.array_equal(np.sort(order), np.arange(mesh.n_vertices))
-    assert np.array_equal(nested_dissection(mesh.vertices, mesh.edges), order)
-    expected, splits = reference_dissection(mesh.vertices, mesh.edges)
+    assert np.array_equal(nested_dissection(mesh.vertices, ring), order)
+    expected, splits = reference_dissection(mesh.vertices, ring)
     assert np.array_equal(order, expected)
     position = np.argsort(order)
     assert len(splits) > 3
@@ -254,11 +249,26 @@ def test_ordering_is_nested_dissection(surface, subdiv):
         assert position[sep].min() > position[left + right].max()
 
 
+@pytest.mark.parametrize("surface, subdiv", [
+    (PerturbedSphere(1.0), 4), (Ellipsoid(2.0, 1.0, 1.0), 3),
+])
+def test_ordering_is_nested_dissection(surface, subdiv):
+    check_dissection(generate(surface, subdiv))
+
+
+def test_ordering_on_torus_and_small_leaves(torus, monkeypatch):
+    # LEAF_SIZE is read at call time by both; at 8, a split can leave
+    # an empty left part
+    check_dissection(torus)
+    monkeypatch.setattr(spectral, "LEAF_SIZE", 8)
+    check_dissection(generate(Ellipsoid(2.0, 1.0, 1.0), 3))
+
+
 def test_ordering_identity_up_to_leaf_size(tetra):
     mesh = generate(PerturbedSphere(1.0), 1)
     assert mesh.n_vertices <= spectral.LEAF_SIZE
     for m in (mesh, load_mesh(tetra)):
-        order = nested_dissection(m.vertices, m.edges)
+        order = nested_dissection(m.vertices, m.one_ring_matrix)
         assert np.array_equal(order, np.arange(m.n_vertices))
 
 
