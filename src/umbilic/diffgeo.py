@@ -6,6 +6,11 @@ reads the Weingarten map off the fitted jet.  The higher terms are tiered
 by neighborhood size: cubics absorb the odd third-order variation, and an
 isotropic quartic (x^2 + y^2)^2 absorbs the dominant even fourth-order term
 of near-umbilical graphs, which otherwise aliases into the curvatures.
+Every vertex solves one 10-term least-squares system by its normal
+equations, the columns beyond its tier masked out, with one Cholesky
+factorization per vertex that also decides the fit's rank: a pivot that
+is a tiny fraction of its diagonal entry (MIN_PIVOT_RATIO) rejects the
+fit, naming the vertex, instead of letting rounding pick a number.
 Signs follow the outward-normal convention: round spheres get positive
 principal curvatures.  The tangent frame and the Weingarten map are the
 same kernels both closed-form oracles in `surfgen` use.  The result is one
@@ -35,6 +40,18 @@ QUARTIC_MIN_NEIGHBORS = 12
 # Vertices per jet-fit block: the padded offsets and design matrix of one
 # block, not of the whole mesh, bound the fit's working memory.
 FIT_BLOCK = 4096
+
+# Rank test of a fit: each Cholesky pivot d_j^2 of the normal matrix G must
+# be at least this fraction of its own diagonal entry G_jj (a NaN ratio
+# fails too).  d_j^2 / G_jj is the squared sine of the angle between basis
+# column j and the columns before it.  The smallest ratio measured on
+# healthy meshes: 3.0e-2 on perturbed spheres (s3-s7), 2.2e-2 and 2.8e-2 on
+# the 2:1:1 (s4) and 1.5:1:0.8 (s6) ellipsoids, 3.7e-3 on a torus, 4.5e-3 on
+# a subdivided tetrahedron, 5.2e-4 on the 1000:1:1 ellipsoid (s3) and
+# 3.4e-7 on a tetrahedron with one face split off-centre.  Rank-deficient
+# fits (the icosahedron, the centroid-split tetrahedron) read below 2e-15
+# in absolute value.
+MIN_PIVOT_RATIO = 1e-10
 
 
 @dataclass(frozen=True)
@@ -153,8 +170,16 @@ def _fit_block(verts, indices, lo, counts, m, n_terms, t1, t2, normals):
     """Jet coefficients (p, q, a/2, b, c/2) and scales of vertices lo, lo+1, ...
 
     `indices` holds the block's neighbors, row after row, `counts` how many
-    each row has; rows are padded to width m and the padding rows are
-    zeroed, so they drop out of the normal equations.
+    each row has.  Rows are padded to the global width m with zero
+    offsets, whose design columns are zero and add nothing to the normal
+    equations.  Every vertex solves the 10-term system: the basis terms
+    beyond its tier are zeroed and get a unit diagonal in G, so their
+    coefficients solve to 0 and leave the tier's own system as it is.
+    The products are one matrix product per vertex, and the Cholesky
+    factor and both triangular solves are elementwise steps along the
+    block axis, so a vertex's arithmetic is the same in any block.
+    Raises ValueError naming the first vertex whose pivot ratio is below
+    MIN_PIVOT_RATIO.
     """
     B = len(counts)
     pad = np.zeros((B, m), dtype=np.int64)
@@ -163,40 +188,61 @@ def _fit_block(verts, indices, lo, counts, m, n_terms, t1, t2, normals):
     d = verts[pad] - verts[lo:lo + B, None, :]
     d[~mask] = 0.0
 
-    u = np.einsum("vmk,vk->vm", d, t1)
-    w = np.einsum("vmk,vk->vm", d, t2)
-    z = np.einsum("vmk,vk->vm", d, normals)
-    scale = np.sqrt(np.einsum("vmk,vmk->vm", d, d).sum(axis=1) / counts)
-    u = u / scale[:, None]
-    w = w / scale[:, None]
-    z = z / scale[:, None]
+    # rows u, w, z: the offsets in the frame (t1, t2, normal)
+    uwz = np.stack([t1, t2, normals], axis=1) @ d.transpose(0, 2, 1)
+    scale = np.sqrt((uwz * uwz).sum(axis=(1, 2)) / counts)
+    uwz /= scale[:, None, None]
+    u, w, z = uwz[:, 0], uwz[:, 1], uwz[:, 2]
 
-    terms = [u, w, u * u, u * w, w * w,
-             u**3, u * u * w, u * w * w, w**3,
-             (u * u + w * w) ** 2]
-    A = np.stack(terms, axis=-1)
+    # the design matrix, monomial-major
+    uu, ww = u * u, w * w
+    A = np.stack([u, w, uu, u * w, ww, uu * u, uu * w, u * ww, ww * w,
+                  (uu + ww) ** 2], axis=1)
+    n = A.shape[1]
+    off_tier = np.arange(n)[None, :] >= n_terms[:, None]
+    A[off_tier] = 0.0
 
-    coef = np.zeros((B, 5))
-    for nt in np.unique(n_terms):
-        sel = n_terms == nt
-        Asub = A[sel][:, :, :nt]
-        G = np.einsum("vmi,vmj->vij", Asub, Asub)
-        b = np.einsum("vmi,vm->vi", Asub, z[sel])
-        try:
-            coef[sel] = np.linalg.solve(G, b[..., None])[:, :5, 0]
-        except np.linalg.LinAlgError as exc:
+    G = A @ A.transpose(0, 2, 1)
+    # batch axis last: every step below is elementwise over whole rows
+    L = np.ascontiguousarray(G.transpose(1, 2, 0))
+    x = np.ascontiguousarray((A @ z[:, :, None])[:, :, 0].T)
+    diag = np.arange(n)
+    L[diag, diag] += off_tier.T
+    gdiag = L[diag, diag]
+
+    # G = L L^T, L overwriting the lower triangle, then L L^T x = b
+    for j in range(n):
+        pivot = L[j, j]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ratio = pivot / gdiag[j]
+        bad = ~(ratio >= MIN_PIVOT_RATIO)
+        if bad.any():
+            k = int(np.argmax(bad))
             raise ValueError(
-                "singular jet fit (degenerate vertex neighborhood)"
-            ) from exc
-    return coef, scale
+                f"singular jet fit: vertex {lo + k} has a rank-deficient "
+                f"{n_terms[k]}-term basis (pivot ratio {ratio[k]:.3g} "
+                f"< {MIN_PIVOT_RATIO:g})"
+            )
+        L[j, j] = np.sqrt(pivot)
+        col = L[j + 1:, j]
+        col *= 1.0 / L[j, j]
+        L[j + 1:, j + 1:] -= col[:, None] * col[None, :]
+    for j in range(n):
+        x[j] /= L[j, j]
+        x[j + 1:] -= L[j + 1:, j] * x[j]
+    for j in reversed(range(n)):
+        x[j] /= L[j, j]
+        x[:j] -= L[j, :j] * x[j]
+    return x[:5].T, scale
 
 
 def estimate_geometry(mesh: Mesh) -> SurfaceGeometry:
     """Estimate the shape operator and derived curvatures at every vertex.
 
-    Requires every two-ring neighborhood to contain at least 6 vertices;
-    per-vertex fits are deterministic and independent, so results do not
-    depend on evaluation order.  The fits run FIT_BLOCK vertices at a time,
+    Requires every two-ring neighborhood to contain at least 6 vertices
+    and every fit to pass the rank test (`MIN_PIVOT_RATIO`); per-vertex
+    fits are deterministic and independent, so results do not depend on
+    evaluation order.  The fits run FIT_BLOCK vertices at a time,
     so beyond the O(V) records and the neighborhood matrix the working
     memory does not grow with the mesh.
     """

@@ -25,7 +25,7 @@ DEGENERATE_AREA_FACTOR = 1e-14
 
 # lines of text parsed or written at a time (mesh files, the analyze
 # table): bounds the Python strings and numbers alive at once
-TEXT_BLOCK = 4096
+TEXT_BLOCK = 1024
 
 
 class MeshFormatError(ValueError):
@@ -43,6 +43,7 @@ class ValidationReport:
     degenerate_threshold: float
     manifold: bool | None            # one fan per vertex; None if not traced
     nonmanifold_vertex: int | None   # the first vertex with no or several fans
+    nonfinite_face: int | None       # the first face whose area is inf or nan
 
     @property
     def all_passed(self) -> bool:
@@ -51,6 +52,7 @@ class ValidationReport:
             and self.oriented
             and self.connected
             and self.manifold
+            and self.nonfinite_face is None
             and self.min_face_area > self.degenerate_threshold
         )
 
@@ -66,6 +68,8 @@ class ValidationReport:
         )
         if self.manifold is False:
             message += f" manifold=False (vertex {self.nonmanifold_vertex})"
+        if self.nonfinite_face is not None:
+            message += f" finite_areas=False (face {self.nonfinite_face})"
         return message
 
 
@@ -187,7 +191,10 @@ class Mesh:
 
     @cached_property
     def face_areas(self) -> np.ndarray:
-        return 0.5 * np.linalg.norm(self.face_cross, axis=1)
+        # an area beyond the float range reads inf (or nan), with no
+        # warning: validation names the face
+        with np.errstate(over="ignore", invalid="ignore"):
+            return 0.5 * np.linalg.norm(self.face_cross, axis=1)
 
     @cached_property
     def vertex_areas(self) -> np.ndarray:
@@ -456,6 +463,7 @@ def _validation_report(mesh: Mesh) -> ValidationReport:
     connected = bool(csgraph.connected_components(face_edge, directed=False)[0] == 1)
 
     areas = mesh.face_areas
+    nonfinite = np.flatnonzero(~np.isfinite(areas))
     min_face_area = float(areas.min()) if len(areas) else 0.0
     mean_area = float(areas.mean()) if len(areas) else 0.0
     threshold = DEGENERATE_AREA_FACTOR * mean_area
@@ -467,6 +475,7 @@ def _validation_report(mesh: Mesh) -> ValidationReport:
         degenerate_threshold=threshold,
         manifold=bad_vertex is None if simple else None,
         nonmanifold_vertex=bad_vertex,
+        nonfinite_face=int(nonfinite[0]) if nonfinite.size else None,
     )
 
 

@@ -191,6 +191,9 @@ def test_obj_negative_index_error_record(tmp_path, capsys):
     ([], "config", "the following arguments are required: command"),
     (["gen", "--kind", "sphere", "--radius", "nan", "--out", "{out}"],
      "gen", "radius must be finite, got nan"),
+    # the icosahedron's 9-term fits are rank-deficient
+    (["analyze", "--mesh", "{icosa}", "--out", "{out}", "--json-out", "{out}.json"],
+     "analyze", "singular jet fit: vertex 0 has a rank-deficient 9-term basis"),
 ], ids=["analyze-open", "verify-open", "converge-tol", "sweep-amplitude",
         "gen-axes", "unwritable-out", "analyze-unwritable-json",
         "analyze-unwritable-table", "verify-eps-nan", "verify-eps-inf",
@@ -199,21 +202,42 @@ def test_obj_negative_index_error_record(tmp_path, capsys):
         "analyze-same-path", "sweep-slack-nan", "sweep-slack-zero",
         "sweep-slack-inf", "verify-eps-overflow", "sweep-eps-overflow",
         "verify-no-epsilon", "verify-eps-not-float", "gen-kind-cube",
-        "no-command", "gen-radius-nan"])
+        "no-command", "gen-radius-nan", "analyze-singular-fit"])
 def test_error_record_on_stdout_not_out(tmp_path, capsys, command, stage, message):
     # --out only ever holds a result; the record goes to stdout
     mesh = generate(PerturbedSphere(1.0), 2)
     save_mesh(mesh, tmp_path / "closed.off")
     save_mesh(Mesh(mesh.vertices, mesh.faces[2:]), tmp_path / "open.off")
     save_mesh(generate(PerturbedSphere(1.0, 0.45, 4, 0), 3), tmp_path / "bumpy.off")
+    save_mesh(generate(PerturbedSphere(1.0), 0), tmp_path / "icosa.off")
     paths = dict(open=tmp_path / "open.off", closed=tmp_path / "closed.off",
-                 bumpy=tmp_path / "bumpy.off", out=tmp_path / "result.out")
+                 bumpy=tmp_path / "bumpy.off", icosa=tmp_path / "icosa.off",
+                 out=tmp_path / "result.out")
     assert run([arg.format(**paths) for arg in command]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"]["stage"] == stage
     assert doc["error"]["message"].startswith(message)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "bumpy.off", "closed.off", "open.off"]
+        "bumpy.off", "closed.off", "icosa.off", "open.off"]
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--mesh", "{mesh}"],
+    ["verify", "--mesh", "{mesh}", "--epsilon", "0.2", "--alpha", "0.5"],
+], ids=["analyze", "verify"])
+def test_face_area_overflow_named_at_validation(tmp_path, capsys, command):
+    # the axes are finite, but every face's area overflows a float
+    mesh_path = tmp_path / "huge.off"
+    assert run(["gen", "--kind", "ellipsoid", "--axes", "1e200,1,1",
+                "--subdiv", "2", "--out", str(mesh_path)]) == 0
+    capsys.readouterr()
+    assert run([arg.format(mesh=mesh_path) for arg in command]) == 2
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert doc["error"]["stage"] == "validate"
+    assert doc["error"]["message"].endswith(
+        "min_face_area=inf finite_areas=False (face 0)")
+    assert err == ""
 
 
 @pytest.mark.parametrize("command, mesh_name, message", [

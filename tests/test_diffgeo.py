@@ -10,7 +10,7 @@ from umbilic.diffgeo import (
     estimate_geometry,
     ricci_deficit,
 )
-from umbilic.mesh import Mesh
+from umbilic.mesh import Mesh, validate_mesh
 from umbilic.surfgen import (
     Ellipsoid,
     PerturbedSphere,
@@ -33,6 +33,24 @@ def subdivided_tetrahedron(levels=3) -> Mesh:
     for _ in range(levels):
         verts, faces = _subdivide(verts, faces)
     return Mesh(verts, faces)
+
+
+def split_face0(mesh: Mesh, weights=(1 / 3, 1 / 3, 1 / 3), noise=0.0) -> Mesh:
+    """`mesh` on the unit sphere with face 0 split at a projected point.
+
+    The new vertex is the `weights` combination of face 0's corners, pushed
+    to the sphere.  With `noise`, the vertices first move by that multiple
+    of seeded normal noise and are projected back to the sphere.
+    """
+    v = mesh.vertices.copy()
+    if noise:
+        v += noise * np.random.default_rng(0).normal(size=v.shape)
+        v /= np.linalg.norm(v, axis=1)[:, None]
+    a, b, c = mesh.faces[0]
+    point = np.asarray(weights) @ v[[a, b, c]]
+    n = len(v)
+    faces = np.vstack([mesh.faces[1:], [[a, b, n], [b, c, n], [c, a, n]]])
+    return Mesh(np.vstack([v, point / np.linalg.norm(point)]), faces)
 
 
 def assert_geometry_identical(a, b):
@@ -215,9 +233,64 @@ def test_underdetermined_names_vertex_with_unit_blocks(monkeypatch):
         estimate_geometry(mesh)
 
 
+def reference_fit(mesh: Mesh):
+    """(H, |A - Hg|) of each vertex's own least-squares jet, one at a time."""
+    normals = diffgeo.vertex_normals(mesh)
+    t1, t2 = diffgeo.tangent_frame(normals)
+    nbr = diffgeo.neighborhoods(mesh)
+    H, anorm, tiers = [], [], []
+    for i in range(mesh.n_vertices):
+        ring = nbr.indices[nbr.indptr[i]:nbr.indptr[i + 1]]
+        d = mesh.vertices[ring] - mesh.vertices[i]
+        scale = np.sqrt((d * d).sum() / len(ring))
+        u, w, z = (d @ np.stack([t1[i], t2[i], normals[i]], axis=1)).T / scale
+        basis = [u, w, u * u, u * w, w * w,
+                 u**3, u * u * w, u * w * w, w**3, (u * u + w * w) ** 2]
+        n_terms = (10 if len(ring) >= diffgeo.QUARTIC_MIN_NEIGHBORS else
+                   9 if len(ring) >= diffgeo.CUBIC_MIN_NEIGHBORS else 5)
+        p, q, a2, b, c2 = np.linalg.lstsq(
+            np.stack(basis[:n_terms], axis=1), z, rcond=None)[0][:5]
+        wn = np.sqrt(1.0 + p * p + q * q)
+        W = diffgeo.weingarten_matrix(
+            1.0 + p * p, p * q, 1.0 + q * q,
+            2.0 * a2 / scale / wn, b / scale / wn, 2.0 * c2 / scale / wn)
+        mean, disc = diffgeo.eigen_split(W)
+        H.append(mean)
+        anorm.append(np.sqrt(2.0) * disc)
+        tiers.append(n_terms)
+    return np.array(H), np.array(anorm), np.array(tiers)
+
+
+def test_fit_matches_per_vertex_reference_in_every_tier():
+    mesh = split_face0(subdivided_tetrahedron(2), noise=0.02)
+    assert validate_mesh(mesh).all_passed
+    H, anorm, tiers = reference_fit(mesh)
+    assert np.array_equal(np.bincount(tiers)[[5, 9, 10]], [4, 1, 30])
+    geo = estimate_geometry(mesh)
+    assert np.abs(geo.H - H).max() < 1e-11
+    assert np.abs(geo.A_traceless_norm - anorm).max() < 1e-11
+
+
+@pytest.mark.parametrize("mesh_name", ["icosahedron", "split"])
+def test_singular_fit_names_vertex(mesh_name):
+    # every icosahedron vertex fits 9 terms on its 10 two-ring neighbors,
+    # and so does vertex 0, a corner of the split face: both rank-deficient
+    mesh = (generate(PerturbedSphere(1.0), 0) if mesh_name == "icosahedron"
+            else split_face0(subdivided_tetrahedron(2)))
+    with pytest.raises(ValueError, match=r"^singular jet fit: vertex 0 has a "
+                       r"rank-deficient 9-term basis"):
+        estimate_geometry(mesh)
+
+
+def test_off_centre_split_still_fits():
+    # its smallest pivot ratio, 3.4e-7, sits far above MIN_PIVOT_RATIO
+    geo = estimate_geometry(split_face0(subdivided_tetrahedron(2), (0.5, 0.3, 0.2)))
+    assert np.all(np.isfinite(geo.H))
+
+
 def test_fit_memory_bounded():
-    # the bound sits between a block-wise fit (about 35 MiB) and one that
-    # pads every vertex at once (about 260 MiB)
+    # the bound sits between a block-wise fit (about 29 MiB) and one that
+    # pads every vertex at once (about 201 MiB)
     mesh = generate(PerturbedSphere(1.0, 0.01, 2, 0), 6)
     mesh.one_ring_matrix
     tracemalloc.start()

@@ -355,9 +355,10 @@ def reference_topology(mesh):
     areas = mesh.face_areas
     manifold = (not bad) if simple else None
     first_bad = bad[0] if bad and simple else None
+    overflowed = [k for k, area in enumerate(areas.tolist()) if not np.isfinite(area)]
     fields = (
         closed, oriented, connected, float(areas.min()), 1e-14 * float(areas.mean()),
-        manifold, first_bad,
+        manifold, first_bad, overflowed[0] if overflowed else None,
     )
     return edges, fields, adj
 
@@ -394,6 +395,9 @@ def topology_cases(sphere3, torus):
         "pinched": pinched_sphere(sphere3),
         # a vertex in no face has no fan
         "unreferenced": Mesh(np.vstack([sphere3.vertices, [[0.0, 0.0, 0.0]]]), sphere3.faces),
+        # finite edge cross products whose norms overflow: inf areas (at
+        # 1e200 the cross products overflow too, and the areas read nan)
+        "overflow": Mesh(sphere3.vertices * 1e100, sphere3.faces),
     }
 
 
@@ -408,6 +412,6 @@ def test_edge_table_matches_reference(sphere3, torus):
         assert ring.dtype == adj.dtype and np.all(ring.data == 1), name
     # the fin edge is counted three times, so the reference cases include
     # a non-manifold edge as well as a hole, a flip, two components, a
-    # pinched vertex and a vertex in no face
+    # pinched vertex, a vertex in no face and overflowing face areas
     assert not validate_mesh(three_sheet_mesh()).closed
     assert three_sheet_mesh().euler_characteristic == 5 - 8 + 5
