@@ -84,6 +84,18 @@ def _hypothesis_summary(h):
     }
 
 
+def _spectral_summary(res):
+    if res is None:
+        return None
+    return _jsonable({
+        "iterations": res.iterations,
+        "residual": res.residual,
+        "ritz_values": res.ritz_values,
+        "gap_warning": res.gap_warning,
+        "factor_nnz": res.factor_nnz,
+    })
+
+
 @contextlib.contextmanager
 def _output(out_path: str | None):
     """The file at `out_path` opened for writing, or stdout when it is None.
@@ -103,14 +115,16 @@ def _output(out_path: str | None):
         raise
 
 
-def _json_text(document: dict) -> str:
-    document = dict(document, meta={"timestamp": datetime.now(timezone.utc).isoformat()})
+def _json_text(document: dict, meta: dict | None = None) -> str:
+    """The document with its meta block: the timestamp and the run's `meta`."""
+    meta = dict(meta or {}, timestamp=datetime.now(timezone.utc).isoformat())
+    document = dict(document, meta=meta)
     return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _emit_json(document: dict, out_path: str | None) -> None:
+def _emit_json(document: dict, out_path: str | None, meta: dict | None = None) -> None:
     with _output(out_path) as fh:
-        fh.write(_json_text(document))
+        fh.write(_json_text(document, meta))
 
 
 def _emit_csv(header, rows, out_path: str | None) -> None:
@@ -257,6 +271,9 @@ def _cmd_verify(args) -> int:
         L=args.L, c_n=args.cn, C_np_aubry=args.C_aubry,
     )
     report = pinching.verify_theorem(mesh, constants, tol=args.tol)
+    # the solver's diagnostics go in meta; the report keeps lambda1 and its residual
+    payload = _jsonable(dataclasses.replace(report, hypothesis=None, spectral=None))
+    del payload["spectral"]
     document = {
         "schema": SCHEMA,
         "command": "verify",
@@ -265,12 +282,9 @@ def _cmd_verify(args) -> int:
         ),
         "tolerances": {"lambda1_tol": args.tol, "ring_depth": diffgeo.RING_DEPTH},
         # the summary replaces the hypothesis, whose margins go unserialized
-        "report": dict(
-            _jsonable(dataclasses.replace(report, hypothesis=None)),
-            hypothesis=_hypothesis_summary(report.hypothesis),
-        ),
+        "report": dict(payload, hypothesis=_hypothesis_summary(report.hypothesis)),
     }
-    _emit_json(document, args.out)
+    _emit_json(document, args.out, meta={"spectral": _spectral_summary(report.spectral)})
     return 0 if report.failure is None else 3
 
 

@@ -39,6 +39,7 @@ class ValidationReport:
     closed: bool
     oriented: bool
     connected: bool
+    outward: bool                    # the signed enclosed volume is > 0
     min_face_area: float
     degenerate_threshold: float
     manifold: bool | None            # one fan per vertex; None if not traced
@@ -51,6 +52,7 @@ class ValidationReport:
             self.closed
             and self.oriented
             and self.connected
+            and self.outward
             and self.manifold
             and self.nonfinite_face is None
             and self.min_face_area > self.degenerate_threshold
@@ -64,7 +66,7 @@ class ValidationReport:
         message = (
             f"mesh validation failed: closed={self.closed} "
             f"oriented={self.oriented} connected={self.connected} "
-            f"min_face_area={self.min_face_area:g}"
+            f"outward={self.outward} min_face_area={self.min_face_area:g}"
         )
         if self.manifold is False:
             message += f" manifold=False (vertex {self.nonmanifold_vertex})"
@@ -109,7 +111,8 @@ class Mesh:
         Vertex index triples, counterclockwise w.r.t. the outward normal.
 
     The arrays are copied and frozen; the edge table, adjacency, the
-    validation report and the areas are computed on first use and cached.
+    validation report, the areas and the enclosed volume are computed on
+    first use and cached.
     The per-face corner and cross-product arrays are recomputed on each read.
     """
 
@@ -212,6 +215,17 @@ class Mesh:
     def area(self) -> float:
         """Total surface area, the sum of the face areas."""
         return float(np.sum(self.face_areas))
+
+    @cached_property
+    def enclosed_volume(self) -> float:
+        """Signed volume by the divergence theorem: > 0 when the faces turn
+        counterclockwise about the outward normal."""
+        c = self.face_corners
+        # overflowing coordinates give inf or nan, with no warning:
+        # validation names the overflowing face
+        with np.errstate(over="ignore", invalid="ignore"):
+            signed = np.einsum("ij,ij->i", c[:, 0], np.cross(c[:, 1], c[:, 2])) / 6.0
+            return float(np.sum(signed))
 
 
 def load_mesh(path) -> Mesh:
@@ -404,7 +418,8 @@ def write_rows(fh, columns, prefix: str = "", sep: str = " ", end: str = "\n") -
 
 
 def validate_mesh(mesh: Mesh) -> ValidationReport:
-    """Check closedness, orientability, connectivity, vertex fans and degeneracy.
+    """Check closedness, orientation (consistent and outward), connectivity,
+    vertex fans and degeneracy.
 
     Reporting only: never raises on a broken mesh.  The report is computed
     on the first call and cached on the (immutable) mesh.
@@ -471,6 +486,7 @@ def _validation_report(mesh: Mesh) -> ValidationReport:
         closed=closed,
         oriented=oriented,
         connected=connected,
+        outward=mesh.enclosed_volume > 0,
         min_face_area=min_face_area,
         degenerate_threshold=threshold,
         manifold=bad_vertex is None if simple else None,
@@ -490,9 +506,8 @@ def measures(mesh: Mesh) -> MeshMeasures:
     area = mesh.area
     c = mesh.face_corners
     barycenter = (areas[:, None] * c.mean(axis=1)).sum(axis=0) / area
-    signed = np.einsum("ij,ij->i", c[:, 0], np.cross(c[:, 1], c[:, 2])) / 6.0
     return MeshMeasures(
         area=area,
         barycenter=barycenter,
-        enclosed_volume=float(np.sum(signed)),
+        enclosed_volume=mesh.enclosed_volume,
     )

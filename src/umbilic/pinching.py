@@ -172,7 +172,9 @@ class PinchingReport:
     """Full hypothesis/conclusion ledger of one verify run.
 
     Stages after a failed precondition stay None (serialized as null); the
-    failure message names the stage that stopped the pipeline.
+    failure message names the stage that stopped the pipeline.  spectral is
+    lambda1's full result (None unless it certified), the solver
+    diagnostics the CLI writes to its meta block.
     """
 
     constants: PinchingConstants
@@ -183,6 +185,7 @@ class PinchingReport:
     lambda1: float | None
     lambda1_normalized: float | None
     lambda1_residual: float | None
+    spectral: spectral.SpectralResult | None
     roth: RothResult | None
     annulus: AnnulusResult | None
     oscillation: float | None
@@ -493,7 +496,7 @@ def verify_theorem(
     convexity = convexity_status(geometries)
 
     hypothesis = None
-    lam1 = lam1_t = lam1_res = None
+    res = lam1 = lam1_t = lam1_res = None
     roth = annulus = trace = None
     oscillation = phi = None
     failure = None
@@ -541,6 +544,7 @@ def verify_theorem(
         lambda1=lam1,
         lambda1_normalized=lam1_t,
         lambda1_residual=lam1_res,
+        spectral=res,
         roth=roth,
         annulus=annulus,
         oscillation=oscillation,

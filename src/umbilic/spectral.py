@@ -3,12 +3,18 @@
 The stiffness matrix holds one cotangent weight per edge of the mesh's edge
 table (Pinkall and Polthier, Experiment. Math. 2, 1993) and is positive
 semidefinite; the mass is barycentric lumping, kept as its diagonal, the
-vertex areas.  lambda1 is sparse-direct shift-invert Lanczos: S + sigma M is
+vertex areas.  lambda1 is sparse-direct shift-invert: S + sigma M is
 factored once by SuperLU, with sigma tied to the mesh's mass scale so
-nothing depends on length units, and ARPACK (scipy eigsh) iterates with that
-factor as the inverse operator.  The constant mode in the kernel of S is
-dropped, and the returned pair is certified by its independently recomputed
-Rayleigh quotient and generalized eigenvalue residual.
+nothing depends on length units.  On that factor a block subspace iteration
+starts from the centred coordinate functions, which are almost first
+eigenfunctions on an almost-umbilical surface (they are the test functions
+of Reilly's inequality, Comment. Math. Helv. 52, 1977), plus one seeded
+random vector, so an eigenfunction orthogonal to the coordinates is not
+missed.  ARPACK (scipy eigsh) shift-invert Lanczos on the same factor is the
+fallback when the block does not certify within BLOCK_STEPS steps.  The
+constant mode in the kernel of S is dropped, and the returned pair is
+certified by its independently recomputed Rayleigh quotient and generalized
+eigenvalue residual.
 
 The factor's fill is kept low by a coordinate nested dissection of the
 mesh graph (George, SIAM J. Numer. Anal. 10, 1973; Lipton, Rose and
@@ -26,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
@@ -35,9 +42,12 @@ _SEED = 0x1C05FEE
 # sigma = _SHIFT * 4 pi / area: _SHIFT / r^2 on a sphere of radius r, far
 # below its lambda1 = 2 / r^2, and scaling with it under any change of units
 _SHIFT = 1e-3
-# nonzero eigenvalues lambda1 computes (as ritz_values), and ARPACK's
-# restart limit
-BLOCK_SIZE = 4
+# nonzero eigenvalues lambda1 certifies (as ritz_values); the block
+# iteration carries one more column, and ARPACK computes one more pair, the
+# constant mode
+BLOCK_SIZE = 3
+# block steps before the ARPACK fallback, and ARPACK's restart limit
+BLOCK_STEPS = 16
 MAX_ITER = 500
 # nested dissection stops splitting a part of at most this many vertices
 LEAF_SIZE = 64
@@ -64,18 +74,23 @@ class LaplaceSystem:
     """Cotangent stiffness and lumped mass (the vertex areas) of the P1 Laplacian.
 
     ordering is the nested-dissection elimination order of the vertices
-    that lambda1 factors in (ordering[k] is the k-th vertex eliminated).
+    that lambda1 factors in (ordering[k] is the k-th vertex eliminated);
+    positions are the mesh's vertex coordinates, lambda1's start block.
     """
 
     stiffness: sparse.csr_matrix
     mass: np.ndarray
     ordering: np.ndarray
+    positions: np.ndarray
 
 
 @dataclass(frozen=True)
 class SpectralResult:
     """First nonzero eigenpair with its certificate and gap diagnostics.
 
+    ritz_values are the BLOCK_SIZE lowest nonzero eigenvalues, each
+    certified, in ascending order; iterations counts the column solves with
+    the factor, of the block iteration and of the ARPACK fallback together.
     factor_nnz is nnz(L) + nnz(U) of the factor of S + sigma M (each
     counts the diagonal), the fill the ordering achieved.
     """
@@ -106,7 +121,10 @@ def build_laplace(mesh: Mesh) -> LaplaceSystem:
     diag = -np.asarray(off.sum(axis=1)).ravel()
     stiffness = (off + sparse.diags(diag)).tocsr()
     ordering = nested_dissection(mesh.vertices, mesh.one_ring_matrix)
-    return LaplaceSystem(stiffness=stiffness, mass=mesh.vertex_areas, ordering=ordering)
+    return LaplaceSystem(
+        stiffness=stiffness, mass=mesh.vertex_areas, ordering=ordering,
+        positions=mesh.vertices,
+    )
 
 
 def nested_dissection(points: np.ndarray, adjacency: sparse.csr_matrix) -> np.ndarray:
@@ -172,6 +190,31 @@ def _certify(S, m, u):
     return lam, u, residual
 
 
+def _block_iteration(S, m, X, solve, threshold):
+    """The BLOCK_SIZE lowest nonzero Ritz pairs, certified, or None.
+
+    Shift-invert subspace iteration on the columns of X: each step solves
+    (S + sigma M) Y = M X for every column at once, deflates the constants
+    from Y, and replaces X by the Ritz vectors of the (S, M) pencil on the
+    span of Y (scipy.linalg.eigh of the projected pair).  It stops when
+    each of the BLOCK_SIZE lowest Ritz vectors has a _certify residual
+    <= threshold, and gives up (None) after BLOCK_STEPS steps, or when the
+    projected mass matrix is singular (a planar mesh's coordinates).
+    """
+    X = X - (m @ X) / m.sum()
+    for _ in range(BLOCK_STEPS):
+        Y = solve(m[:, None] * X)
+        Y -= (m @ Y) / m.sum()
+        try:
+            vals, W = scipy.linalg.eigh(Y.T @ (S @ Y), Y.T @ (m[:, None] * Y))
+        except np.linalg.LinAlgError:
+            return None
+        X = Y @ W
+        if all(_certify(S, m, x)[2] <= threshold for x in X.T[:BLOCK_SIZE]):
+            return vals[:BLOCK_SIZE], X[:, :BLOCK_SIZE]
+    return None
+
+
 def lambda1(system: LaplaceSystem, tol: float = DEFAULT_TOL) -> SpectralResult:
     """Smallest nonzero generalized eigenvalue of (stiffness, mass).
 
@@ -180,26 +223,35 @@ def lambda1(system: LaplaceSystem, tol: float = DEFAULT_TOL) -> SpectralResult:
     mesh's own units.  The matrix is symmetric positive definite, so it is
     permuted to that order and factored without pivoting (natural column
     order, SymmetricMode, diag_pivot_thresh 0); each solve permutes its
-    vector in and out, and factor_nnz reports nnz(L) + nnz(U).  Then it
-    runs ARPACK shift-invert Lanczos for the BLOCK_SIZE + 1 eigenvalues
-    nearest -sigma from a start vector seeded by _SEED.  The constant mode
-    is dropped; the next eigenvector is mass-orthogonalised against the
+    vectors in and out, and factor_nnz reports nnz(L) + nnz(U).
+
+    The block iteration (_block_iteration) starts from the vertex positions
+    and one random column seeded by _SEED, BLOCK_SIZE + 1 columns.  Its
+    stop rule asks for a residual <= tol * min(1, 4 pi / area) (that is,
+    tol * sigma / _SHIFT) on each of the BLOCK_SIZE lowest Ritz pairs, so
+    the rule scales with the mesh's units as sigma does.  If it has not
+    stopped after BLOCK_STEPS steps, ARPACK shift-invert Lanczos on the same
+    factor computes the BLOCK_SIZE + 1 eigenvalues nearest -sigma from the
+    same seeded random vector, and the constant mode is dropped.  On
+    meshes with fewer than BLOCK_SIZE + 3 vertices ARPACK runs alone.
+
+    Either way the first eigenvector is mass-orthogonalised against the
     constants and mass-normalised, and lambda1 is recomputed from it as the
     Rayleigh quotient.  The certificate is the residual
     ||S u - lambda1 M u|| / ||M u||, an absolute quantity in the units of
     lambda1 (1/length^2); it must be <= tol, else ConvergenceError.
 
     MAX_ITER is ARPACK's restart limit (maxiter).  iterations counts the
-    applications of the factor (one triangular solve pair each); it depends
-    only on the matrices, so it repeats exactly.  ritz_values are the
-    BLOCK_SIZE nonzero eigenvalues in ascending order.  A multiple
-    second/third Ritz value only sets gap_warning (spheres have a
-    three-dimensional first eigenspace; that is expected, not an error).
+    column solves with the factor (one triangular solve pair each) on both
+    paths; it depends only on the matrices, so it repeats exactly.
+    ritz_values are the BLOCK_SIZE nonzero eigenvalues in ascending order.
+    A multiple second/third Ritz value only sets gap_warning (spheres have
+    a three-dimensional first eigenspace; that is expected, not an error).
 
     ConvergenceError carries the best pair's Rayleigh quotient and residual,
     recomputed from whatever eigenpairs ARPACK converged (None if none but
     the constant mode did).  Its iterations is MAX_ITER when ARPACK ran out
-    of restarts, else the number of factor solves.
+    of restarts, else the number of column solves.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -222,22 +274,31 @@ def lambda1(system: LaplaceSystem, tol: float = DEFAULT_TOL) -> SpectralResult:
 
     def solve(x):
         nonlocal solves
-        solves += 1
+        solves += 1 if x.ndim == 1 else x.shape[1]
         y = np.empty_like(x)
         y[p] = lu.solve(x[p])
         return y
 
     v0 = np.random.default_rng(_SEED).standard_normal(V)
-    converged = True
-    try:
-        vals, vecs = eigsh(
-            S, k=b + 1, M=M, sigma=-sigma, v0=v0, maxiter=MAX_ITER,
-            OPinv=LinearOperator((V, V), matvec=solve, dtype=np.float64),
+    pairs = None
+    if b == BLOCK_SIZE:
+        pairs = _block_iteration(
+            S, m, np.column_stack([system.positions, v0]), solve,
+            tol * min(1.0, sigma / _SHIFT),
         )
-    except ArpackNoConvergence as exc:
-        converged = False
-        vals, vecs = exc.eigenvalues, exc.eigenvectors
-    vals, vecs = _nonzero_pairs(vals, vecs, m)
+    converged = True
+    if pairs is not None:
+        vals, vecs = pairs
+    else:
+        try:
+            vals, vecs = eigsh(
+                S, k=b + 1, M=M, sigma=-sigma, v0=v0, maxiter=MAX_ITER,
+                OPinv=LinearOperator((V, V), matvec=solve, dtype=np.float64),
+            )
+        except ArpackNoConvergence as exc:
+            converged = False
+            vals, vecs = exc.eigenvalues, exc.eigenvectors
+        vals, vecs = _nonzero_pairs(vals, vecs, m)
     lam = u = residual = None
     if vals.size:
         lam, u, residual = _certify(S, m, vecs[:, 0])

@@ -26,10 +26,10 @@ TETRA_OFF = """OFF
 -1.0 -1.0 1.0
 -1.0 1.0 -1.0
 1.0 -1.0 -1.0
-3 0 1 2
-3 0 3 1
-3 0 2 3
-3 1 3 2
+3 0 2 1
+3 0 1 3
+3 0 3 2
+3 1 2 3
 """
 
 

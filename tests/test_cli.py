@@ -38,6 +38,16 @@ def test_gen_and_verify_roundtrip(tmp_path):
     assert doc["report"]["annulus"]["contained"] is True
     assert doc["report"]["failure"] is None
     assert doc["tolerances"] == {"lambda1_tol": 1e-08, "ring_depth": 2}
+    # the solver's diagnostics sit in meta only
+    spectral = doc["meta"]["spectral"]
+    assert set(spectral) == {
+        "iterations", "residual", "ritz_values", "gap_warning", "factor_nnz"}
+    assert "spectral" not in doc["report"]
+    assert spectral["residual"] == doc["report"]["lambda1_residual"]
+    assert spectral["ritz_values"][0] == pytest.approx(doc["report"]["lambda1"], rel=1e-12)
+    assert len(spectral["ritz_values"]) == 3
+    assert spectral["iterations"] > 0 and spectral["factor_nnz"] > 0
+    assert spectral["gap_warning"] is True   # the round sphere's triple lambda1
 
 
 def test_verify_deterministic_payload(tmp_path):
@@ -108,12 +118,24 @@ def test_obj_negative_index_error_record(tmp_path, capsys):
     assert "out of 1-based range" in doc["error"]["message"]
 
 
+INWARD_FAILURE = (
+    "mesh validation failed: closed=True oriented=True connected=True outward=False"
+)
+
+
 @pytest.mark.parametrize("command, stage, message", [
     (["analyze", "--mesh", "{open}", "--out", "{out}", "--json-out", "{out}.json"],
      "validate", "mesh validation failed: closed=False oriented=False"),
     (["verify", "--mesh", "{open}", "--epsilon", "0.2", "--alpha", "0.5",
       "--out", "{out}"],
      "validate", "mesh validation failed: closed=False oriented=False"),
+    # every face reversed: the parent read all H < 0 (analyze) and a
+    # mean-convexity failure (verify) from this structural defect
+    (["analyze", "--mesh", "{inward}", "--out", "{out}", "--json-out", "{out}.json"],
+     "validate", INWARD_FAILURE),
+    (["verify", "--mesh", "{inward}", "--epsilon", "0.2", "--alpha", "0.5",
+      "--out", "{out}"],
+     "validate", INWARD_FAILURE),
     (["converge", "--subdivs", "2,3", "--tol", "1e-17", "--out", "{out}"],
      "lambda1", "subdivision 2: residual above tol=1e-17"),
     # the constant harmonic never bends the sphere, so no amplitude reaches
@@ -194,7 +216,7 @@ def test_obj_negative_index_error_record(tmp_path, capsys):
     # the icosahedron's 9-term fits are rank-deficient
     (["analyze", "--mesh", "{icosa}", "--out", "{out}", "--json-out", "{out}.json"],
      "analyze", "singular jet fit: vertex 0 has a rank-deficient 9-term basis"),
-], ids=["analyze-open", "verify-open", "converge-tol", "sweep-amplitude",
+], ids=["analyze-open", "verify-open", "analyze-inward", "verify-inward", "converge-tol", "sweep-amplitude",
         "gen-axes", "unwritable-out", "analyze-unwritable-json",
         "analyze-unwritable-table", "verify-eps-nan", "verify-eps-inf",
         "verify-L-nan", "verify-p-roth-inf", "verify-tol-inf",
@@ -208,9 +230,11 @@ def test_error_record_on_stdout_not_out(tmp_path, capsys, command, stage, messag
     mesh = generate(PerturbedSphere(1.0), 2)
     save_mesh(mesh, tmp_path / "closed.off")
     save_mesh(Mesh(mesh.vertices, mesh.faces[2:]), tmp_path / "open.off")
+    save_mesh(Mesh(mesh.vertices, mesh.faces[:, ::-1]), tmp_path / "inward.off")
     save_mesh(generate(PerturbedSphere(1.0, 0.45, 4, 0), 3), tmp_path / "bumpy.off")
     save_mesh(generate(PerturbedSphere(1.0), 0), tmp_path / "icosa.off")
-    paths = dict(open=tmp_path / "open.off", closed=tmp_path / "closed.off",
+    paths = dict(open=tmp_path / "open.off", inward=tmp_path / "inward.off",
+                 closed=tmp_path / "closed.off",
                  bumpy=tmp_path / "bumpy.off", icosa=tmp_path / "icosa.off",
                  out=tmp_path / "result.out")
     assert run([arg.format(**paths) for arg in command]) == 2
@@ -218,7 +242,7 @@ def test_error_record_on_stdout_not_out(tmp_path, capsys, command, stage, messag
     assert doc["error"]["stage"] == stage
     assert doc["error"]["message"].startswith(message)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "bumpy.off", "closed.off", "icosa.off", "open.off"]
+        "bumpy.off", "closed.off", "icosa.off", "inward.off", "open.off"]
 
 
 @pytest.mark.parametrize("command", [

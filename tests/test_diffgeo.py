@@ -29,7 +29,7 @@ def subdivided_tetrahedron(levels=3) -> Mesh:
     verts = np.array(
         [[1, 1, 1], [-1, -1, 1], [-1, 1, -1], [1, -1, -1]], dtype=float
     ) / np.sqrt(3.0)
-    faces = np.array([[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]])
+    faces = np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])
     for _ in range(levels):
         verts, faces = _subdivide(verts, faces)
     return Mesh(verts, faces)

@@ -152,7 +152,7 @@ def test_unknown_format(tmp_path):
 
 def test_validate_icosphere_all_pass(sphere3):
     report = validate_mesh(sphere3)
-    assert report.closed and report.oriented and report.connected
+    assert report.closed and report.oriented and report.connected and report.outward
     assert report.manifold and report.nonmanifold_vertex is None
     assert report.min_face_area > report.degenerate_threshold
     assert report.all_passed
@@ -191,6 +191,18 @@ def test_validate_flipped_face(sphere3):
     assert not report.oriented
     # a repeated directed edge leaves the fans untraced
     assert report.manifold is None and report.nonmanifold_vertex is None
+
+
+def test_validate_inward_orientation(sphere3):
+    # every face reversed: consistently oriented, but about the inward normal
+    mesh = Mesh(sphere3.vertices, sphere3.faces[:, ::-1])
+    report = validate_mesh(mesh)
+    assert measures(mesh).enclosed_volume < 0
+    assert report.closed and report.oriented and report.connected and report.manifold
+    assert report.min_face_area > report.degenerate_threshold
+    assert not report.outward and not report.all_passed
+    assert report.failure.startswith(
+        "mesh validation failed: closed=True oriented=True connected=True outward=False")
 
 
 def test_validate_pinched_vertex(sphere3):
@@ -352,12 +364,16 @@ def reference_topology(mesh):
         if len(groups) != 1:
             bad.append(v)
 
+    # the signed volume as a sum of 3x3 determinants
+    outward = bool(np.linalg.det(mesh.vertices[f]).sum() > 0)
+
     areas = mesh.face_areas
     manifold = (not bad) if simple else None
     first_bad = bad[0] if bad and simple else None
     overflowed = [k for k, area in enumerate(areas.tolist()) if not np.isfinite(area)]
     fields = (
-        closed, oriented, connected, float(areas.min()), 1e-14 * float(areas.mean()),
+        closed, oriented, connected, outward,
+        float(areas.min()), 1e-14 * float(areas.mean()),
         manifold, first_bad, overflowed[0] if overflowed else None,
     )
     return edges, fields, adj
@@ -387,6 +403,7 @@ def topology_cases(sphere3, torus):
         "torus": torus,
         "holed": Mesh(sphere3.vertices, sphere3.faces[1:]),
         "flipped": Mesh(sphere3.vertices, flipped),
+        "reversed": Mesh(sphere3.vertices, sphere3.faces[:, ::-1]),
         "two_spheres": Mesh(
             np.vstack([sphere3.vertices, sphere3.vertices + [10.0, 0, 0]]),
             np.vstack([sphere3.faces, sphere3.faces + n]),
@@ -411,7 +428,8 @@ def test_edge_table_matches_reference(sphere3, torus):
         assert np.array_equal(ring.indices, adj.indices), name
         assert ring.dtype == adj.dtype and np.all(ring.data == 1), name
     # the fin edge is counted three times, so the reference cases include
-    # a non-manifold edge as well as a hole, a flip, two components, a
-    # pinched vertex, a vertex in no face and overflowing face areas
+    # a non-manifold edge as well as a hole, a flip, an inward orientation,
+    # two components, a pinched vertex, a vertex in no face and overflowing
+    # face areas
     assert not validate_mesh(three_sheet_mesh()).closed
     assert three_sheet_mesh().euler_characteristic == 5 - 8 + 5

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from scipy import sparse
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from umbilic.diffgeo import estimate_geometry, vertex_normals
 from umbilic.mesh import Mesh, load_mesh
@@ -161,16 +162,33 @@ def test_refinement_monotonicity():
 
 
 def test_nonconvergence_reports_best(sphere4, monkeypatch):
-    # s4, not s3: ARPACK needs several restarts there (79 solves), while on
-    # s3 one restart may be enough under another elimination order
+    # with k = BLOCK_SIZE + 1 ARPACK converges within one restart on every
+    # mesh tried, so a stub raises ArpackNoConvergence with a real run's pairs
     reference = lambda1(build_laplace(sphere4), tol=1e-10).lambda1
+    real_eigsh = spectral.eigsh
+
+    def unconverged(*args, **kwargs):
+        vals, vecs = real_eigsh(*args, **kwargs)
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", vals, vecs)
+
     monkeypatch.setattr(spectral, "MAX_ITER", 1)
-    with pytest.raises(ConvergenceError) as err:
+    monkeypatch.setattr(spectral, "eigsh", unconverged)
+    with pytest.raises(ConvergenceError, match="did not converge") as err:
         lambda1(build_laplace(sphere4), tol=1e-14)
     assert err.value.best_lambda1 == pytest.approx(reference, rel=1e-9)
     assert err.value.best_residual > 1e-14
-    assert err.value.iterations == 1
+    assert err.value.iterations == spectral.MAX_ITER
     assert repr(err.value.best_lambda1) in str(err.value)
+
+
+def test_block_and_arpack_agree(perturbed4, monkeypatch):
+    system = build_laplace(perturbed4)
+    block = lambda1(system)
+    assert block.iterations < (spectral.BLOCK_SIZE + 1) * spectral.BLOCK_STEPS
+    monkeypatch.setattr(spectral, "BLOCK_STEPS", 0)
+    arpack = lambda1(system)
+    assert block.lambda1 == pytest.approx(arpack.lambda1, rel=1e-12)
+    assert block.ritz_values == pytest.approx(arpack.ritz_values, rel=1e-10)
 
 
 def test_residual_above_tol_raises_with_certificate(sphere3):
@@ -181,7 +199,12 @@ def test_residual_above_tol_raises_with_certificate(sphere3):
     assert err.value.best_residual > 1e-17
 
 
-@pytest.mark.parametrize("surface", [PerturbedSphere(1.0), Ellipsoid(2.0, 1.0, 1.0)])
+# Ellipsoid(3, 1, 1) at s2 needs more than BLOCK_STEPS block steps, so it
+# checks the ARPACK fallback
+@pytest.mark.parametrize(
+    "surface",
+    [PerturbedSphere(1.0), Ellipsoid(2.0, 1.0, 1.0), Ellipsoid(3.0, 1.0, 1.0)],
+)
 def test_dense_cross_check(surface):
     system = build_laplace(generate(surface, 2))
     dense = scipy.linalg.eigh(
@@ -194,6 +217,38 @@ def test_dense_cross_check(surface):
     again = lambda1(system)
     assert again.lambda1 == res.lambda1
     assert np.array_equal(again.eigenfunction, res.eigenfunction)
+
+
+def test_block_finds_lowest_eigenvalues(monkeypatch):
+    # lambda2 of this ellipsoid belongs to an even eigenfunction, orthogonal
+    # to the three coordinates by symmetry; only the random start column
+    # can reach it
+    system = build_laplace(generate(Ellipsoid(3.0, 1.0, 1.0), 2))
+    dense = scipy.linalg.eigh(
+        system.stiffness.toarray(), np.diag(system.mass), eigvals_only=True
+    )
+    monkeypatch.setattr(spectral, "BLOCK_STEPS", 100)
+    res = lambda1(system)
+    assert res.iterations < (spectral.BLOCK_SIZE + 1) * spectral.BLOCK_STEPS
+    assert res.ritz_values == pytest.approx(dense[1:4], rel=1e-10)
+    assert res.lambda1 == pytest.approx(dense[1], rel=1e-10)
+
+
+def test_planar_mesh_falls_back():
+    # a flat double-sided hexagon (closed, oriented, enclosed volume 0):
+    # the centred z coordinate is zero, the projected mass matrix singular,
+    # and ARPACK answers
+    t = 2 * np.pi * np.arange(6) / 6
+    verts = np.c_[np.cos(t), np.sin(t) + 0.1 * np.cos(2 * t), np.zeros(6)]
+    faces = [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5],
+             [1, 3, 2], [1, 4, 3], [1, 5, 4], [1, 0, 5]]
+    system = build_laplace(Mesh(verts, faces))
+    dense = scipy.linalg.eigh(
+        system.stiffness.toarray(), np.diag(system.mass), eigvals_only=True
+    )
+    res = lambda1(system)
+    assert res.lambda1 == pytest.approx(dense[1], rel=1e-10)
+    assert res.ritz_values == pytest.approx(dense[1:4], rel=1e-10)
 
 
 @pytest.mark.parametrize("radius", [10.0, 1000.0])
