@@ -87,12 +87,20 @@ def _hypothesis_summary(h):
 def _spectral_summary(res):
     if res is None:
         return None
+    if isinstance(res, spectral.ConvergenceError):
+        return _jsonable({
+            "best_lambda1": res.best_lambda1,
+            "best_residual": res.best_residual,
+            "iterations": res.iterations,
+        })
     return _jsonable({
         "iterations": res.iterations,
         "residual": res.residual,
         "ritz_values": res.ritz_values,
         "gap_warning": res.gap_warning,
         "factor_nnz": res.factor_nnz,
+        "sigma": res.sigma,
+        "basis_columns": res.basis_columns,
     })
 
 

@@ -173,8 +173,9 @@ class PinchingReport:
 
     Stages after a failed precondition stay None (serialized as null); the
     failure message names the stage that stopped the pipeline.  spectral is
-    lambda1's full result (None unless it certified), the solver
-    diagnostics the CLI writes to its meta block.
+    lambda1's full result, or its ConvergenceError when it did not certify
+    (None when it did not run): the solver diagnostics the CLI writes to
+    its meta block.
     """
 
     constants: PinchingConstants
@@ -185,7 +186,7 @@ class PinchingReport:
     lambda1: float | None
     lambda1_normalized: float | None
     lambda1_residual: float | None
-    spectral: spectral.SpectralResult | None
+    spectral: spectral.SpectralResult | spectral.ConvergenceError | None
     roth: RothResult | None
     annulus: AnnulusResult | None
     oscillation: float | None
@@ -513,6 +514,7 @@ def verify_theorem(
             lam1_res = res.residual
         except spectral.ConvergenceError as exc:
             failure = f"lambda1: {exc}"
+            res = exc
 
         if lam1 is not None:
             unit = unit_area(mesh, geometries, constants, lam1)

@@ -5,16 +5,17 @@ table (Pinkall and Polthier, Experiment. Math. 2, 1993) and is positive
 semidefinite; the mass is barycentric lumping, kept as its diagonal, the
 vertex areas.  lambda1 is sparse-direct shift-invert: S + sigma M is
 factored once by SuperLU, with sigma tied to the mesh's mass scale so
-nothing depends on length units.  On that factor a block subspace iteration
-starts from the centred coordinate functions, which are almost first
-eigenfunctions on an almost-umbilical surface (they are the test functions
-of Reilly's inequality, Comment. Math. Helv. 52, 1977), plus one seeded
-random vector, so an eigenfunction orthogonal to the coordinates is not
-missed.  ARPACK (scipy eigsh) shift-invert Lanczos on the same factor is the
-fallback when the block does not certify within BLOCK_STEPS steps.  The
-constant mode in the kernel of S is dropped, and the returned pair is
-certified by its independently recomputed Rayleigh quotient and generalized
-eigenvalue residual.
+nothing depends on length units.  On that factor block shift-invert Lanczos
+with full reorthogonalisation (Grimes, Lewis and Simon, SIAM J. Matrix
+Anal. Appl. 15, 1994) grows a Krylov basis from the centred coordinate
+functions, which are almost first eigenfunctions on an almost-umbilical
+surface (they are the test functions of Reilly's inequality, Comment. Math.
+Helv. 52, 1977), plus one seeded random vector, so an eigenfunction
+orthogonal to the coordinates is not missed.  Each step solves only the
+newest block and does Rayleigh-Ritz of (S, M) on the whole basis.  The
+constant mode in the kernel of S is projected out of every block, and the
+returned pair is certified by its independently recomputed Rayleigh
+quotient and generalized eigenvalue residual.
 
 The factor's fill is kept low by a coordinate nested dissection of the
 mesh graph (George, SIAM J. Numer. Anal. 10, 1973; Lipton, Rose and
@@ -32,9 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy import sparse
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
+from scipy.sparse.linalg import splu
 
 from .mesh import Mesh
 
@@ -42,13 +42,15 @@ _SEED = 0x1C05FEE
 # sigma = _SHIFT * 4 pi / area: _SHIFT / r^2 on a sphere of radius r, far
 # below its lambda1 = 2 / r^2, and scaling with it under any change of units
 _SHIFT = 1e-3
-# nonzero eigenvalues lambda1 certifies (as ritz_values); the block
-# iteration carries one more column, and ARPACK computes one more pair, the
-# constant mode
+# nonzero eigenvalues lambda1 certifies (as ritz_values); the Lanczos
+# blocks carry one more column
 BLOCK_SIZE = 3
-# block steps before the ARPACK fallback, and ARPACK's restart limit
-BLOCK_STEPS = 16
-MAX_ITER = 500
+# the widest Lanczos basis before lambda1 gives up (the widest any surface
+# tried needed was 60 columns, Ellipsoid(1, 2, 0.4) at subdivision 2), and
+# the fraction of its M-norm below which a new vector counts as already
+# spanned
+MAX_BASIS = 96
+RANK_TOL = 1e-10
 # nested dissection stops splitting a part of at most this many vertices
 LEAF_SIZE = 64
 # the residual a lambda1 certificate must reach unless a caller sets another
@@ -58,8 +60,8 @@ DEFAULT_TOL = 1e-8
 class ConvergenceError(RuntimeError):
     """lambda1 found no certified pair; carries the best one found.
 
-    best_lambda1 and best_residual are recomputed from the best nonzero
-    eigenpair available (None when there is none).
+    best_lambda1 and best_residual are recomputed from the first Ritz pair
+    of the last basis, as a certified result's are.
     """
 
     def __init__(self, message, best_lambda1, best_residual, iterations):
@@ -90,9 +92,10 @@ class SpectralResult:
 
     ritz_values are the BLOCK_SIZE lowest nonzero eigenvalues, each
     certified, in ascending order; iterations counts the column solves with
-    the factor, of the block iteration and of the ARPACK fallback together.
+    the factor and basis_columns the width of the final Lanczos basis.
     factor_nnz is nnz(L) + nnz(U) of the factor of S + sigma M (each
-    counts the diagonal), the fill the ordering achieved.
+    counts the diagonal), the fill the ordering achieved; sigma is the
+    shift.
     """
 
     lambda1: float
@@ -102,6 +105,8 @@ class SpectralResult:
     ritz_values: tuple
     gap_warning: bool
     factor_nnz: int
+    sigma: float
+    basis_columns: int
 
 
 def build_laplace(mesh: Mesh) -> LaplaceSystem:
@@ -150,8 +155,12 @@ def nested_dissection(points: np.ndarray, adjacency: sparse.csr_matrix) -> np.nd
             return [part]
         x = points[part]
         coord = x[:, np.argmax(x.max(axis=0) - x.min(axis=0))]
-        is_left = np.zeros(len(part), dtype=bool)
-        is_left[np.argsort(coord, kind="stable")[:len(part) // 2]] = True
+        # the lower half: below the median value, then ties in index order
+        half = len(part) // 2
+        median = np.partition(coord, half - 1)[half - 1]
+        is_left = coord < median
+        tied = np.flatnonzero(coord == median)
+        is_left[tied[:half - np.count_nonzero(is_left)]] = True
         left, right = part[is_left], part[~is_left]
         # the left vertices' neighbours, row after row
         counts = degree[left]
@@ -167,20 +176,6 @@ def nested_dissection(points: np.ndarray, adjacency: sparse.csr_matrix) -> np.nd
     return np.concatenate(dissect(np.arange(len(points))))
 
 
-def _nonzero_pairs(vals, vecs, m):
-    """Eigenpairs in ascending order with the constant mode dropped.
-
-    The kernel of the stiffness matrix is the constants, so the dropped
-    pair is the one whose vector is mass-aligned with the constant vector
-    (every other eigenvector is mass-orthogonal to it).
-    """
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    cos2 = (m @ vecs) ** 2 / (m.sum() * np.einsum("ij,i,ij->j", vecs, m, vecs))
-    keep = cos2 < 0.5
-    return vals[keep], vecs[:, keep]
-
-
 def _certify(S, m, u):
     """Deflate and mass-normalise u; return (Rayleigh quotient, u, residual)."""
     u = u - (m @ u) / m.sum()
@@ -190,29 +185,32 @@ def _certify(S, m, u):
     return lam, u, residual
 
 
-def _block_iteration(S, m, X, solve, threshold):
-    """The BLOCK_SIZE lowest nonzero Ritz pairs, certified, or None.
+def _orthonormalise(Y, basis, m):
+    """The rows of Y made M-orthonormal to the constants, the basis and each other.
 
-    Shift-invert subspace iteration on the columns of X: each step solves
-    (S + sigma M) Y = M X for every column at once, deflates the constants
-    from Y, and replaces X by the Ritz vectors of the (S, M) pencil on the
-    span of Y (scipy.linalg.eigh of the projected pair).  It stops when
-    each of the BLOCK_SIZE lowest Ritz vectors has a _certify residual
-    <= threshold, and gives up (None) after BLOCK_STEPS steps, or when the
-    projected mass matrix is singular (a planar mesh's coordinates).
+    Vectors are rows here, so every elementwise step runs along a vertex
+    axis.  Two rounds of block Gram-Schmidt in the mass inner product take
+    the constants and every block of `basis` out of Y; then each row, again
+    twice, loses its part along the rows kept before it.  A row whose
+    M-norm has fallen to RANK_TOL of its M-norm before projection lies in
+    the span already built and is dropped, so fewer rows than Y has, or
+    none, may come back.
     """
-    X = X - (m @ X) / m.sum()
-    for _ in range(BLOCK_STEPS):
-        Y = solve(m[:, None] * X)
-        Y -= (m @ Y) / m.sum()
-        try:
-            vals, W = scipy.linalg.eigh(Y.T @ (S @ Y), Y.T @ (m[:, None] * Y))
-        except np.linalg.LinAlgError:
-            return None
-        X = Y @ W
-        if all(_certify(S, m, x)[2] <= threshold for x in X.T[:BLOCK_SIZE]):
-            return vals[:BLOCK_SIZE], X[:, :BLOCK_SIZE]
-    return None
+    norms = np.sqrt(np.einsum("ij,j,ij->i", Y, m, Y))
+    for _ in range(2):
+        Y = Y - (Y @ m)[:, None] / m.sum()
+        MY = Y * m
+        for q in basis:
+            Y -= (MY @ q.T) @ q
+    kept = []
+    for y, norm in zip(Y, norms):
+        for _ in range(2):
+            for q in kept:
+                y = y - (q @ (m * y)) * q
+        r = np.sqrt(y @ (m * y))
+        if r > RANK_TOL * norm:
+            kept.append(y / r)
+    return np.array(kept) if kept else Y[:0]
 
 
 def lambda1(system: LaplaceSystem, tol: float = DEFAULT_TOL) -> SpectralResult:
@@ -225,33 +223,36 @@ def lambda1(system: LaplaceSystem, tol: float = DEFAULT_TOL) -> SpectralResult:
     order, SymmetricMode, diag_pivot_thresh 0); each solve permutes its
     vectors in and out, and factor_nnz reports nnz(L) + nnz(U).
 
-    The block iteration (_block_iteration) starts from the vertex positions
-    and one random column seeded by _SEED, BLOCK_SIZE + 1 columns.  Its
-    stop rule asks for a residual <= tol * min(1, 4 pi / area) (that is,
-    tol * sigma / _SHIFT) on each of the BLOCK_SIZE lowest Ritz pairs, so
-    the rule scales with the mesh's units as sigma does.  If it has not
-    stopped after BLOCK_STEPS steps, ARPACK shift-invert Lanczos on the same
-    factor computes the BLOCK_SIZE + 1 eigenvalues nearest -sigma from the
-    same seeded random vector, and the constant mode is dropped.  On
-    meshes with fewer than BLOCK_SIZE + 3 vertices ARPACK runs alone.
+    Block shift-invert Lanczos with full reorthogonalisation then runs on
+    that factor.  The first block is the mass-centred vertex positions and
+    one random column seeded by _SEED, BLOCK_SIZE + 1 columns.  Each step
+    solves (S + sigma M) Y = M Q for the newest block Q only, makes Y
+    M-orthonormal to the constants and to every earlier block
+    (_orthonormalise, which drops the directions already spanned), and
+    does Rayleigh-Ritz of (S, M) on the whole basis.  It stops when each
+    of the BLOCK_SIZE lowest Ritz vectors has a _certify residual <= tol *
+    min(1, 4 pi / area) (that is, tol * sigma / _SHIFT), so the rule
+    scales with the mesh's units as sigma does.  A planar mesh's centred
+    normal coordinate is zero and is dropped from the first block.  On a
+    mesh with fewer than BLOCK_SIZE + 3 vertices the basis soon spans every
+    nonconstant function and stops growing; its Ritz pairs are then exact.
 
-    Either way the first eigenvector is mass-orthogonalised against the
-    constants and mass-normalised, and lambda1 is recomputed from it as the
-    Rayleigh quotient.  The certificate is the residual
-    ||S u - lambda1 M u|| / ||M u||, an absolute quantity in the units of
-    lambda1 (1/length^2); it must be <= tol, else ConvergenceError.
+    The first Ritz vector is mass-orthogonalised against the constants and
+    mass-normalised, and lambda1 is recomputed from it as the Rayleigh
+    quotient.  The certificate is the residual ||S u - lambda1 M u|| /
+    ||M u||, an absolute quantity in the units of lambda1 (1/length^2).
 
-    MAX_ITER is ARPACK's restart limit (maxiter).  iterations counts the
-    column solves with the factor (one triangular solve pair each) on both
-    paths; it depends only on the matrices, so it repeats exactly.
-    ritz_values are the BLOCK_SIZE nonzero eigenvalues in ascending order.
-    A multiple second/third Ritz value only sets gap_warning (spheres have
-    a three-dimensional first eigenspace; that is expected, not an error).
+    iterations counts the column solves with the factor (one triangular
+    solve pair each); it depends only on the matrices, so it repeats
+    exactly.  basis_columns is the width of the final basis and sigma the
+    shift.  ritz_values are the BLOCK_SIZE lowest nonzero Ritz values in
+    ascending order.  A multiple second/third Ritz value only sets
+    gap_warning (spheres have a three-dimensional first eigenspace; that
+    is expected, not an error).
 
-    ConvergenceError carries the best pair's Rayleigh quotient and residual,
-    recomputed from whatever eigenpairs ARPACK converged (None if none but
-    the constant mode did).  Its iterations is MAX_ITER when ARPACK ran out
-    of restarts, else the number of column solves.
+    When the basis reaches MAX_BASIS columns, or stops growing, without
+    meeting the stop rule, ConvergenceError carries the first Ritz pair's
+    Rayleigh quotient and residual and the column solves made.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -259,62 +260,56 @@ def lambda1(system: LaplaceSystem, tol: float = DEFAULT_TOL) -> SpectralResult:
     V = len(m)
     if V < 4:
         raise ValueError("need at least 4 vertices")
-    b = min(BLOCK_SIZE, V - 3)
 
     sigma = _SHIFT * 4.0 * np.pi / m.sum()
+    threshold = tol * min(1.0, sigma / _SHIFT)
     p = system.ordering
-    M = sparse.diags(m)
     # relax=1: no relaxed supernodes, so lu.nnz counts no stored zeros
     # and is nnz(L) + nnz(U) without building the L and U copies
     lu = splu(
-        (S + sigma * M)[p][:, p].tocsc(), permc_spec="NATURAL",
+        (S + sigma * sparse.diags(m))[p][:, p].tocsc(), permc_spec="NATURAL",
         diag_pivot_thresh=0.0, relax=1, options={"SymmetricMode": True},
     )
     solves = 0
-
-    def solve(x):
-        nonlocal solves
-        solves += 1 if x.ndim == 1 else x.shape[1]
-        y = np.empty_like(x)
-        y[p] = lu.solve(x[p])
-        return y
-
-    v0 = np.random.default_rng(_SEED).standard_normal(V)
-    pairs = None
-    if b == BLOCK_SIZE:
-        pairs = _block_iteration(
-            S, m, np.column_stack([system.positions, v0]), solve,
-            tol * min(1.0, sigma / _SHIFT),
-        )
-    converged = True
-    if pairs is not None:
-        vals, vecs = pairs
-    else:
-        try:
-            vals, vecs = eigsh(
-                S, k=b + 1, M=M, sigma=-sigma, v0=v0, maxiter=MAX_ITER,
-                OPinv=LinearOperator((V, V), matvec=solve, dtype=np.float64),
+    # the basis is kept as its blocks, each a row per vector, and T = Q^T S Q
+    # grows a block column at a time, so no step copies the whole basis
+    basis, T = [], np.empty((0, 0))
+    block = np.vstack(
+        [system.positions.T, np.random.default_rng(_SEED).standard_normal(V)]
+    )
+    block -= (block @ m)[:, None] / m.sum()
+    while True:
+        block = _orthonormalise(block, basis, m)
+        b = len(block)
+        if b:
+            basis.append(block)
+            SQ = S @ block.T
+            C = np.concatenate([q @ SQ for q in basis])
+            T = np.block([[T, C[:-b]], [C.T]])
+        vals, W = np.linalg.eigh(T)
+        rows = np.split(W[:, :BLOCK_SIZE], np.cumsum([len(q) for q in basis])[:-1])
+        X = sum(w.T @ q for q, w in zip(basis, rows))   # the lowest Ritz vectors
+        pairs = [_certify(S, m, x) for x in X]
+        lam, u, residual = pairs[0]
+        if all(r <= threshold for _, _, r in pairs):
+            break
+        if not b or len(T) >= MAX_BASIS:
+            why = (
+                f"the basis stopped growing at {len(T)} columns" if not b
+                else f"did not converge within MAX_BASIS={MAX_BASIS} columns"
             )
-        except ArpackNoConvergence as exc:
-            converged = False
-            vals, vecs = exc.eigenvalues, exc.eigenvectors
-        vals, vecs = _nonzero_pairs(vals, vecs, m)
-    lam = u = residual = None
-    if vals.size:
-        lam, u, residual = _certify(S, m, vecs[:, 0])
-    if not converged or not residual <= tol:
-        why = (
-            f"ARPACK did not converge in {MAX_ITER} iterations"
-            if not converged
-            else f"residual above tol={tol:g}"
-        )
-        raise ConvergenceError(
-            f"{why} (best lambda1 {lam!r}, residual {residual!r})",
-            best_lambda1=lam,
-            best_residual=residual,
-            iterations=solves if converged else MAX_ITER,
-        )
-    ritz = tuple(float(t) for t in vals[:b])
+            raise ConvergenceError(
+                f"residual above tol={tol:g} * min(1, 4 pi/area) among the lowest "
+                f"Ritz pairs: {why} (best lambda1 {lam!r}, residual {residual!r})",
+                best_lambda1=lam,
+                best_residual=residual,
+                iterations=solves,
+            )
+        solves += b
+        x = lu.solve((block * m)[:, p].T)
+        block = np.empty_like(block)
+        block[:, p] = x.T
+    ritz = tuple(float(t) for t in vals[:BLOCK_SIZE])
     gap = len(ritz) >= 3 and abs(ritz[2] - ritz[1]) <= tol * max(1.0, abs(ritz[2]))
     return SpectralResult(
         lambda1=lam,
@@ -324,6 +319,8 @@ def lambda1(system: LaplaceSystem, tol: float = DEFAULT_TOL) -> SpectralResult:
         ritz_values=ritz,
         gap_warning=bool(gap),
         factor_nnz=int(lu.nnz),
+        sigma=float(sigma),
+        basis_columns=len(T),
     )
 
 

@@ -41,13 +41,34 @@ def test_gen_and_verify_roundtrip(tmp_path):
     # the solver's diagnostics sit in meta only
     spectral = doc["meta"]["spectral"]
     assert set(spectral) == {
-        "iterations", "residual", "ritz_values", "gap_warning", "factor_nnz"}
+        "iterations", "residual", "ritz_values", "gap_warning", "factor_nnz",
+        "sigma", "basis_columns"}
     assert "spectral" not in doc["report"]
     assert spectral["residual"] == doc["report"]["lambda1_residual"]
     assert spectral["ritz_values"][0] == pytest.approx(doc["report"]["lambda1"], rel=1e-12)
     assert len(spectral["ritz_values"]) == 3
     assert spectral["iterations"] > 0 and spectral["factor_nnz"] > 0
     assert spectral["gap_warning"] is True   # the round sphere's triple lambda1
+    area = load_mesh(mesh_path).area
+    assert spectral["sigma"] == pytest.approx(1e-3 * 4 * np.pi / area, rel=1e-12)
+    assert spectral["basis_columns"] == spectral["iterations"] + 4
+
+
+def test_verify_uncertified_lambda1_meta(tmp_path):
+    mesh_path = tmp_path / "s3.off"
+    out = tmp_path / "report.json"
+    run(["gen", "--kind", "sphere", "--subdiv", "3", "--out", str(mesh_path)])
+    assert run(["verify", "--mesh", str(mesh_path), "--epsilon", "0.2",
+                "--alpha", "0.5", "--tol", "1e-17", "--out", str(out)]) == 3
+    doc = json.loads(out.read_text())
+    assert doc["report"]["failure"].startswith("lambda1: residual above tol")
+    assert doc["report"]["lambda1"] is None
+    spectral = doc["meta"]["spectral"]
+    assert set(spectral) == {"best_lambda1", "best_residual", "iterations"}
+    assert spectral["best_lambda1"] == pytest.approx(2.0, rel=1e-4)
+    assert repr(spectral["best_lambda1"]) in doc["report"]["failure"]
+    assert spectral["best_residual"] > 1e-17
+    assert spectral["iterations"] > 0
 
 
 def test_verify_deterministic_payload(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from scipy import sparse
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import eigsh
 
 from umbilic.diffgeo import estimate_geometry, vertex_normals
 from umbilic.mesh import Mesh, load_mesh
@@ -162,91 +162,110 @@ def test_refinement_monotonicity():
 
 
 def test_nonconvergence_reports_best(sphere4, monkeypatch):
-    # with k = BLOCK_SIZE + 1 ARPACK converges within one restart on every
-    # mesh tried, so a stub raises ArpackNoConvergence with a real run's pairs
+    # a basis capped at three blocks cannot reach tol = 1e-14
     reference = lambda1(build_laplace(sphere4), tol=1e-10).lambda1
-    real_eigsh = spectral.eigsh
-
-    def unconverged(*args, **kwargs):
-        vals, vecs = real_eigsh(*args, **kwargs)
-        raise ArpackNoConvergence("ARPACK error -1: No convergence", vals, vecs)
-
-    monkeypatch.setattr(spectral, "MAX_ITER", 1)
-    monkeypatch.setattr(spectral, "eigsh", unconverged)
+    monkeypatch.setattr(spectral, "MAX_BASIS", 12)
     with pytest.raises(ConvergenceError, match="did not converge") as err:
         lambda1(build_laplace(sphere4), tol=1e-14)
     assert err.value.best_lambda1 == pytest.approx(reference, rel=1e-9)
     assert err.value.best_residual > 1e-14
-    assert err.value.iterations == spectral.MAX_ITER
+    assert err.value.iterations == 8   # two solved blocks of four columns
     assert repr(err.value.best_lambda1) in str(err.value)
 
 
-def test_block_and_arpack_agree(perturbed4, monkeypatch):
+def test_block_and_arpack_agree(perturbed4):
+    # ARPACK shift-invert Lanczos, run here as an independent reference
     system = build_laplace(perturbed4)
-    block = lambda1(system)
-    assert block.iterations < (spectral.BLOCK_SIZE + 1) * spectral.BLOCK_STEPS
-    monkeypatch.setattr(spectral, "BLOCK_STEPS", 0)
-    arpack = lambda1(system)
-    assert block.lambda1 == pytest.approx(arpack.lambda1, rel=1e-12)
-    assert block.ritz_values == pytest.approx(arpack.ritz_values, rel=1e-10)
+    res = lambda1(system)
+    v0 = np.random.default_rng(0).standard_normal(len(system.mass))
+    vals = eigsh(
+        system.stiffness, k=spectral.BLOCK_SIZE + 1, M=sparse.diags(system.mass),
+        sigma=-res.sigma, v0=v0, tol=1e-14, return_eigenvectors=False,
+    )
+    reference = np.sort(vals)[1:]
+    assert res.lambda1 == pytest.approx(reference[0], rel=1e-12)
+    assert res.ritz_values == pytest.approx(reference, rel=1e-10)
 
 
 def test_residual_above_tol_raises_with_certificate(sphere3):
-    # ARPACK converges, but no double-precision pair meets tol = 1e-17
+    # no double-precision pair meets tol = 1e-17
     with pytest.raises(ConvergenceError, match="residual above tol") as err:
         lambda1(build_laplace(sphere3), tol=1e-17)
     assert err.value.best_lambda1 == pytest.approx(2.0, rel=1e-4)
     assert err.value.best_residual > 1e-17
 
 
-# Ellipsoid(3, 1, 1) at s2 needs more than BLOCK_STEPS block steps, so it
-# checks the ARPACK fallback
-@pytest.mark.parametrize(
-    "surface",
-    [PerturbedSphere(1.0), Ellipsoid(2.0, 1.0, 1.0), Ellipsoid(3.0, 1.0, 1.0)],
-)
-def test_dense_cross_check(surface):
-    system = build_laplace(generate(surface, 2))
-    dense = scipy.linalg.eigh(
+def dense_spectrum(system):
+    return scipy.linalg.eigh(
         system.stiffness.toarray(), np.diag(system.mass), eigvals_only=True
     )
+
+
+# Ellipsoid(3, 1, 1) at s2 and Ellipsoid(5, 1, 1) at s4 need the widest
+# bases; a subspace iteration run past 16 steps on the latter certified a
+# third Ritz value of 1.2093, where the true one is 0.9871
+@pytest.mark.parametrize("surface, subdiv", [
+    (PerturbedSphere(1.0), 2), (Ellipsoid(2.0, 1.0, 1.0), 2),
+    (Ellipsoid(3.0, 1.0, 1.0), 2), (Ellipsoid(5.0, 1.0, 1.0), 4),
+], ids=["surface0", "surface1", "surface2", "surface3"])
+def test_dense_cross_check(surface, subdiv):
+    system = build_laplace(generate(surface, subdiv))
+    dense = dense_spectrum(system)
     res = lambda1(system)
     assert res.lambda1 == pytest.approx(dense[1], rel=1e-10)
-    assert res.ritz_values[:3] == pytest.approx(dense[1:4], rel=1e-10)
+    assert res.ritz_values == pytest.approx(dense[1:4], rel=1e-10)
     assert abs(system.mass @ res.eigenfunction) <= 1e-12
     again = lambda1(system)
     assert again.lambda1 == res.lambda1
     assert np.array_equal(again.eigenfunction, res.eigenfunction)
 
 
-def test_block_finds_lowest_eigenvalues(monkeypatch):
+def test_block_finds_lowest_eigenvalues():
     # lambda2 of this ellipsoid belongs to an even eigenfunction, orthogonal
     # to the three coordinates by symmetry; only the random start column
     # can reach it
     system = build_laplace(generate(Ellipsoid(3.0, 1.0, 1.0), 2))
-    dense = scipy.linalg.eigh(
-        system.stiffness.toarray(), np.diag(system.mass), eigvals_only=True
-    )
-    monkeypatch.setattr(spectral, "BLOCK_STEPS", 100)
+    dense = dense_spectrum(system)
     res = lambda1(system)
-    assert res.iterations < (spectral.BLOCK_SIZE + 1) * spectral.BLOCK_STEPS
+    assert res.basis_columns <= spectral.MAX_BASIS
     assert res.ritz_values == pytest.approx(dense[1:4], rel=1e-10)
     assert res.lambda1 == pytest.approx(dense[1], rel=1e-10)
 
 
-def test_planar_mesh_falls_back():
+def test_column_solve_count():
+    # the subspace iteration this replaced took 32 and 99 column solves
+    near = lambda1(build_laplace(generate(PerturbedSphere(1.0, 0.01, 2, 0), 5)))
+    prolate = lambda1(build_laplace(generate(Ellipsoid(3.0, 1.0, 1.0), 5)))
+    assert near.iterations == 16   # four blocks of four columns
+    assert prolate.iterations <= 52
+    for res in (near, prolate):
+        assert res.basis_columns == res.iterations + spectral.BLOCK_SIZE + 1
+
+
+def test_planar_mesh_basis_stops_growing():
     # a flat double-sided hexagon (closed, oriented, enclosed volume 0):
-    # the centred z coordinate is zero, the projected mass matrix singular,
-    # and ARPACK answers
+    # the centred z coordinate is zero and is dropped, and the basis stops
+    # growing once it spans the five nonconstant functions
     t = 2 * np.pi * np.arange(6) / 6
     verts = np.c_[np.cos(t), np.sin(t) + 0.1 * np.cos(2 * t), np.zeros(6)]
     faces = [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5],
              [1, 3, 2], [1, 4, 3], [1, 5, 4], [1, 0, 5]]
     system = build_laplace(Mesh(verts, faces))
-    dense = scipy.linalg.eigh(
-        system.stiffness.toarray(), np.diag(system.mass), eigvals_only=True
-    )
+    dense = dense_spectrum(system)
     res = lambda1(system)
+    assert res.basis_columns == 5
+    assert res.lambda1 == pytest.approx(dense[1], rel=1e-10)
+    assert res.ritz_values == pytest.approx(dense[1:4], rel=1e-10)
+
+
+def test_tetrahedron_against_dense(tetra):
+    # four vertices: the three centred coordinates span every nonconstant
+    # function, so the start block alone is exact
+    system = build_laplace(load_mesh(tetra))
+    dense = dense_spectrum(system)
+    res = lambda1(system)
+    assert res.basis_columns == 3
+    assert res.iterations == 0
     assert res.lambda1 == pytest.approx(dense[1], rel=1e-10)
     assert res.ritz_values == pytest.approx(dense[1:4], rel=1e-10)
 
@@ -317,6 +336,25 @@ def test_ordering_on_torus_and_small_leaves(torus, monkeypatch):
     check_dissection(torus)
     monkeypatch.setattr(spectral, "LEAF_SIZE", 8)
     check_dissection(generate(Ellipsoid(2.0, 1.0, 1.0), 3))
+
+
+def grid_mesh(nx, ny):
+    """A flat nx-by-ny grid of integer points, two triangles per cell."""
+    x, y = np.meshgrid(np.arange(nx, dtype=float), np.arange(ny, dtype=float))
+    verts = np.c_[x.ravel(), y.ravel(), np.zeros(nx * ny)]
+    corner = (np.arange(ny - 1)[:, None] * nx + np.arange(nx - 1)).ravel()
+    faces = np.r_[
+        np.c_[corner, corner + 1, corner + nx + 1],
+        np.c_[corner, corner + nx + 1, corner + nx],
+    ]
+    return Mesh(verts, faces)
+
+
+@pytest.mark.parametrize("nx, ny", [(24, 24), (31, 13)])
+def test_ordering_with_ties_at_the_median(nx, ny):
+    # whole grid rows and columns share a coordinate, so most medians are
+    # tied and the index order decides which tied vertices go left
+    check_dissection(grid_mesh(nx, ny))
 
 
 def test_ordering_identity_up_to_leaf_size(tetra):
