@@ -22,10 +22,8 @@ from .fields import (
 from .mesh import (
     Mesh,
     MeshFormatError,
-    MeshMeasures,
     ValidationReport,
     load_mesh,
-    measures,
     save_mesh,
     validate_mesh,
 )

@@ -24,7 +24,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import diffgeo, fields, pinching, spectral, surfgen
-from .mesh import Mesh, load_mesh, measures, save_mesh, validate_mesh, write_rows
+from .mesh import Mesh, load_mesh, save_mesh, validate_mesh, write_rows
 
 SCHEMA = "umbilic/1"
 
@@ -243,7 +243,6 @@ def _write_table(mesh: Mesh, geo, fh) -> None:
 
 
 def _analyze_summary(mesh: Mesh, geo) -> dict:
-    mm = measures(mesh)
     anorm = fields.ScalarField(values=geo.A_traceless_norm, weights=mesh.vertex_areas)
     hfield = fields.ScalarField(values=geo.H, weights=mesh.vertex_areas)
     convexity = diffgeo.convexity_status(geo)
@@ -254,9 +253,9 @@ def _analyze_summary(mesh: Mesh, geo) -> dict:
             "vertices": mesh.n_vertices,
             "faces": mesh.n_faces,
             "euler_characteristic": mesh.euler_characteristic,
-            "area": mm.area,
-            "enclosed_volume": mm.enclosed_volume,
-            "barycenter": [float(x) for x in mm.barycenter],
+            "area": mesh.area,
+            "enclosed_volume": mesh.enclosed_volume,
+            "barycenter": [float(x) for x in mesh.barycenter],
         },
         "norms": {
             "A_traceless_L2": fields.lp_norm(anorm, 2.0),

@@ -1,4 +1,4 @@
-"""Triangle mesh container, OFF/OBJ ingestion, validation and measures.
+"""Triangle mesh container, OFF/OBJ ingestion, validation and face geometry.
 
 Meshes are closed oriented triangle surfaces embedded in R^3.  Vertices and
 faces are immutable numpy arrays.  Combinatorics come from one keyed edge
@@ -75,15 +75,6 @@ class ValidationReport:
         return message
 
 
-@dataclass(frozen=True)
-class MeshMeasures:
-    """Surface area, surface-measure barycenter and enclosed volume."""
-
-    area: float
-    barycenter: np.ndarray
-    enclosed_volume: float
-
-
 def _half_edges(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Tail and head of the face edges 01, 12, 20, in three blocks of F."""
     return faces.T.ravel(), faces[:, [1, 2, 0]].T.ravel()
@@ -111,9 +102,9 @@ class Mesh:
         Vertex index triples, counterclockwise w.r.t. the outward normal.
 
     The arrays are copied and frozen; the edge table, adjacency, the
-    validation report, the areas and the enclosed volume are computed on
-    first use and cached.
-    The per-face corner and cross-product arrays are recomputed on each read.
+    validation report, the areas, the barycenter and the enclosed volume
+    are computed on first use and cached.
+    The per-face cross-product array is recomputed on each read.
     """
 
     def __init__(self, vertices, faces):
@@ -182,14 +173,9 @@ class Mesh:
     # -- geometry ------------------------------------------------------------
 
     @property
-    def face_corners(self) -> np.ndarray:
-        """(F, 3, 3) vertex positions per face."""
-        return self.vertices[self.faces]
-
-    @property
     def face_cross(self) -> np.ndarray:
         """(F, 3) un-normalized face normals (cross of two edges)."""
-        c = self.face_corners
+        c = self.vertices[self.faces]
         return np.cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0])
 
     @cached_property
@@ -217,14 +203,20 @@ class Mesh:
         return float(np.sum(self.face_areas))
 
     @cached_property
+    def barycenter(self) -> np.ndarray:
+        """Surface-measure barycenter: the vertex-area-weighted mean vertex."""
+        return self.vertex_areas @ self.vertices / self.area
+
+    @cached_property
     def enclosed_volume(self) -> float:
         """Signed volume by the divergence theorem: > 0 when the faces turn
         counterclockwise about the outward normal."""
-        c = self.face_corners
-        # overflowing coordinates give inf or nan, with no warning:
-        # validation names the overflowing face
+        # c0 . ((c1 - c0) x (c2 - c0)) equals c0 . (c1 x c2) but does not
+        # cancel far from the origin; overflowing coordinates give inf or
+        # nan, with no warning: validation names the overflowing face
         with np.errstate(over="ignore", invalid="ignore"):
-            signed = np.einsum("ij,ij->i", c[:, 0], np.cross(c[:, 1], c[:, 2])) / 6.0
+            corner = self.vertices[self.faces[:, 0]]
+            signed = np.einsum("ij,ij->i", corner, self.face_cross) / 6.0
             return float(np.sum(signed))
 
 
@@ -378,7 +370,7 @@ def _parse_obj(text: str) -> Mesh:
     if faces.size and (faces.min() < 1 or faces.max() > len(verts)):
         raise IndexError(
             f"OBJ face index out of 1-based range [1, {len(verts)}]: "
-            f"min {faces.min() if faces.size else 0}, max {faces.max()}"
+            f"min {faces.min()}, max {faces.max()}"
         )
     return Mesh(verts, faces - 1)
 
@@ -494,20 +486,3 @@ def _validation_report(mesh: Mesh) -> ValidationReport:
         nonfinite_face=int(nonfinite[0]) if nonfinite.size else None,
     )
 
-
-def measures(mesh: Mesh) -> MeshMeasures:
-    """Total area, surface barycenter and divergence-theorem volume.
-
-    The barycenter is the area-weighted mean of face centroids, i.e. the
-    center of mass of the piecewise-flat surface measure (not the centroid
-    of the enclosed solid).
-    """
-    areas = mesh.face_areas
-    area = mesh.area
-    c = mesh.face_corners
-    barycenter = (areas[:, None] * c.mean(axis=1)).sum(axis=0) / area
-    return MeshMeasures(
-        area=area,
-        barycenter=barycenter,
-        enclosed_volume=mesh.enclosed_volume,
-    )

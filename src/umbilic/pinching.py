@@ -39,7 +39,7 @@ from .fields import (
     lp_norm_log_pth_power,
     sublevel_measure,
 )
-from .mesh import Mesh, measures, validate_mesh
+from .mesh import Mesh, validate_mesh
 
 # Amplitude search: stop at this relative error of the pinching ratio, or
 # after this many steps (enough for bisection alone to narrow [0, delta_max]
@@ -523,7 +523,7 @@ def verify_theorem(
                 roth = roth_condition(unit)
             except ValueError as exc:
                 failure = f"spectral condition: {exc}"
-            center = measures(mesh).barycenter
+            center = mesh.barycenter
             dist = np.linalg.norm(mesh.vertices - center, axis=1)
             try:
                 annulus = _annulus(center, dist, lam1, constants.epsilon)

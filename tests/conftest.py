@@ -117,7 +117,7 @@ def make_torus(big_radius=1.0, tube_radius=0.6, n_ring=48, n_tube=24) -> Mesh:
             faces.append([a, c, d])
     mesh = Mesh(verts, np.array(faces))
     # orient outward (positive enclosed volume)
-    c = mesh.face_corners
+    c = mesh.vertices[mesh.faces]
     vol = np.einsum("ij,ij->i", c[:, 0], np.cross(c[:, 1], c[:, 2])).sum() / 6.0
     if vol < 0:
         mesh = Mesh(verts, np.array(faces)[:, ::-1])

@@ -13,7 +13,7 @@ import pytest
 from umbilic.cli import _jsonable, main
 from umbilic.diffgeo import estimate_geometry
 from umbilic.fields import ScalarField, lp_norm
-from umbilic.mesh import Mesh, measures, save_mesh
+from umbilic.mesh import Mesh, save_mesh
 from umbilic.pinching import (
     PinchingConstants,
     check_hypothesis,
@@ -65,9 +65,9 @@ def test_criterion_1_sphere_model_case():
         assert 1.98 <= res.lambda1 <= 2.02
         total_k = float(np.sum(geo.H2 * mesh.vertex_areas))
         assert abs(total_k - 4 * np.pi) / (4 * np.pi) <= 0.005
-        assert np.linalg.norm(measures(mesh).barycenter) <= 1e-6
+        assert np.linalg.norm(mesh.barycenter) <= 1e-6
         # the annulus sqrt(2/lambda1) -/+ 0.05 about the barycenter
-        dist = np.linalg.norm(mesh.vertices - measures(mesh).barycenter, axis=1)
+        dist = np.linalg.norm(mesh.vertices - mesh.barycenter, axis=1)
         r_lam = np.sqrt(2.0 / res.lambda1)
         assert r_lam - 0.05 <= dist.min() and dist.max() <= r_lam + 0.05
 

@@ -7,7 +7,6 @@ from umbilic.mesh import (
     Mesh,
     MeshFormatError,
     load_mesh,
-    measures,
     save_mesh,
     validate_mesh,
 )
@@ -193,11 +192,17 @@ def test_validate_flipped_face(sphere3):
     assert report.manifold is None and report.nonmanifold_vertex is None
 
 
-def test_validate_inward_orientation(sphere3):
+# far from the origin the sum of c0 . (c1 x c2) / 6 cancels: it reads -49.8
+# for sphere3 shifted this far (true 4.15), and +88.4 for its reversed copy
+FAR_SHIFT = np.array([1e6, -7e5, 3e5])
+
+
+@pytest.mark.parametrize("shift", [np.zeros(3), FAR_SHIFT], ids=["origin", "far"])
+def test_validate_inward_orientation(sphere3, shift):
     # every face reversed: consistently oriented, but about the inward normal
-    mesh = Mesh(sphere3.vertices, sphere3.faces[:, ::-1])
+    mesh = Mesh(sphere3.vertices + shift, sphere3.faces[:, ::-1])
     report = validate_mesh(mesh)
-    assert measures(mesh).enclosed_volume < 0
+    assert mesh.enclosed_volume < 0
     assert report.closed and report.oriented and report.connected and report.manifold
     assert report.min_face_area > report.degenerate_threshold
     assert not report.outward and not report.all_passed
@@ -235,21 +240,39 @@ def test_validate_degenerate_face(sphere3):
 
 
 def test_measures_unit_sphere(sphere5):
-    mm = measures(sphere5)
-    assert abs(mm.area - 4 * np.pi) / (4 * np.pi) < 1e-3
-    assert np.linalg.norm(mm.barycenter) < 1e-9
-    assert abs(mm.enclosed_volume - 4 * np.pi / 3) / (4 * np.pi / 3) < 1e-3
+    assert abs(sphere5.area - 4 * np.pi) / (4 * np.pi) < 1e-3
+    assert np.linalg.norm(sphere5.barycenter) < 1e-9
+    assert abs(sphere5.enclosed_volume - 4 * np.pi / 3) / (4 * np.pi / 3) < 1e-3
+
+
+def test_measures_match_face_formulas():
+    # the area-weighted face-centroid mean and sum c0 . (c1 x c2) / 6, which
+    # the vertex-weighted barycenter and the edge-cross volume regroup; a
+    # degree-1 perturbation moves the barycenter off the origin
+    mesh = generate(PerturbedSphere(1.0, 0.3, 1, 0), 3)
+    c = mesh.vertices[mesh.faces]
+    barycenter = (mesh.face_areas[:, None] * c.mean(axis=1)).sum(axis=0) / mesh.area
+    volume = np.sum(np.einsum("ij,ij->i", c[:, 0], np.cross(c[:, 1], c[:, 2])) / 6.0)
+    assert np.linalg.norm(barycenter) > 1e-3
+    assert np.abs(mesh.barycenter - barycenter).max() <= 1e-14
+    assert abs(mesh.enclosed_volume - volume) <= 1e-14 * volume
 
 
 def test_barycenter_translation(sphere4):
     shifted = Mesh(sphere4.vertices + [3.0, 0.0, 0.0], sphere4.faces)
-    mm = measures(shifted)
-    assert np.allclose(mm.barycenter, [3.0, 0.0, 0.0], atol=1e-6)
+    assert np.allclose(shifted.barycenter, [3.0, 0.0, 0.0], atol=1e-6)
+
+
+def test_far_translation_passes_validation(sphere3):
+    shifted = Mesh(sphere3.vertices + FAR_SHIFT, sphere3.faces)
+    assert validate_mesh(shifted).all_passed
+    volume = sphere3.enclosed_volume
+    assert abs(shifted.enclosed_volume - volume) <= 1e-9 * volume
+    assert np.abs(shifted.barycenter - FAR_SHIFT).max() <= 1e-6
 
 
 def test_exact_scaling_laws(sphere4):
-    base = measures(sphere4)
-    doubled = measures(Mesh(sphere4.vertices * 2.0, sphere4.faces))
+    base, doubled = sphere4, Mesh(sphere4.vertices * 2.0, sphere4.faces)
     assert abs(doubled.area - 4.0 * base.area) <= 1e-12 * doubled.area
     assert (
         abs(doubled.enclosed_volume - 8.0 * base.enclosed_volume)
@@ -268,8 +291,8 @@ def test_rigid_motion_invariance(sphere4):
             [0.0, 0.0, 1.0],
         ]
     )
-    moved = Mesh(sphere4.vertices @ rot.T + [0.3, -1.2, 2.0], sphere4.faces)
-    base, after = measures(sphere4), measures(moved)
+    base = sphere4
+    after = Mesh(sphere4.vertices @ rot.T + [0.3, -1.2, 2.0], sphere4.faces)
     assert abs(after.area - base.area) <= 1e-12 * base.area
     assert abs(after.enclosed_volume - base.enclosed_volume) <= 1e-12 * base.enclosed_volume
     assert np.allclose(

@@ -6,7 +6,7 @@ import pytest
 
 from umbilic.diffgeo import SurfaceGeometry, estimate_geometry
 from umbilic.fields import ScalarField, lp_norm
-from umbilic.mesh import Mesh, measures, validate_mesh
+from umbilic.mesh import Mesh, validate_mesh
 from umbilic.pinching import (
     PinchingConstants,
     _annulus,
@@ -221,7 +221,7 @@ def verified(mesh, epsilon):
 
 
 def barycenter_distances(mesh):
-    center = measures(mesh).barycenter
+    center = mesh.barycenter
     return center, np.linalg.norm(mesh.vertices - center, axis=1)
 
 

@@ -33,7 +33,7 @@ def test_stiffness_symmetric(sphere3):
 def reference_assembly(mesh):
     """Stiffness, vertex areas and vertex normals as a per-corner COO
     assembly and np.add.at sums build them, without the edge table."""
-    f, c, V = mesh.faces, mesh.face_corners, mesh.n_vertices
+    f, c, V = mesh.faces, mesh.vertices[mesh.faces], mesh.n_vertices
     rows, cols, vals = [], [], []
     for corner, (ja, jb) in enumerate([(1, 2), (2, 0), (0, 1)]):
         e1 = c[:, ja] - c[:, corner]

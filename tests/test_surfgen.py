@@ -90,7 +90,7 @@ def test_generate_sphere_combinatorics():
 
 
 def test_generate_outward_orientation(sphere4):
-    c = sphere4.face_corners
+    c = sphere4.vertices[sphere4.faces]
     vol = np.einsum("ij,ij->i", c[:, 0], np.cross(c[:, 1], c[:, 2])).sum() / 6.0
     assert vol > 0
 
@@ -152,7 +152,7 @@ def test_non_finite_parameters_rejected(make, message):
 
 def test_face_diameter_halves():
     def max_diam(mesh):
-        c = mesh.face_corners
+        c = mesh.vertices[mesh.faces]
         d01 = np.linalg.norm(c[:, 0] - c[:, 1], axis=1)
         d12 = np.linalg.norm(c[:, 1] - c[:, 2], axis=1)
         d20 = np.linalg.norm(c[:, 2] - c[:, 0], axis=1)
