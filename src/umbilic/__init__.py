@@ -46,7 +46,6 @@ from .pinching import (
 )
 from .spectral import (
     ConvergenceError,
-    LaplaceSystem,
     SpectralResult,
     aubry_lower_bound,
     build_laplace,

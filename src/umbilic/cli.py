@@ -357,7 +357,7 @@ def _cmd_converge(args) -> int:
         h_err = float(np.abs(geo.H - 1.0 / radius).max())
         h_mean_err = float(np.abs(geo.H - 1.0 / radius).mean())
         try:
-            lam = spectral.lambda1(spectral.build_laplace(mesh), tol=args.tol)
+            lam = spectral.lambda1(mesh, tol=args.tol)
         except spectral.ConvergenceError as exc:
             raise CliError("lambda1", f"subdivision {s}: {exc}") from exc
         lam_exact = 2.0 / radius**2

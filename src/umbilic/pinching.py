@@ -509,7 +509,7 @@ def verify_theorem(
 
     if failure is None:
         try:
-            res = spectral.lambda1(spectral.build_laplace(mesh), tol=tol)
+            res = spectral.lambda1(mesh, tol=tol)
             lam1 = res.lambda1
             lam1_res = res.residual
         except spectral.ConvergenceError as exc:

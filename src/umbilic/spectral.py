@@ -20,9 +20,10 @@ quotient and generalized eigenvalue residual.
 The factor's fill is kept low by a coordinate nested dissection of the
 mesh graph (George, SIAM J. Numer. Anal. 10, 1973; Lipton, Rose and
 Tarjan, SIAM J. Numer. Anal. 16, 1979: a genus-0 mesh is planar, so the
-fill is O(n log n)).  build_laplace computes the ordering once, on the
-mesh's cached one-ring adjacency, and lambda1 factors S + sigma M, which
-is symmetric positive definite, in that order without pivoting.
+fill is O(n log n)).  lambda1(mesh) is the one entry point: it assembles
+S with build_laplace, computes the ordering on the mesh's cached one-ring
+adjacency and factors S + sigma M, which is symmetric positive definite,
+in that order without pivoting.
 
 Also provides the Ricci-deficit lower bound the proof trace needs, with
 its configurable constant.
@@ -72,21 +73,6 @@ class ConvergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class LaplaceSystem:
-    """Cotangent stiffness and lumped mass (the vertex areas) of the P1 Laplacian.
-
-    ordering is the nested-dissection elimination order of the vertices
-    that lambda1 factors in (ordering[k] is the k-th vertex eliminated);
-    positions are the mesh's vertex coordinates, lambda1's start block.
-    """
-
-    stiffness: sparse.csr_matrix
-    mass: np.ndarray
-    ordering: np.ndarray
-    positions: np.ndarray
-
-
-@dataclass(frozen=True)
 class SpectralResult:
     """First nonzero eigenpair with its certificate and gap diagnostics.
 
@@ -109,8 +95,8 @@ class SpectralResult:
     basis_columns: int
 
 
-def build_laplace(mesh: Mesh) -> LaplaceSystem:
-    """Assemble cotangent stiffness and lumped mass for a validated mesh."""
+def build_laplace(mesh: Mesh) -> sparse.csr_matrix:
+    """Cotangent stiffness matrix of a validated mesh (its mass is mesh.vertex_areas)."""
     v = mesh.vertices
     tail, head, opposite, edge = mesh.half_edges
     e1 = v[tail] - v[opposite]
@@ -124,12 +110,7 @@ def build_laplace(mesh: Mesh) -> LaplaceSystem:
     # each edge weighs -1/2 the sum of the cotangents at its opposite corners
     off = mesh.edge_matrix(-0.5 * np.bincount(edge, weights=cot))
     diag = -np.asarray(off.sum(axis=1)).ravel()
-    stiffness = (off + sparse.diags(diag)).tocsr()
-    ordering = nested_dissection(mesh.vertices, mesh.one_ring_matrix)
-    return LaplaceSystem(
-        stiffness=stiffness, mass=mesh.vertex_areas, ordering=ordering,
-        positions=mesh.vertices,
-    )
+    return (off + sparse.diags(diag)).tocsr()
 
 
 def nested_dissection(points: np.ndarray, adjacency: sparse.csr_matrix) -> np.ndarray:
@@ -180,8 +161,9 @@ def _certify(S, m, u):
     """Deflate and mass-normalise u; return (Rayleigh quotient, u, residual)."""
     u = u - (m @ u) / m.sum()
     u = u / np.sqrt(u @ (m * u))
-    lam = float(u @ (S @ u))
-    residual = float(np.linalg.norm(S @ u - lam * (m * u)) / np.linalg.norm(m * u))
+    Su = S @ u
+    lam = float(u @ Su)
+    residual = float(np.linalg.norm(Su - lam * (m * u)) / np.linalg.norm(m * u))
     return lam, u, residual
 
 
@@ -213,15 +195,17 @@ def _orthonormalise(Y, basis, m):
     return np.array(kept) if kept else Y[:0]
 
 
-def lambda1(system: LaplaceSystem, tol: float = DEFAULT_TOL) -> SpectralResult:
-    """Smallest nonzero generalized eigenvalue of (stiffness, mass).
+def lambda1(mesh: Mesh, tol: float = DEFAULT_TOL) -> SpectralResult:
+    """Smallest nonzero generalized eigenvalue of the mesh's (stiffness, mass).
 
-    Factors S + sigma M once with SuperLU in the system's nested-dissection
-    ordering, where sigma = _SHIFT * 4 pi / area puts the shift in the
-    mesh's own units.  The matrix is symmetric positive definite, so it is
-    permuted to that order and factored without pivoting (natural column
-    order, SymmetricMode, diag_pivot_thresh 0); each solve permutes its
-    vectors in and out, and factor_nnz reports nnz(L) + nnz(U).
+    S is build_laplace(mesh) and M the diagonal of mesh.vertex_areas.
+    Factors S + sigma M once with SuperLU in the nested-dissection ordering
+    of the mesh's one-ring adjacency, where sigma = _SHIFT * 4 pi / area
+    puts the shift in the mesh's own units.  The matrix is symmetric
+    positive definite, so it is permuted to that order and factored
+    without pivoting (natural column order, SymmetricMode,
+    diag_pivot_thresh 0); each solve permutes its vectors in and out, and
+    factor_nnz reports nnz(L) + nnz(U).
 
     Block shift-invert Lanczos with full reorthogonalisation then runs on
     that factor.  The first block is the mass-centred vertex positions and
@@ -256,14 +240,14 @@ def lambda1(system: LaplaceSystem, tol: float = DEFAULT_TOL) -> SpectralResult:
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    S, m = system.stiffness, system.mass
-    V = len(m)
+    V = mesh.n_vertices
     if V < 4:
         raise ValueError("need at least 4 vertices")
+    S, m = build_laplace(mesh), mesh.vertex_areas
+    p = nested_dissection(mesh.vertices, mesh.one_ring_matrix)
 
     sigma = _SHIFT * 4.0 * np.pi / m.sum()
     threshold = tol * min(1.0, sigma / _SHIFT)
-    p = system.ordering
     # relax=1: no relaxed supernodes, so lu.nnz counts no stored zeros
     # and is nnz(L) + nnz(U) without building the L and U copies
     lu = splu(
@@ -275,7 +259,7 @@ def lambda1(system: LaplaceSystem, tol: float = DEFAULT_TOL) -> SpectralResult:
     # grows a block column at a time, so no step copies the whole basis
     basis, T = [], np.empty((0, 0))
     block = np.vstack(
-        [system.positions.T, np.random.default_rng(_SEED).standard_normal(V)]
+        [mesh.vertices.T, np.random.default_rng(_SEED).standard_normal(V)]
     )
     block -= (block @ m)[:, None] / m.sum()
     while True:

@@ -10,7 +10,7 @@ from hypothesis import settings
 
 from umbilic.diffgeo import estimate_geometry
 from umbilic.mesh import Mesh
-from umbilic.spectral import build_laplace, lambda1
+from umbilic.spectral import lambda1
 from umbilic.surfgen import Ellipsoid, PerturbedSphere, generate
 
 # property tests draw the same few examples on every run, with no per-example
@@ -87,12 +87,12 @@ def geom_perturbed4(perturbed4):
 
 @pytest.fixture(scope="session")
 def lam1_sphere5(sphere5):
-    return lambda1(build_laplace(sphere5))
+    return lambda1(sphere5)
 
 
 @pytest.fixture(scope="session")
 def lam1_sphere4(sphere4):
-    return lambda1(build_laplace(sphere4))
+    return lambda1(sphere4)
 
 
 def make_torus(big_radius=1.0, tube_radius=0.6, n_ring=48, n_tube=24) -> Mesh:

@@ -23,7 +23,7 @@ from umbilic.pinching import (
     sharpness_sweep,
     unit_area,
 )
-from umbilic.spectral import aubry_lower_bound, build_laplace, lambda1
+from umbilic.spectral import aubry_lower_bound, lambda1
 from umbilic.surfgen import (
     Ellipsoid,
     PerturbedSphere,
@@ -61,7 +61,7 @@ def test_criterion_1_sphere_model_case():
         geo = estimate_geometry(mesh)
         assert np.abs(geo.H - 1.0).mean() <= 1e-2
         assert geo.A_traceless_norm.max() <= 2e-2
-        res = lambda1(build_laplace(mesh))
+        res = lambda1(mesh)
         assert 1.98 <= res.lambda1 <= 2.02
         total_k = float(np.sum(geo.H2 * mesh.vertex_areas))
         assert abs(total_k - 4 * np.pi) / (4 * np.pi) <= 0.005
@@ -89,8 +89,8 @@ def test_criterion_2_exact_scaling_suite(sphere3):
             o2.A_traceless_norm, 0.5 * o1.A_traceless_norm, rtol=1e-9, atol=1e-15
         )
 
-        r1 = lambda1(build_laplace(sphere3), tol=1e-10)
-        r2 = lambda1(build_laplace(doubled), tol=1e-10)
+        r1 = lambda1(sphere3, tol=1e-10)
+        r2 = lambda1(doubled, tol=1e-10)
         assert abs(r2.lambda1 - 0.25 * r1.lambda1) <= 1e-9 * r1.lambda1
 
         c1 = PinchingConstants(alpha=0.5, epsilon=0.3)
@@ -145,7 +145,7 @@ def test_criterion_4_mu_fit_oracle_equivalence():
 def test_criterion_5_proof_trace_inequalities(perturbed4, geom_perturbed4):
     with Budget("5 (proof-trace inequalities)", 60):
         consts = PinchingConstants(alpha=0.5, epsilon=0.2)
-        lam = lambda1(build_laplace(perturbed4)).lambda1
+        lam = lambda1(perturbed4).lambda1
         tr = proof_trace(unit_area(perturbed4, geom_perturbed4, consts, lam))
         assert tr.mu0_bracket[0] <= tr.mu0 <= tr.mu0_bracket[1]
         assert tr.bad_set_Pgamma_measure <= tr.chebyshev_bound_Pgamma * (1 + 1e-12)
@@ -181,7 +181,7 @@ def test_criterion_6_sphere_equality_cases(
         for mesh, geo in [(sphere4, geom_sphere4), (sphere5, geom_sphere5)]:
             unit = unit_area(
                 mesh, geo, PinchingConstants(alpha=0.5, epsilon=0.05),
-                lambda1(build_laplace(mesh)).lambda1,
+                lambda1(mesh).lambda1,
             )
             lam_t = unit.lambda1
             res = roth_condition(unit)
@@ -209,7 +209,7 @@ def test_criterion_6_sphere_equality_cases(
         ]
         for mesh, geo in convex_cases:
             assert geo.kappa[:, 0].min() > 0
-            lam = lambda1(build_laplace(mesh)).lambda1
+            lam = lambda1(mesh).lambda1
             # lambda1 <= 2 sup H^2 on a closed surface
             assert lam <= 2.0 * float(np.abs(geo.H).max()) ** 2 * 1.02
 

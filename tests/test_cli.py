@@ -71,6 +71,24 @@ def test_verify_uncertified_lambda1_meta(tmp_path):
     assert spectral["iterations"] > 0
 
 
+def test_verify_mean_convexity_failure(tmp_path):
+    # the pipeline stops at the hypothesis: no lambda1, no trace, no meta.spectral
+    mesh_path = tmp_path / "bumpy.off"
+    out = tmp_path / "report.json"
+    save_mesh(generate(PerturbedSphere(1.0, 0.45, 4, 0), 3), mesh_path)
+    assert run(["verify", "--mesh", str(mesh_path), "--epsilon", "0.2",
+                "--alpha", "0.5", "--out", str(out)]) == 3
+    doc = json.loads(out.read_text())
+    report = doc["report"]
+    # the vertex the message names is the first minimiser of H, which
+    # last-bit rounding picks among congruent vertices, so it is not checked
+    assert report["failure"].startswith("hypothesis: mean-convexity violated")
+    assert report["hypothesis"] is None
+    assert report["lambda1"] is None
+    assert report["trace"] is None
+    assert doc["meta"]["spectral"] is None
+
+
 def test_verify_deterministic_payload(tmp_path):
     mesh_path = tmp_path / "s2.off"
     run(["gen", "--kind", "sphere", "--subdiv", "2", "--out", str(mesh_path)])
@@ -198,9 +216,14 @@ INWARD_FAILURE = (
      "config", "tol must be finite and positive, got inf"),
     (["converge", "--subdivs", "2,3", "--tol", "nan", "--out", "{out}"],
      "config", "tol must be finite and positive, got nan"),
+    (["converge", "--subdivs", "3,x", "--out", "{out}"],
+     "config", "--subdivs must be a comma list"),
     (["sweep", "--family", "l2", "--alpha", "0.5", "--eps", "0.2,inf",
       "--subdiv", "1", "--out", "{out}"],
      "sweep", "eps grid must be finite and positive"),
+    (["sweep", "--family", "l2", "--alpha", "0.5", "--eps", "0.2,abc",
+      "--subdiv", "1", "--out", "{out}"],
+     "config", "--eps must be a comma list"),
     # one file for both outputs, rejected before the (missing) mesh is read
     (["analyze", "--mesh", "{out}", "--out", "{out}", "--json-out",
       "{out}.dir/../result.out"],
@@ -241,7 +264,8 @@ INWARD_FAILURE = (
         "gen-axes", "unwritable-out", "analyze-unwritable-json",
         "analyze-unwritable-table", "verify-eps-nan", "verify-eps-inf",
         "verify-L-nan", "verify-p-roth-inf", "verify-tol-inf",
-        "verify-tol-inf-not-convex", "converge-tol-nan", "sweep-eps-inf",
+        "verify-tol-inf-not-convex", "converge-tol-nan", "converge-subdivs-not-int",
+        "sweep-eps-inf", "sweep-eps-not-float",
         "analyze-same-path", "sweep-slack-nan", "sweep-slack-zero",
         "sweep-slack-inf", "verify-eps-overflow", "sweep-eps-overflow",
         "verify-no-epsilon", "verify-eps-not-float", "gen-kind-cube",

@@ -119,6 +119,14 @@ def test_normals_outward(sphere4):
     assert np.all(dots > 0.99)
 
 
+def test_normals_rank_deficient():
+    # two coincident triangles of opposite orientation: the face normals cancel
+    mesh = Mesh(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+                [[0, 1, 2], [0, 2, 1]])
+    with pytest.raises(ValueError, match=r"rank-deficient normal at vertices \[0 1 2\]"):
+        diffgeo.vertex_normals(mesh)
+
+
 @pytest.mark.parametrize(
     "rmin,mu,expected",
     [(1.0, 1.0, 0.0), (0.5, 1.0, 0.5), (3.0, 1.0, 0.0)],

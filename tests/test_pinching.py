@@ -21,7 +21,7 @@ from umbilic.pinching import (
     unit_area,
     verify_theorem,
 )
-from umbilic.spectral import build_laplace, lambda1
+from umbilic.spectral import lambda1
 from umbilic.surfgen import (
     Ellipsoid,
     PerturbedSphere,
@@ -149,7 +149,7 @@ def test_epsilon_admissibility_threshold(sphere4, geom_sphere4):
 def normalized_sphere4(sphere4, geom_sphere4):
     return unit_area(
         sphere4, geom_sphere4, PinchingConstants(alpha=0.5, epsilon=0.2),
-        lambda1(build_laplace(sphere4)).lambda1,
+        lambda1(sphere4).lambda1,
     )
 
 
@@ -279,7 +279,7 @@ def test_phi_sup_formula(perturbed4):
 
 
 def test_eta_inequality(geom_perturbed4, perturbed4):
-    lam = lambda1(build_laplace(perturbed4)).lambda1
+    lam = lambda1(perturbed4).lambda1
     h_inf = float(np.abs(geom_perturbed4.H).max())
     r_lam = math.sqrt(2.0 / lam)
     cap = 2.0 / (3.0 * h_inf)
@@ -365,7 +365,7 @@ def test_proof_trace_sphere(sphere4, geom_sphere4, lam1_sphere4):
 
 def test_proof_trace_perturbed(perturbed4, geom_perturbed4):
     c = PinchingConstants(alpha=0.5, epsilon=0.2)
-    lam = lambda1(build_laplace(perturbed4)).lambda1
+    lam = lambda1(perturbed4).lambda1
     tr = proof_trace(unit_area(perturbed4, geom_perturbed4, c, lam))
     assert tr.mu0_bracket[0] <= tr.mu0 <= tr.mu0_bracket[1]
     assert tr.bad_set_Pgamma_measure <= tr.chebyshev_bound_Pgamma * (1 + 1e-12)
@@ -383,9 +383,22 @@ def test_proof_trace_gamma_warning(sphere4, geom_sphere4, lam1_sphere4):
     assert any("gamma" in w for w in tr.warnings)
 
 
+def test_proof_trace_aubry_warning():
+    # a constant this large puts the Ricci deficit past volume/C: the
+    # bound is vacuous and the trace says so, but nothing fails
+    mesh = generate(PerturbedSphere(1.0, 0.2, 2, 0), 3)
+    c = PinchingConstants(alpha=0.5, epsilon=0.2, C_np_aubry=1e30)
+    report = verify_theorem(mesh, c)
+    assert report.failure is None
+    assert report.trace.aubry_bound is None
+    assert report.trace.aubry_bound_normalized is None
+    assert len(report.trace.warnings) == 1
+    assert "Ricci-deficit integral exceeds volume/C(n,p)" in report.trace.warnings[0]
+
+
 def test_proof_trace_requires_convexity(torus):
     geo = estimate_geometry(torus)
-    lam = lambda1(build_laplace(torus)).lambda1
+    lam = lambda1(torus).lambda1
     unit = unit_area(torus, geo, PinchingConstants(alpha=0.5, epsilon=0.1), lam)
     with pytest.raises(ValueError, match="convexity"):
         proof_trace(unit)

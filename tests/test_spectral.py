@@ -18,14 +18,14 @@ from umbilic.surfgen import Ellipsoid, PerturbedSphere, generate
 
 
 def test_stiffness_row_sums_zero(tetra):
-    system = build_laplace(load_mesh(tetra))
-    rows = np.asarray(system.stiffness.sum(axis=1)).ravel()
-    scale = np.abs(system.stiffness.data).max()
+    S = build_laplace(load_mesh(tetra))
+    rows = np.asarray(S.sum(axis=1)).ravel()
+    scale = np.abs(S.data).max()
     assert np.abs(rows).max() <= 1e-14 * scale
 
 
 def test_stiffness_symmetric(sphere3):
-    S = build_laplace(sphere3).stiffness
+    S = build_laplace(sphere3)
     diff = (S - S.T).tocoo()
     assert len(diff.data) == 0 or np.abs(diff.data).max() == 0.0
 
@@ -74,7 +74,7 @@ def test_assembly_matches_reference(sphere3, torus, tetra, ellipsoid4):
 
     for name, mesh in cases.items():
         stiffness, areas, normals = reference_assembly(mesh)
-        S = build_laplace(mesh).stiffness
+        S = build_laplace(mesh)
         for part in ("data", "indices", "indptr"):
             assert same_bits(getattr(S, part), getattr(stiffness, part)), (name, part)
         assert same_bits(mesh.vertex_areas, areas), name
@@ -82,16 +82,16 @@ def test_assembly_matches_reference(sphere3, torus, tetra, ellipsoid4):
 
 
 def test_mass_trace_is_area(sphere4):
-    system = build_laplace(sphere4)
+    m = sphere4.vertex_areas
     area = float(np.sum(sphere4.face_areas))
-    assert abs(system.mass.sum() - area) <= 1e-12 * area
-    assert np.all(system.mass > 0)
+    assert abs(m.sum() - area) <= 1e-12 * area
+    assert np.all(m > 0)
 
 
 def test_obtuse_mesh_still_psd(sphere3):
     # squashing the sphere produces obtuse triangles and negative weights
     squashed = Mesh(sphere3.vertices * [1.0, 1.0, 0.15], sphere3.faces)
-    S = build_laplace(squashed).stiffness
+    S = build_laplace(squashed)
     off = S.tocoo()
     off_diag = off.data[off.row != off.col]
     assert (-off_diag).min() < 0  # some negative cotangent weight exists
@@ -117,18 +117,18 @@ def test_sphere_lambda1(lam1_sphere5):
 
 
 def test_sphere_radius_two_lambda1(sphere5):
-    res = lambda1(build_laplace(Mesh(sphere5.vertices * 2.0, sphere5.faces)))
+    res = lambda1(Mesh(sphere5.vertices * 2.0, sphere5.faces))
     assert res.lambda1 == pytest.approx(0.5, rel=0.01)
 
 
 def test_matrix_level_scaling(sphere3):
-    r1 = lambda1(build_laplace(sphere3), tol=1e-10)
-    r2 = lambda1(build_laplace(Mesh(sphere3.vertices * 2.0, sphere3.faces)), tol=1e-10)
+    r1 = lambda1(sphere3, tol=1e-10)
+    r2 = lambda1(Mesh(sphere3.vertices * 2.0, sphere3.faces), tol=1e-10)
     assert r1.lambda1 == pytest.approx(4.0 * r2.lambda1, rel=1e-9)
 
 
 def test_translation_rotation_invariance(sphere3):
-    base = lambda1(build_laplace(sphere3), tol=1e-10).lambda1
+    base = lambda1(sphere3, tol=1e-10).lambda1
     angle = 1.1
     rot = np.array(
         [
@@ -138,15 +138,14 @@ def test_translation_rotation_invariance(sphere3):
         ]
     )
     moved = Mesh(sphere3.vertices @ rot.T + [5.0, -2.0, 0.5], sphere3.faces)
-    after = lambda1(build_laplace(moved), tol=1e-10).lambda1
+    after = lambda1(moved, tol=1e-10).lambda1
     assert after == pytest.approx(base, rel=1e-12, abs=1e-12)
 
 
 def test_rayleigh_certificate(sphere4, lam1_sphere4):
-    system = build_laplace(sphere4)
     u = lam1_sphere4.eigenfunction
-    m = system.mass
-    rq = (u @ (system.stiffness @ u)) / (u @ (m * u))
+    m = sphere4.vertex_areas
+    rq = (u @ (build_laplace(sphere4) @ u)) / (u @ (m * u))
     assert abs(rq - lam1_sphere4.lambda1) <= 2e-8 * lam1_sphere4.lambda1
     # deflation: mass-orthogonal to constants, mass-normalized
     assert abs(m @ u) <= 1e-8
@@ -156,17 +155,17 @@ def test_rayleigh_certificate(sphere4, lam1_sphere4):
 def test_refinement_monotonicity():
     errs = []
     for s in (3, 4, 5):
-        res = lambda1(build_laplace(generate(PerturbedSphere(1.0), s)))
+        res = lambda1(generate(PerturbedSphere(1.0), s))
         errs.append(abs(res.lambda1 - 2.0))
     assert errs[1] < errs[0] and errs[2] < errs[1]
 
 
 def test_nonconvergence_reports_best(sphere4, monkeypatch):
     # a basis capped at three blocks cannot reach tol = 1e-14
-    reference = lambda1(build_laplace(sphere4), tol=1e-10).lambda1
+    reference = lambda1(sphere4, tol=1e-10).lambda1
     monkeypatch.setattr(spectral, "MAX_BASIS", 12)
     with pytest.raises(ConvergenceError, match="did not converge") as err:
-        lambda1(build_laplace(sphere4), tol=1e-14)
+        lambda1(sphere4, tol=1e-14)
     assert err.value.best_lambda1 == pytest.approx(reference, rel=1e-9)
     assert err.value.best_residual > 1e-14
     assert err.value.iterations == 8   # two solved blocks of four columns
@@ -175,11 +174,11 @@ def test_nonconvergence_reports_best(sphere4, monkeypatch):
 
 def test_block_and_arpack_agree(perturbed4):
     # ARPACK shift-invert Lanczos, run here as an independent reference
-    system = build_laplace(perturbed4)
-    res = lambda1(system)
-    v0 = np.random.default_rng(0).standard_normal(len(system.mass))
+    res = lambda1(perturbed4)
+    m = perturbed4.vertex_areas
+    v0 = np.random.default_rng(0).standard_normal(len(m))
     vals = eigsh(
-        system.stiffness, k=spectral.BLOCK_SIZE + 1, M=sparse.diags(system.mass),
+        build_laplace(perturbed4), k=spectral.BLOCK_SIZE + 1, M=sparse.diags(m),
         sigma=-res.sigma, v0=v0, tol=1e-14, return_eigenvectors=False,
     )
     reference = np.sort(vals)[1:]
@@ -190,14 +189,14 @@ def test_block_and_arpack_agree(perturbed4):
 def test_residual_above_tol_raises_with_certificate(sphere3):
     # no double-precision pair meets tol = 1e-17
     with pytest.raises(ConvergenceError, match="residual above tol") as err:
-        lambda1(build_laplace(sphere3), tol=1e-17)
+        lambda1(sphere3, tol=1e-17)
     assert err.value.best_lambda1 == pytest.approx(2.0, rel=1e-4)
     assert err.value.best_residual > 1e-17
 
 
-def dense_spectrum(system):
+def dense_spectrum(mesh):
     return scipy.linalg.eigh(
-        system.stiffness.toarray(), np.diag(system.mass), eigvals_only=True
+        build_laplace(mesh).toarray(), np.diag(mesh.vertex_areas), eigvals_only=True
     )
 
 
@@ -209,13 +208,13 @@ def dense_spectrum(system):
     (Ellipsoid(3.0, 1.0, 1.0), 2), (Ellipsoid(5.0, 1.0, 1.0), 4),
 ], ids=["surface0", "surface1", "surface2", "surface3"])
 def test_dense_cross_check(surface, subdiv):
-    system = build_laplace(generate(surface, subdiv))
-    dense = dense_spectrum(system)
-    res = lambda1(system)
+    mesh = generate(surface, subdiv)
+    dense = dense_spectrum(mesh)
+    res = lambda1(mesh)
     assert res.lambda1 == pytest.approx(dense[1], rel=1e-10)
     assert res.ritz_values == pytest.approx(dense[1:4], rel=1e-10)
-    assert abs(system.mass @ res.eigenfunction) <= 1e-12
-    again = lambda1(system)
+    assert abs(mesh.vertex_areas @ res.eigenfunction) <= 1e-12
+    again = lambda1(mesh)
     assert again.lambda1 == res.lambda1
     assert np.array_equal(again.eigenfunction, res.eigenfunction)
 
@@ -224,9 +223,9 @@ def test_block_finds_lowest_eigenvalues():
     # lambda2 of this ellipsoid belongs to an even eigenfunction, orthogonal
     # to the three coordinates by symmetry; only the random start column
     # can reach it
-    system = build_laplace(generate(Ellipsoid(3.0, 1.0, 1.0), 2))
-    dense = dense_spectrum(system)
-    res = lambda1(system)
+    mesh = generate(Ellipsoid(3.0, 1.0, 1.0), 2)
+    dense = dense_spectrum(mesh)
+    res = lambda1(mesh)
     assert res.basis_columns <= spectral.MAX_BASIS
     assert res.ritz_values == pytest.approx(dense[1:4], rel=1e-10)
     assert res.lambda1 == pytest.approx(dense[1], rel=1e-10)
@@ -234,8 +233,8 @@ def test_block_finds_lowest_eigenvalues():
 
 def test_column_solve_count():
     # the subspace iteration this replaced took 32 and 99 column solves
-    near = lambda1(build_laplace(generate(PerturbedSphere(1.0, 0.01, 2, 0), 5)))
-    prolate = lambda1(build_laplace(generate(Ellipsoid(3.0, 1.0, 1.0), 5)))
+    near = lambda1(generate(PerturbedSphere(1.0, 0.01, 2, 0), 5))
+    prolate = lambda1(generate(Ellipsoid(3.0, 1.0, 1.0), 5))
     assert near.iterations == 16   # four blocks of four columns
     assert prolate.iterations <= 52
     for res in (near, prolate):
@@ -250,9 +249,9 @@ def test_planar_mesh_basis_stops_growing():
     verts = np.c_[np.cos(t), np.sin(t) + 0.1 * np.cos(2 * t), np.zeros(6)]
     faces = [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5],
              [1, 3, 2], [1, 4, 3], [1, 5, 4], [1, 0, 5]]
-    system = build_laplace(Mesh(verts, faces))
-    dense = dense_spectrum(system)
-    res = lambda1(system)
+    mesh = Mesh(verts, faces)
+    dense = dense_spectrum(mesh)
+    res = lambda1(mesh)
     assert res.basis_columns == 5
     assert res.lambda1 == pytest.approx(dense[1], rel=1e-10)
     assert res.ritz_values == pytest.approx(dense[1:4], rel=1e-10)
@@ -261,9 +260,9 @@ def test_planar_mesh_basis_stops_growing():
 def test_tetrahedron_against_dense(tetra):
     # four vertices: the three centred coordinates span every nonconstant
     # function, so the start block alone is exact
-    system = build_laplace(load_mesh(tetra))
-    dense = dense_spectrum(system)
-    res = lambda1(system)
+    mesh = load_mesh(tetra)
+    dense = dense_spectrum(mesh)
+    res = lambda1(mesh)
     assert res.basis_columns == 3
     assert res.iterations == 0
     assert res.lambda1 == pytest.approx(dense[1], rel=1e-10)
@@ -272,15 +271,15 @@ def test_tetrahedron_against_dense(tetra):
 
 @pytest.mark.parametrize("radius", [10.0, 1000.0])
 def test_shift_follows_length_units(radius):
-    base = lambda1(build_laplace(generate(PerturbedSphere(1.0), 3))).lambda1
-    res = lambda1(build_laplace(generate(PerturbedSphere(radius), 3)))
+    base = lambda1(generate(PerturbedSphere(1.0), 3)).lambda1
+    res = lambda1(generate(PerturbedSphere(radius), 3))
     assert res.lambda1 * radius**2 == pytest.approx(base, rel=1e-9)
 
 
 @pytest.mark.parametrize("surface", [PerturbedSphere(1.0), Ellipsoid(2.0, 1.0, 1.0)])
 def test_factor_fill_below_colamd(surface):
     # COLAMD's nnz(L) + nnz(U) on the s5 sphere was 1,341,206
-    res = lambda1(build_laplace(generate(surface, 5)))
+    res = lambda1(generate(surface, 5))
     assert res.factor_nnz <= 0.8 * 1_341_206
 
 
@@ -367,7 +366,7 @@ def test_ordering_identity_up_to_leaf_size(tetra):
 
 def test_invalid_tol(sphere3):
     with pytest.raises(ValueError):
-        lambda1(build_laplace(sphere3), tol=0.0)
+        lambda1(sphere3, tol=0.0)
 
 
 def upper_bounds(geo):
@@ -388,7 +387,7 @@ def test_upper_bounds_sphere(geom_sphere5, lam1_sphere5):
 
 def test_upper_bound_ellipsoid():
     mesh = generate(Ellipsoid(2.0, 1.0, 1.0), 5)
-    res = lambda1(build_laplace(mesh))
+    res = lambda1(mesh)
     by_mean, by_scalar = upper_bounds(estimate_geometry(mesh))
     assert res.lambda1 <= by_mean * 1.02
     assert res.lambda1 <= by_scalar * 1.02

@@ -34,3 +34,20 @@ def test_traced_paths_resolve():
     removed = {"umbilic.cli.measures", "umbilic.pinching.measures"}
     paths = [p for p in paths if p not in removed]
     assert [p for p in paths if tracer._resolve(p) is None] == []
+
+
+def test_lambda1_assembles_through_the_module(sphere3, monkeypatch):
+    # the tracer times the assembly by replacing umbilic.spectral.build_laplace;
+    # if lambda1 bound it privately, spectral.build_laplace_s would read 0
+    from umbilic import spectral
+
+    calls = []
+    build = spectral.build_laplace
+
+    def counting(mesh):
+        calls.append(mesh)
+        return build(mesh)
+
+    monkeypatch.setattr(spectral, "build_laplace", counting)
+    spectral.lambda1(sphere3)
+    assert len(calls) == 1 and calls[0] is sphere3
