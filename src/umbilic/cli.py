@@ -230,8 +230,10 @@ def _cmd_analyze(args) -> int:
 def _write_table(mesh: Mesh, geo, fh) -> None:
     """The per-vertex CSV, bytes as `csv.writer` writes them.
 
-    `write_rows` formats the per-vertex arrays: `csv` writes a float as
-    its repr, too.
+    `write_rows` formats the per-vertex arrays (`csv` writes a float as
+    its repr, too), on two processes from two blocks of rows on.  Its
+    OSError when the child fails becomes `main`'s error record, and
+    `_output` removes the partial file.
     """
     csv.writer(fh).writerow([
         "vertex", "x", "y", "z", "area_weight", "kappa1", "kappa2",

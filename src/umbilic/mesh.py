@@ -12,6 +12,8 @@ that broken inputs can still be inspected.
 from __future__ import annotations
 
 import os
+import shutil
+import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,7 +26,8 @@ from scipy.sparse import csgraph
 DEGENERATE_AREA_FACTOR = 1e-14
 
 # lines of text parsed or written at a time (mesh files, the analyze
-# table): bounds the Python strings and numbers alive at once
+# table): bounds the Python strings and numbers alive at once in each
+# process, the parent and the child that `write_rows` forks
 TEXT_BLOCK = 1024
 
 
@@ -398,15 +401,49 @@ def write_rows(fh, columns, prefix: str = "", sep: str = " ", end: str = "\n") -
     """Write one line per row of two or more equal-length array `columns`.
 
     Each line is `prefix`, then the cells' `repr` joined by `sep`, then
-    `end`.  TEXT_BLOCK rows at a time are sliced from the columns and
-    formatted by one `repr` of the list of row tuples, at C speed; the
-    separators it writes are then replaced, which is safe because no int
-    or float repr contains ", " or "), (".
+    `end`.  Rows spanning two or more TEXT_BLOCKs are formatted on two
+    cores: this process writes the first half of the blocks (rounded up)
+    to `fh` while a forked child formats the rest into an unlinked
+    temporary file, which is then copied into `fh` in bounded chunks.
+    The child is reaped whatever happens; a child that fails raises
+    OSError.  `os.fork` makes this POSIX-only.
     """
-    for lo in range(0, len(columns[0]), TEXT_BLOCK):
-        rows = list(zip(*(c[lo:lo + TEXT_BLOCK].tolist() for c in columns)))
-        body = repr(rows)[2:-2].replace("), (", end + prefix).replace(", ", sep)
-        fh.write(prefix + body + end)
+    n = len(columns[0])
+    mid = -(-n // (2 * TEXT_BLOCK)) * TEXT_BLOCK
+    if mid >= n:
+        _format_rows(fh, columns, 0, n, prefix, sep, end)
+        return
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+        pid = os.fork()
+        if pid == 0:
+            # the child only formats; os._exit skips the parent's cleanup
+            # and never flushes the stdio buffers it inherited
+            status = 1
+            try:
+                _format_rows(spool, columns, mid, n, prefix, sep, end)
+                spool.flush()
+                status = 0
+            finally:
+                os._exit(status)
+        try:
+            _format_rows(fh, columns, 0, mid, prefix, sep, end)
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if status:
+            raise OSError(f"row writer child process exited with status {status}")
+        spool.seek(0)
+        shutil.copyfileobj(spool, fh)
+
+
+def _format_rows(fh, columns, start: int, stop: int, prefix: str, sep: str, end: str) -> None:
+    """Write rows [start, stop) to `fh`, TEXT_BLOCK at a time.
+
+    `start` is a multiple of TEXT_BLOCK and `stop` is one or the row count,
+    so every block ends by `stop`.
+    """
+    for lo in range(start, stop, TEXT_BLOCK):
+        cells = zip(*(map(repr, c[lo:lo + TEXT_BLOCK].tolist()) for c in columns))
+        fh.write(prefix + (end + prefix).join(map(sep.join, cells)) + end)
 
 
 def validate_mesh(mesh: Mesh) -> ValidationReport:

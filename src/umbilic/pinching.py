@@ -448,8 +448,9 @@ def proof_trace(unit: UnitArea) -> ProofTrace:
         )
     if aubry is None:
         warnings.append(
-            "Ricci-deficit integral exceeds volume/C(n,p): spectral lower "
-            "bound hypothesis violated for the configured constant"
+            "Ricci-deficit integral exceeds volume/C(n,p), or "
+            "C(n,p)*(deficit/volume)^(1/p) >= 1: spectral lower bound "
+            "vacuous for the configured constant"
         )
 
     return ProofTrace(

@@ -317,9 +317,10 @@ def aubry_lower_bound(
     """Ricci-deficit lower bound 2*(1 - C*(deficit/volume)^(1/p)) for lambda1.
 
     Returns None when the smallness hypothesis deficit < volume/C fails
-    ("hypothesis violated"); the bound is vacuous there.  The constant
-    C(2, p) is not quantified by the theory and must be supplied; results
-    are conditional on it.
+    ("hypothesis violated") or when C*(deficit/volume)^(1/p) >= 1, which
+    that hypothesis allows for C > 1; the bound is vacuous there.  The
+    constant C(2, p) is not quantified by the theory and must be supplied;
+    results are conditional on it.
     """
     if not p > 1:
         raise ValueError(f"need p > 1, got p={p}")
@@ -331,4 +332,5 @@ def aubry_lower_bound(
         raise ValueError("deficit integral cannot be negative")
     if deficit_integral >= volume / C_np:
         return None
-    return 2 * (1.0 - C_np * (deficit_integral / volume) ** (1.0 / p))
+    shrink = C_np * (deficit_integral / volume) ** (1.0 / p)
+    return 2 * (1.0 - shrink) if shrink < 1 else None

@@ -4,6 +4,8 @@ The expensive objects (subdivision-5 sphere, its curvature record and its
 first eigenvalue) are session-scoped so the whole suite pays for them once.
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -19,6 +21,57 @@ settings.register_profile(
     "umbilic", derandomize=True, deadline=None, max_examples=20, database=None
 )
 settings.load_profile("umbilic")
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail any test that leaves a child process running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"test left a child process: {'running' if pid == 0 else pid}")
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids of the child processes `os.fork` makes during the test."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+class _Cell:
+    """A table cell whose repr fails from row `bad` on."""
+
+    def __init__(self, row, bad):
+        self.row, self.bad = row, bad
+
+    def __repr__(self):
+        if self.row >= self.bad:
+            raise RuntimeError(f"no repr for row {self.row}")
+        return str(self.row)
+
+
+@pytest.fixture
+def failing_column():
+    """failing_column(n, bad): n object cells whose repr fails from row `bad` on."""
+    def make(n, bad):
+        column = np.empty(n, dtype=object)
+        column[:] = [_Cell(i, bad) for i in range(n)]
+        return column
+
+    return make
+
 
 TETRA_OFF = """OFF
 4 4 6

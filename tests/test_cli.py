@@ -1,4 +1,5 @@
 import json
+import os
 import shlex
 from pathlib import Path
 
@@ -475,11 +476,8 @@ def test_verify_reports_failure_exit_code(tmp_path):
     assert doc["report"]["hypothesis"]["holds"] is False
 
 
-def test_analyze_csv_rows_match_geometry(tmp_path):
-    mesh_path = tmp_path / "s2.off"
-    run(["gen", "--kind", "sphere", "--subdiv", "2", "--out", str(mesh_path)])
-    table = tmp_path / "table.csv"
-    assert run(["analyze", "--mesh", str(mesh_path), "--out", str(table)]) == 0
+def table_lines(mesh_path):
+    """The analyze table's lines, one row formula per vertex."""
     mesh = load_mesh(mesh_path)
     geo = estimate_geometry(mesh)
     expected = [
@@ -491,7 +489,56 @@ def test_analyze_csv_rows_match_geometry(tmp_path):
             geo.A_traceless_norm[i], geo.H2[i],
         ]
         expected.append(",".join([str(i)] + [repr(float(x)) for x in values]))
-    assert table.read_text().splitlines() == expected
+    return expected
+
+
+def test_analyze_csv_rows_match_geometry(tmp_path):
+    mesh_path = tmp_path / "s2.off"
+    run(["gen", "--kind", "sphere", "--subdiv", "2", "--out", str(mesh_path)])
+    table = tmp_path / "table.csv"
+    assert run(["analyze", "--mesh", str(mesh_path), "--out", str(table)]) == 0
+    assert table.read_text().splitlines() == table_lines(mesh_path)
+
+
+def test_analyze_csv_bytes_on_two_processes(tmp_path, sphere4, forked):
+    # 2,562 rows are three default blocks: a forked child formats the third
+    mesh_path = tmp_path / "s4.off"
+    save_mesh(sphere4, mesh_path)
+    forked.clear()
+    table = tmp_path / "table.csv"
+    assert run(["analyze", "--mesh", str(mesh_path), "--out", str(table)]) == 0
+    assert len(forked) == 1
+    expected = "".join(line + "\r\n" for line in table_lines(mesh_path))
+    assert table.read_bytes() == expected.encode("ascii")
+
+
+def test_analyze_child_failure_exits_2(tmp_path, sphere4, capsys, monkeypatch, forked,
+                                       failing_column):
+    # only the child fails: the H2 cells of rows 2048 on (the third block
+    # of 2,562) cannot be formatted
+    import umbilic.cli as cli
+
+    write_rows = cli.write_rows
+
+    def poisoned(fh, columns, **kwargs):
+        write_rows(fh, [*columns[:-1], failing_column(len(columns[0]), 2048)], **kwargs)
+
+    mesh_path = tmp_path / "s4.off"
+    save_mesh(sphere4, mesh_path)
+    monkeypatch.setattr(cli, "write_rows", poisoned)
+    forked.clear()
+    table, summary = tmp_path / "table.csv", tmp_path / "summary.json"
+    capsys.readouterr()
+    code = run(["analyze", "--mesh", str(mesh_path), "--out", str(table),
+                "--json-out", str(summary)])
+    assert code == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["stage"] == "analyze"
+    assert "exited with status 1" in error["message"]
+    assert not table.exists() and not summary.exists()
+    assert len(forked) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_analyze_csv_independent_of_row_block(tmp_path, monkeypatch):

@@ -1,14 +1,18 @@
 import dataclasses
+import io
+import os
 
 import numpy as np
 import pytest
 
+import umbilic.mesh as mesh_module
 from umbilic.mesh import (
     Mesh,
     MeshFormatError,
     load_mesh,
     save_mesh,
     validate_mesh,
+    write_rows,
 )
 from umbilic.surfgen import PerturbedSphere, generate
 
@@ -51,8 +55,6 @@ def test_save_mesh_bytes(tmp_path, monkeypatch):
     # above 2**31 needs a stand-in, since a Mesh checks it against V
     from types import SimpleNamespace
 
-    import umbilic.mesh as mesh_module
-
     values = [
         -0.0, 5e-324, 1e16, 1e22, 1.7976931348623157e308, 2.5e-07, 123456789.0,
         -1e-300, 0.1,
@@ -76,10 +78,60 @@ def test_save_mesh_bytes(tmp_path, monkeypatch):
             assert (tmp_path / name).read_bytes() == expected, (name, block)
 
 
+def test_save_mesh_bytes_on_two_processes(tmp_path, sphere4, forked):
+    # 2,562 vertex and 5,120 face rows are 3 and 5 default blocks, so a
+    # forked child formats the second half of each table
+    vertices = [" ".join(repr(float(x)) for x in row) for row in sphere4.vertices]
+    faces = sphere4.faces.tolist()
+    off = ["OFF", f"{sphere4.n_vertices} {sphere4.n_faces} {3 * sphere4.n_faces // 2}"]
+    off += vertices + [f"3 {i} {j} {k}" for i, j, k in faces]
+    obj = [f"v {line}" for line in vertices]
+    obj += [f"f {i + 1} {j + 1} {k + 1}" for i, j, k in faces]
+    for name, lines in [("s4.off", off), ("s4.obj", obj)]:
+        save_mesh(sphere4, tmp_path / name)
+        expected = ("\n".join(lines) + "\n").encode("ascii")
+        assert (tmp_path / name).read_bytes() == expected, name
+    assert len(forked) == 4
+
+
+def test_write_rows_child_failure_raises(monkeypatch, forked, failing_column):
+    # 20 rows in blocks of 4: this process writes rows 0-11, the child 12-19
+    monkeypatch.setattr(mesh_module, "TEXT_BLOCK", 4)
+    out = io.StringIO()
+    with pytest.raises(OSError, match="exited with status 1"):
+        write_rows(out, [np.arange(20), failing_column(20, 12)])
+    assert out.getvalue() == "".join(f"{i} {i}\n" for i in range(12))
+    assert len(forked) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_write_rows_reaps_child_when_write_fails(monkeypatch, forked):
+    class FullFile(io.StringIO):
+        def write(self, text):   # the second block fails
+            if self.tell():
+                raise OSError("disk full")
+            return super().write(text)
+
+    monkeypatch.setattr(mesh_module, "TEXT_BLOCK", 4)
+    with pytest.raises(OSError, match="disk full"):
+        write_rows(FullFile(), [np.arange(20), np.arange(20)])
+    assert len(forked) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_write_rows_forks_from_two_blocks(monkeypatch, forked):
+    monkeypatch.setattr(mesh_module, "TEXT_BLOCK", 4)
+    for n, forks in [(0, 0), (4, 0), (5, 1), (8, 2), (9, 3)]:
+        out = io.StringIO()
+        write_rows(out, [np.arange(n), -np.arange(n)], sep=",")
+        assert out.getvalue() == "".join(f"{i},{-i}\n" for i in range(n)), n
+        assert len(forked) == forks, n
+
+
 def test_off_blocks_skip_line_parsers(tmp_path, sphere3, monkeypatch):
     # a well-formed file converts a block at a time, whatever the block size
-    import umbilic.mesh as mesh_module
-
     def unexpected(block):
         raise AssertionError("line parser used on a well-formed block")
 

@@ -396,6 +396,19 @@ def test_proof_trace_aubry_warning():
     assert "Ricci-deficit integral exceeds volume/C(n,p)" in report.trace.warnings[0]
 
 
+def test_proof_trace_negative_aubry_bound_warns():
+    # with C = 1e3 the deficit passes the volume/C test, but the bound
+    # 2(1 - C (deficit/volume)^(1/p)) would be negative: it is vacuous
+    mesh = generate(PerturbedSphere(1.0, 0.2, 2, 0), 3)
+    c = PinchingConstants(alpha=0.5, epsilon=0.2, C_np_aubry=1e3)
+    report = verify_theorem(mesh, c)
+    assert report.failure is None
+    assert report.trace.aubry_bound is None
+    assert report.trace.aubry_bound_normalized is None
+    assert len(report.trace.warnings) == 1
+    assert "spectral lower bound vacuous" in report.trace.warnings[0]
+
+
 def test_proof_trace_requires_convexity(torus):
     geo = estimate_geometry(torus)
     lam = lambda1(torus).lambda1

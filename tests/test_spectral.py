@@ -401,6 +401,13 @@ def test_aubry_bound_values():
     assert got == pytest.approx(1.8, rel=1e-12)
 
 
+def test_aubry_bound_never_negative():
+    # deficit/volume = 1e-3 < 1/C, but C * (1e-3)^(1/3) = 2: the bound
+    # would read -2
+    assert aubry_lower_bound(1e-3, 1.0, p=3.0, C_np=20.0) is None
+    assert aubry_lower_bound(1e-3, 1.0, p=3.0, C_np=9.0) == pytest.approx(0.2)
+
+
 def test_aubry_bound_monotone():
     vals = [
         aubry_lower_bound(d, 1.0, p=6.0, C_np=2.0)
