@@ -24,7 +24,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import diffgeo, fields, pinching, spectral, surfgen
-from .mesh import Mesh, load_mesh, save_mesh, validate_mesh, write_rows
+from .mesh import Mesh, load_mesh, output_file, save_mesh, validate_mesh, write_rows
 
 SCHEMA = "umbilic/1"
 
@@ -104,23 +104,9 @@ def _spectral_summary(res):
     })
 
 
-@contextlib.contextmanager
 def _output(out_path: str | None):
-    """The file at `out_path` opened for writing, or stdout when it is None.
-
-    The file is removed again if the block raises: it only ever holds a
-    complete result.
-    """
-    if not out_path:
-        yield sys.stdout
-        return
-    fh = open(out_path, "w", newline="", encoding="ascii")
-    try:
-        with fh:
-            yield fh
-    except BaseException:
-        os.remove(out_path)
-        raise
+    """The file at `out_path` opened by `output_file`, or stdout when it is None."""
+    return output_file(out_path) if out_path else contextlib.nullcontext(sys.stdout)
 
 
 def _json_text(document: dict, meta: dict | None = None) -> str:

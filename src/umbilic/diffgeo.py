@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .mesh import Mesh
+from .mesh import Mesh, _fork_halves
 
 # Rings of neighbors each jet fit reads: every vertex within RING_DEPTH edges.
 RING_DEPTH = 2
@@ -38,7 +38,8 @@ CUBIC_MIN_NEIGHBORS = 10
 QUARTIC_MIN_NEIGHBORS = 12
 
 # Vertices per jet-fit block: the padded offsets and design matrix of one
-# block, not of the whole mesh, bound the fit's working memory.
+# block, not of the whole mesh, bound the fit's working memory in each
+# process.  A mesh of more than one block is fitted on two processes.
 FIT_BLOCK = 4096
 
 # Rank test of a fit: each Cholesky pivot d_j^2 of the normal matrix G must
@@ -245,6 +246,12 @@ def estimate_geometry(mesh: Mesh) -> SurfaceGeometry:
     evaluation order.  The fits run FIT_BLOCK vertices at a time,
     so beyond the O(V) records and the neighborhood matrix the working
     memory does not grow with the mesh.
+
+    With more than FIT_BLOCK vertices, the fits run on two processes
+    (`mesh._fork_halves`): everything up to the fits runs here, then a
+    forked child fits rows [V//2, V) while this process fits [0, V//2).
+    A rank test failing in this process's half is raised here; otherwise
+    the child's is raised again here, with the same message.
     """
     V = mesh.n_vertices
     normals = vertex_normals(mesh)
@@ -266,13 +273,33 @@ def estimate_geometry(mesh: Mesh) -> SurfaceGeometry:
     n_terms[counts >= QUARTIC_MIN_NEIGHBORS] = 10
     coef = np.zeros((V, 5))
     scale = np.empty(V)
-    for lo in range(0, V, FIT_BLOCK):
-        hi = min(lo + FIT_BLOCK, V)
-        blk = slice(lo, hi)
-        coef[blk], scale[blk] = _fit_block(
-            mesh.vertices, nbr.indices[nbr.indptr[lo]:nbr.indptr[hi]],
-            lo, counts[blk], m, n_terms[blk], t1[blk], t2[blk], normals[blk],
-        )
+
+    def fit(start, stop):
+        for lo in range(start, stop, FIT_BLOCK):
+            hi = min(lo + FIT_BLOCK, stop)
+            blk = slice(lo, hi)
+            coef[blk], scale[blk] = _fit_block(
+                mesh.vertices, nbr.indices[nbr.indptr[lo]:nbr.indptr[hi]],
+                lo, counts[blk], m, n_terms[blk], t1[blk], t2[blk], normals[blk],
+            )
+
+    if V <= FIT_BLOCK:
+        fit(0, V)
+    else:
+        # a forked child fits rows [V//2, V); they are read back straight
+        # into this process's arrays
+        mid = V // 2
+        rows = (coef[mid:], scale[mid:])
+
+        def child_half():
+            fit(mid, V)
+            return rows
+
+        def receive(spool):
+            for half in rows:
+                spool.readinto(half)
+
+        _fork_halves(child_half, lambda: fit(0, mid), receive)
 
     p = coef[:, 0]
     q = coef[:, 1]

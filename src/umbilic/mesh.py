@@ -11,8 +11,12 @@ that broken inputs can still be inspected.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
+import pickle
 import shutil
+import signal
 import tempfile
 from dataclasses import dataclass
 from functools import cached_property
@@ -295,21 +299,19 @@ def _parse_off(text: str) -> Mesh:
 
 
 def _block_array(block: list[str], width: int, dtype) -> np.ndarray | None:
-    """The (len(block), width) array of the lines' tokens, or None.
+    """The (len(block), width) array of the lines' numbers, or None.
 
-    None when a line does not hold exactly `width` tokens or a token does
-    not convert; the line parsers then name the line.  '#' cannot occur in
-    a content line, so it marks where each line ends in the joined tokens.
+    numpy's C reader converts the block at once.  None when a line does
+    not hold exactly `width` numbers or a token does not convert; the line
+    parsers then name the line.  The reader takes fewer spellings than
+    Python's `float()` and `int()` (no `1_0`, no `1.0` as an integer), so
+    a line it rejects also goes to the line parsers, which decide it.
     """
-    tokens = " # ".join(block).split()
-    n = len(block)
-    if len(tokens) != (width + 1) * n - 1 or tokens[width::width + 1] != ["#"] * (n - 1):
-        return None
-    del tokens[width::width + 1]
     try:
-        return np.array(tokens, dtype=dtype).reshape(n, width)
+        rows = np.loadtxt(block, dtype=dtype, ndmin=2)
     except (ValueError, OverflowError):
         return None
+    return rows if rows.shape == (len(block), width) else None
 
 
 def _off_vertex_lines(block: list[str]) -> np.ndarray:
@@ -382,7 +384,7 @@ def save_mesh(mesh: Mesh, path) -> None:
     """Write a mesh as ASCII OFF or OBJ; the format comes from the extension.
 
     Coordinates are written as `repr(float)`, so a written file loads back
-    to bitwise-equal arrays.
+    to bitwise-equal arrays.  A write that fails leaves no file.
     """
     path = os.fspath(path)
     faces = mesh.faces
@@ -391,10 +393,26 @@ def save_mesh(mesh: Mesh, path) -> None:
         v_prefix, f_prefix = "", "3 "
     else:
         head, v_prefix, f_prefix, faces = "", "v ", "f ", faces + 1
-    with open(path, "w", encoding="ascii") as fh:
+    with output_file(path) as fh:
         fh.write(head)
         write_rows(fh, mesh.vertices.T, prefix=v_prefix)
         write_rows(fh, faces.T, prefix=f_prefix)
+
+
+@contextlib.contextmanager
+def output_file(path):
+    """The file at `path` opened for writing ASCII text.
+
+    The file is removed again if the block raises: it only ever holds a
+    complete result.
+    """
+    fh = open(path, "w", newline="", encoding="ascii")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def write_rows(fh, columns, prefix: str = "", sep: str = " ", end: str = "\n") -> None:
@@ -402,48 +420,87 @@ def write_rows(fh, columns, prefix: str = "", sep: str = " ", end: str = "\n") -
 
     Each line is `prefix`, then the cells' `repr` joined by `sep`, then
     `end`.  Rows spanning two or more TEXT_BLOCKs are formatted on two
-    cores: this process writes the first half of the blocks (rounded up)
-    to `fh` while a forked child formats the rest into an unlinked
-    temporary file, which is then copied into `fh` in bounded chunks.
-    The child is reaped whatever happens; a child that fails raises
-    OSError.  `os.fork` makes this POSIX-only.
+    processes (`_fork_halves`): this process writes the first half of the
+    blocks (rounded up) to `fh` while a forked child formats the rest,
+    which is then copied into `fh` in bounded chunks.
     """
     n = len(columns[0])
     mid = -(-n // (2 * TEXT_BLOCK)) * TEXT_BLOCK
     if mid >= n:
-        _format_rows(fh, columns, 0, n, prefix, sep, end)
+        fh.writelines(_row_blocks(columns, 0, n, prefix, sep, end))
         return
-    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
-        pid = os.fork()
-        if pid == 0:
-            # the child only formats; os._exit skips the parent's cleanup
-            # and never flushes the stdio buffers it inherited
-            status = 1
-            try:
-                _format_rows(spool, columns, mid, n, prefix, sep, end)
-                spool.flush()
-                status = 0
-            finally:
-                os._exit(status)
-        try:
-            _format_rows(fh, columns, 0, mid, prefix, sep, end)
-        finally:
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if status:
-            raise OSError(f"row writer child process exited with status {status}")
-        spool.seek(0)
-        shutil.copyfileobj(spool, fh)
+
+    def copy_back(spool):
+        with io.TextIOWrapper(spool, encoding="utf-8", newline="") as text:
+            shutil.copyfileobj(text, fh)
+
+    _fork_halves(
+        lambda: map(str.encode, _row_blocks(columns, mid, n, prefix, sep, end)),
+        lambda: fh.writelines(_row_blocks(columns, 0, mid, prefix, sep, end)),
+        copy_back,
+    )
 
 
-def _format_rows(fh, columns, start: int, stop: int, prefix: str, sep: str, end: str) -> None:
-    """Write rows [start, stop) to `fh`, TEXT_BLOCK at a time.
+def _row_blocks(columns, start: int, stop: int, prefix: str, sep: str, end: str):
+    """The text of rows [start, stop), TEXT_BLOCK rows at a time.
 
     `start` is a multiple of TEXT_BLOCK and `stop` is one or the row count,
     so every block ends by `stop`.
     """
     for lo in range(start, stop, TEXT_BLOCK):
         cells = zip(*(map(repr, c[lo:lo + TEXT_BLOCK].tolist()) for c in columns))
-        fh.write(prefix + (end + prefix).join(map(sep.join, cells)) + end)
+        yield prefix + (end + prefix).join(map(sep.join, cells)) + end
+
+
+def _fork_halves(child_half, own_half, receive) -> None:
+    """Run `child_half` in a forked child while `own_half()` runs here.
+
+    `child_half()` returns an iterable of bytes-like buffers, which the
+    child writes to an unlinked temporary file, the spool.  Once both
+    halves are done, `receive(spool)`, rewound, reads them back here.
+    The child is reaped whatever happens:
+    - an exception the child raises is raised again here, with its type
+      and message;
+    - a child that dies (exits with no result) raises OSError;
+    - if `own_half` raises, the child is killed and reaped and
+      `own_half`'s exception propagates.
+    The child leaves through `os._exit`: it never returns into the
+    caller, runs no cleanup of this process's state and never flushes
+    the stdio buffers it inherited.  `os.fork` makes this POSIX-only.
+    """
+    with tempfile.TemporaryFile() as spool:
+        read_end, write_end = os.pipe()
+        # the pipe carries the child's pickled exception, if it raises
+        with open(read_end, "rb") as failure, open(write_end, "wb") as report:
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    try:
+                        for buffer in child_half():
+                            spool.write(buffer)
+                        spool.flush()
+                    except BaseException as exc:   # raised again in the parent
+                        report.write(pickle.dumps(exc))
+                        report.flush()
+                    status = 0
+                finally:
+                    os._exit(status)
+            report.close()   # so the read below ends when the child exits
+            try:
+                own_half()
+                raised = failure.read()
+            except BaseException:
+                os.kill(pid, signal.SIGKILL)
+                raise
+            finally:
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if raised:
+            raise pickle.loads(raised)
+        if status:
+            raise OSError(f"forked child process exited with status {status}")
+        spool.seek(0)
+        receive(spool)
 
 
 def validate_mesh(mesh: Mesh) -> ValidationReport:

@@ -51,23 +51,31 @@ def forked(monkeypatch):
 
 
 class _Cell:
-    """A table cell whose repr fails from row `bad` on."""
+    """A table cell whose repr fails from row `bad` on.
 
-    def __init__(self, row, bad):
-        self.row, self.bad = row, bad
+    It raises RuntimeError, or with `dies` it ends a forked child's process
+    with status 1, as a crash would (in the test's own process it raises).
+    """
+
+    def __init__(self, row, bad, dies):
+        self.row, self.bad, self.dies = row, bad, dies
+        self.owner = os.getpid()
 
     def __repr__(self):
         if self.row >= self.bad:
+            if self.dies and os.getpid() != self.owner:
+                os._exit(1)
             raise RuntimeError(f"no repr for row {self.row}")
         return str(self.row)
 
 
 @pytest.fixture
 def failing_column():
-    """failing_column(n, bad): n object cells whose repr fails from row `bad` on."""
-    def make(n, bad):
+    """failing_column(n, bad, dies=False): n object cells whose repr fails
+    from row `bad` on (see `_Cell`)."""
+    def make(n, bad, dies=False):
         column = np.empty(n, dtype=object)
-        column[:] = [_Cell(i, bad) for i in range(n)]
+        column[:] = [_Cell(i, bad, dies) for i in range(n)]
         return column
 
     return make

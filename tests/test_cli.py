@@ -11,6 +11,8 @@ from umbilic.diffgeo import estimate_geometry
 from umbilic.mesh import Mesh, load_mesh, save_mesh
 from umbilic.surfgen import PerturbedSphere, generate
 
+from test_diffgeo import fit_error, in_child, singular_mesh
+
 
 def run(args):
     return main(args)
@@ -514,14 +516,15 @@ def test_analyze_csv_bytes_on_two_processes(tmp_path, sphere4, forked):
 
 def test_analyze_child_failure_exits_2(tmp_path, sphere4, capsys, monkeypatch, forked,
                                        failing_column):
-    # only the child fails: the H2 cells of rows 2048 on (the third block
-    # of 2,562) cannot be formatted
+    # only the child fails: it dies on the H2 cell of row 2048 (the third
+    # block of 2,562)
     import umbilic.cli as cli
 
     write_rows = cli.write_rows
 
     def poisoned(fh, columns, **kwargs):
-        write_rows(fh, [*columns[:-1], failing_column(len(columns[0]), 2048)], **kwargs)
+        column = failing_column(len(columns[0]), 2048, dies=True)
+        write_rows(fh, [*columns[:-1], column], **kwargs)
 
     mesh_path = tmp_path / "s4.off"
     save_mesh(sphere4, mesh_path)
@@ -539,6 +542,63 @@ def test_analyze_child_failure_exits_2(tmp_path, sphere4, capsys, monkeypatch, f
     assert len(forked) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "command", [["analyze"], ["verify", "--epsilon", "0.2", "--alpha", "0.5"]],
+    ids=["analyze", "verify"],
+)
+def test_singular_fit_in_child_exits_2(command, tmp_path, capsys, monkeypatch, forked):
+    # the rank-deficient vertex is fitted in the child: the one-process text
+    from umbilic import diffgeo
+
+    mesh = singular_mesh(last=True)
+    expected = fit_error(mesh)
+    mesh_path = tmp_path / "singular.off"
+    save_mesh(mesh, mesh_path)
+    monkeypatch.setattr(diffgeo, "FIT_BLOCK", 8)
+    capsys.readouterr()
+    assert run([*command, "--mesh", str(mesh_path)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"stage": command[0], "message": expected}
+    assert len(forked) == 1
+
+
+def test_analyze_fit_child_death_exits_2(tmp_path, sphere4, capsys, monkeypatch, forked):
+    from umbilic import diffgeo
+
+    mesh_path = tmp_path / "s4.off"
+    save_mesh(sphere4, mesh_path)
+    monkeypatch.setattr(diffgeo, "FIT_BLOCK", 1000)
+    monkeypatch.setattr(diffgeo, "_fit_block", in_child(lambda: os._exit(1)))
+    forked.clear()
+    capsys.readouterr()
+    assert run(["analyze", "--mesh", str(mesh_path)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["stage"] == "analyze"
+    assert "exited with status 1" in error["message"]
+    assert len(forked) == 1
+
+
+def test_gen_write_failure_leaves_no_file(tmp_path, capsys, monkeypatch, failing_column):
+    # the child formatting the second block of the 1,280 face rows dies
+    import umbilic.mesh as mesh_module
+
+    write_rows = mesh_module.write_rows
+
+    def poisoned(fh, columns, prefix=""):
+        if prefix == "3 ":
+            columns = [*columns[:-1], failing_column(len(columns[0]), 1024, dies=True)]
+        write_rows(fh, columns, prefix=prefix)
+
+    monkeypatch.setattr(mesh_module, "write_rows", poisoned)
+    out = tmp_path / "s3.off"
+    capsys.readouterr()
+    assert run(["gen", "--kind", "sphere", "--subdiv", "3", "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["stage"] == "gen"
+    assert "exited with status 1" in error["message"]
+    assert not out.exists()
 
 
 def test_analyze_csv_independent_of_row_block(tmp_path, monkeypatch):

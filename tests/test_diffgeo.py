@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -288,6 +290,77 @@ def test_singular_fit_names_vertex(mesh_name):
     with pytest.raises(ValueError, match=r"^singular jet fit: vertex 0 has a "
                        r"rank-deficient 9-term basis"):
         estimate_geometry(mesh)
+
+
+def singular_mesh(last=False) -> Mesh:
+    """The centroid-split tetrahedron (35 vertices): only vertex 0, or with
+    `last` the same vertex relabelled 34, fails the rank test."""
+    mesh = split_face0(subdivided_tetrahedron(2))
+    if not last:
+        return mesh
+    label = (np.arange(mesh.n_vertices) - 1) % mesh.n_vertices
+    verts = np.empty_like(mesh.vertices)
+    verts[label] = mesh.vertices
+    return Mesh(verts, label[mesh.faces])
+
+
+def in_child(action):
+    """A `_fit_block` that runs `action()` first in a forked child."""
+    parent, fit_block = os.getpid(), diffgeo._fit_block
+
+    def fit(*args):
+        if os.getpid() != parent:
+            action()
+        return fit_block(*args)
+
+    return fit
+
+
+def test_two_process_fit_matches_one_process(perturbed4, geom_perturbed4, monkeypatch,
+                                             forked):
+    # the reference ran at the default block, which holds all 2,562 vertices
+    assert perturbed4.n_vertices <= diffgeo.FIT_BLOCK
+    monkeypatch.setattr(diffgeo, "FIT_BLOCK", 1000)
+    assert_geometry_identical(estimate_geometry(perturbed4), geom_perturbed4)
+    assert len(forked) == 1
+
+
+def fit_error(mesh):
+    """The message of the ValueError that `estimate_geometry(mesh)` raises."""
+    with pytest.raises(ValueError) as error:
+        estimate_geometry(mesh)
+    return str(error.value)
+
+
+@pytest.mark.parametrize("last", [False, True])
+def test_singular_fit_on_two_processes_names_vertex(last, monkeypatch, forked):
+    # vertex 0 is fitted in this process, vertex 34 in the child
+    mesh = singular_mesh(last)
+    expected = fit_error(mesh)
+    assert f"vertex {34 if last else 0} " in expected and not forked
+    monkeypatch.setattr(diffgeo, "FIT_BLOCK", 8)
+    assert fit_error(mesh) == expected
+    assert len(forked) == 1
+
+
+def test_singular_fit_here_kills_child(monkeypatch, forked):
+    # the child would fit for a minute; this process's error ends it
+    mesh = singular_mesh()
+    expected = fit_error(mesh)
+    monkeypatch.setattr(diffgeo, "FIT_BLOCK", 8)
+    monkeypatch.setattr(diffgeo, "_fit_block", in_child(lambda: time.sleep(60)))
+    start = time.monotonic()
+    assert fit_error(mesh) == expected
+    assert time.monotonic() - start < 30
+    assert len(forked) == 1
+
+
+def test_fit_child_death_raises(perturbed4, monkeypatch, forked):
+    monkeypatch.setattr(diffgeo, "FIT_BLOCK", 1000)
+    monkeypatch.setattr(diffgeo, "_fit_block", in_child(lambda: os._exit(1)))
+    with pytest.raises(OSError, match="exited with status 1"):
+        estimate_geometry(perturbed4)
+    assert len(forked) == 1
 
 
 def test_off_centre_split_still_fits():

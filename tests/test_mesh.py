@@ -96,14 +96,25 @@ def test_save_mesh_bytes_on_two_processes(tmp_path, sphere4, forked):
 
 def test_write_rows_child_failure_raises(monkeypatch, forked, failing_column):
     # 20 rows in blocks of 4: this process writes rows 0-11, the child 12-19
+    # and dies on row 12
     monkeypatch.setattr(mesh_module, "TEXT_BLOCK", 4)
     out = io.StringIO()
     with pytest.raises(OSError, match="exited with status 1"):
-        write_rows(out, [np.arange(20), failing_column(20, 12)])
+        write_rows(out, [np.arange(20), failing_column(20, 12, dies=True)])
     assert out.getvalue() == "".join(f"{i} {i}\n" for i in range(12))
     assert len(forked) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_write_rows_child_exception_raised_here(monkeypatch, forked, failing_column):
+    # the child's own exception comes back, type and message, not an OSError
+    monkeypatch.setattr(mesh_module, "TEXT_BLOCK", 4)
+    out = io.StringIO()
+    with pytest.raises(RuntimeError, match="^no repr for row 12$"):
+        write_rows(out, [np.arange(20), failing_column(20, 12)])
+    assert out.getvalue() == "".join(f"{i} {i}\n" for i in range(12))
+    assert len(forked) == 1
 
 
 def test_write_rows_reaps_child_when_write_fails(monkeypatch, forked):

@@ -6,6 +6,7 @@ conftest.py, so every run draws the same ones.
 
 import dataclasses
 import string
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -137,6 +138,78 @@ def test_off_blocks_parse_as_lines(fuzz_dir, text):
     with mock.patch.object(mesh_module, "_block_array", lambda *args: None):
         lines = parsed(path)
     assert blocks == lines
+
+
+# OFF vertex and face blocks as `_block_array` sees them: stripped content
+# lines split by spaces and tabs, with numbers in the writers' and other
+# common spellings, special values, spellings only Python's converters
+# take, int64 overflow, and in some blocks junk tokens or lines with a
+# token too few or too many
+float_tokens = st.one_of(
+    st.floats().flatmap(
+        lambda x: st.sampled_from([repr(x), f"{x:e}", f"{x:g}", f"+{x!r}"])),
+    st.sampled_from(["inf", "-inf", "+inf", "nan", "-nan", "Infinity", "1e500",
+                     "-1e500", "1e-400", "1_0", "0x1p3", "1.", ".5", "1e"]),
+)
+int_tokens = st.one_of(
+    st.integers(-2**65, 2**65).map(str),
+    st.integers(0, 99).map("+{}".format),
+    st.sampled_from(["007", "1_0", "1.0", "1e3", "0x10", str(2**63 - 1), str(2**63),
+                     str(-2**63), str(-2**63 - 1)]),
+)
+junk_tokens = st.text(
+    alphabet=string.ascii_letters + string.punctuation.replace("#", ""),
+    min_size=1, max_size=3,
+)
+separators = st.sampled_from([" ", "\t", "  ", " \t "])
+
+
+@st.composite
+def off_blocks(draw, tokens, width, first=None):
+    """Lines of `tokens` (the first cell from `first`), most holding `width`."""
+    if draw(st.booleans()):
+        tokens = st.one_of(tokens, junk_tokens)
+    block = []
+    for _ in range(draw(st.integers(1, 4))):
+        count = draw(st.sampled_from([width] * 4 + [width - 1, width + 1]))
+        cells = draw(st.lists(tokens, min_size=count, max_size=count))
+        if first is not None:
+            cells[0] = draw(first)
+        seps = draw(st.lists(separators, min_size=count, max_size=count))
+        block.append("".join(cell + sep for cell, sep in zip(cells, seps)).rstrip())
+    return block
+
+
+def block_array(block, width, dtype):
+    """`_block_array`'s result; any warning it lets out fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return mesh_module._block_array(block, width, dtype)
+
+
+@settings(max_examples=300)
+@given(block=off_blocks(st.one_of(float_tokens, int_tokens), 3))
+@example(block=["inf -inf nan", "1e500\t-1e500  +1.5", "-nan 1e-400 +0.0"])
+@example(block=["1_0 2 3"])
+@example(block=["0x1p3 2 3"])
+def test_vertex_block_array_is_the_line_parsers(block):
+    rows = block_array(block, 3, np.float64)
+    if rows is not None:
+        assert rows.tobytes() == mesh_module._off_vertex_lines(block).tobytes()
+
+
+@settings(max_examples=300)
+@given(block=off_blocks(int_tokens, 4, st.sampled_from(["3", "+3", "03", "4", "3.0"])))
+@example(block=["3 0 1 2", "3\t4  5 9223372036854775807"])
+@example(block=["3 0 1 9223372036854775808"])
+@example(block=["3 0 1 1_0"])
+@example(block=["3 0 1.0 2"])
+def test_face_block_array_is_the_line_parsers(block):
+    rows = block_array(block, 4, np.int64)
+    if rows is not None:
+        assert rows.tolist() == [[int(token) for token in line.split()] for line in block]
+        if np.all(rows[:, 0] == 3):
+            assert np.array_equal(rows[:, 1:], mesh_module._off_face_lines(block))
 
 
 @settings(max_examples=50)

@@ -36,18 +36,45 @@ def test_traced_paths_resolve():
     assert [p for p in paths if tracer._resolve(p) is None] == []
 
 
+def counting(module, name, monkeypatch):
+    """Replace module.name by a wrapper; return the list of its calls' meshes."""
+    calls = []
+    target = getattr(module, name)
+
+    def wrapper(mesh, *args, **kwargs):
+        calls.append(mesh)
+        return target(mesh, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 def test_lambda1_assembles_through_the_module(sphere3, monkeypatch):
     # the tracer times the assembly by replacing umbilic.spectral.build_laplace;
     # if lambda1 bound it privately, spectral.build_laplace_s would read 0
     from umbilic import spectral
 
-    calls = []
-    build = spectral.build_laplace
-
-    def counting(mesh):
-        calls.append(mesh)
-        return build(mesh)
-
-    monkeypatch.setattr(spectral, "build_laplace", counting)
+    calls = counting(spectral, "build_laplace", monkeypatch)
     spectral.lambda1(sphere3)
     assert len(calls) == 1 and calls[0] is sphere3
+
+
+def test_fit_runs_whole_through_the_traced_names(tmp_path, sphere3, monkeypatch):
+    # the tracer times the jet fit by replacing umbilic.diffgeo.estimate_geometry
+    # (analyze) and umbilic.pinching.estimate_geometry (verify_theorem): one
+    # call per pass, so the span holds the whole two-process fit, the wait
+    # for the child included
+    from umbilic import cli, diffgeo, pinching
+    from umbilic.mesh import save_mesh
+
+    monkeypatch.setattr(diffgeo, "FIT_BLOCK", 256)   # 642 vertices: forked
+    mesh_path = tmp_path / "s3.off"
+    save_mesh(sphere3, mesh_path)
+    analyzed = counting(diffgeo, "estimate_geometry", monkeypatch)
+    args = ["analyze", "--mesh", str(mesh_path), "--json-out", str(tmp_path / "s3.json")]
+    assert cli.main(args) == 0
+    assert len(analyzed) == 1
+
+    verified = counting(pinching, "estimate_geometry", monkeypatch)
+    pinching.verify_theorem(sphere3, pinching.PinchingConstants(alpha=0.5, epsilon=0.2))
+    assert len(verified) == 1 and verified[0] is sphere3
