@@ -109,9 +109,9 @@ class Mesh:
         Vertex index triples, counterclockwise w.r.t. the outward normal.
 
     The arrays are copied and frozen; the edge table, adjacency, the
-    validation report, the areas, the barycenter and the enclosed volume
-    are computed on first use and cached.
-    The per-face cross-product array is recomputed on each read.
+    validation report, the barycenter, and the face areas and enclosed
+    volume (one face pass over `face_cross`, which is not kept) are
+    computed on first use and cached.
     """
 
     def __init__(self, vertices, faces):
@@ -186,11 +186,20 @@ class Mesh:
         return np.cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0])
 
     @cached_property
-    def face_areas(self) -> np.ndarray:
-        # an area beyond the float range reads inf (or nan), with no
-        # warning: validation names the face
+    def _face_pass(self) -> tuple[np.ndarray, float]:
+        """(face areas, signed enclosed volume), both from one `face_cross`."""
+        # c0 . ((c1 - c0) x (c2 - c0)) equals c0 . (c1 x c2) but does not
+        # cancel far from the origin; an area or volume beyond the float
+        # range reads inf or nan, with no warning: validation names the face
         with np.errstate(over="ignore", invalid="ignore"):
-            return 0.5 * np.linalg.norm(self.face_cross, axis=1)
+            cross = self.face_cross
+            areas = 0.5 * np.linalg.norm(cross, axis=1)
+            corner = self.vertices[self.faces[:, 0]]
+            return areas, float(np.sum(np.einsum("ij,ij->i", corner, cross) / 6.0))
+
+    @property
+    def face_areas(self) -> np.ndarray:
+        return self._face_pass[0]
 
     @cached_property
     def vertex_areas(self) -> np.ndarray:
@@ -214,17 +223,11 @@ class Mesh:
         """Surface-measure barycenter: the vertex-area-weighted mean vertex."""
         return self.vertex_areas @ self.vertices / self.area
 
-    @cached_property
+    @property
     def enclosed_volume(self) -> float:
         """Signed volume by the divergence theorem: > 0 when the faces turn
         counterclockwise about the outward normal."""
-        # c0 . ((c1 - c0) x (c2 - c0)) equals c0 . (c1 x c2) but does not
-        # cancel far from the origin; overflowing coordinates give inf or
-        # nan, with no warning: validation names the overflowing face
-        with np.errstate(over="ignore", invalid="ignore"):
-            corner = self.vertices[self.faces[:, 0]]
-            signed = np.einsum("ij,ij->i", corner, self.face_cross) / 6.0
-            return float(np.sum(signed))
+        return self._face_pass[1]
 
 
 def load_mesh(path) -> Mesh:
@@ -460,7 +463,9 @@ def _fork_halves(child_half, own_half, receive) -> None:
     halves are done, `receive(spool)`, rewound, reads them back here.
     The child is reaped whatever happens:
     - an exception the child raises is raised again here, with its type
-      and message;
+      and message, if it survives a pickle round-trip; one that does not
+      unpickle (`spectral.ConvergenceError`) raises pickle's TypeError
+      here, and one that does not pickle ends the child with status 1;
     - a child that dies (exits with no result) raises OSError;
     - if `own_half` raises, the child is killed and reaped and
       `own_half`'s exception propagates.
@@ -513,70 +518,65 @@ def validate_mesh(mesh: Mesh) -> ValidationReport:
     return mesh._validation
 
 
-def _trace_fans(faces, inverse, counts, n_vertices) -> tuple[bool, int | None]:
-    """(no directed edge repeats, first vertex whose faces are not one fan).
+def _trace_faces(mesh: Mesh) -> tuple[bool, bool, int | None]:
+    """(faces connected, no directed edge repeats, first vertex whose faces
+    are not one fan), from each edge's first half-edge, `first`.
 
-    If so, the half-edges h and t of an interior edge run opposite ways, and
-    the corner at h's tail (`_half_edges` order) is followed around its vertex
+    Each face is linked to the faces that hold the first half-edges of its
+    three edges (half-edge h lies in face h mod F), so the components are
+    those of faces sharing edges.  If no directed edge repeats, the
+    half-edges h and t of an interior edge run opposite ways, and the
+    corner at h's tail (`_half_edges` order) is followed around its vertex
     by the corner at t's head, (t + F) mod 3F.  Each cycle of this map, or
     path at a boundary, is a fan; otherwise the fans are not traced (None).
     """
-    i, j = _half_edges(faces)
-    C = len(i)
+    _, inverse, counts = mesh._edge_table
+    F = mesh.n_faces
+    C = 3 * F
     h = np.arange(C)
     first = np.full(len(counts), C)
     np.minimum.at(first, inverse, h)
+    holder = (first[inverse] % F).reshape(3, F).T.ravel()   # row f: its edges' holders
+    links = sparse.csr_matrix((np.ones(C, np.int8), holder, np.arange(0, C + 1, 3)), (F, F))
+    connected = bool(csgraph.connected_components(links, directed=False)[0] == 1)
+    del holder, links   # freed before the fan graph: both alive raise the memory peak
+    i, j = _half_edges(mesh.faces)
     last = np.zeros(len(counts), dtype=np.int64)
     np.maximum.at(last, inverse, h)
     inner = counts[inverse] == 2
-    twin = (first[inverse] + last[inverse] - h)[inner]   # the other half-edge
-    if np.any(counts > 2) or np.any(i[twin] != j[inner]):
-        return False, None
-    del j   # the graph passes below set the memory peak
-    links = sparse.csr_matrix(
-        (np.ones(len(twin), dtype=np.int8), (h[inner], (twin + len(faces)) % C)),
-        shape=(C, C),
-    )
-    del h, inner, twin
+    twin = first[inverse] + last[inverse] - h   # the other half-edge, or h
+    if np.any(counts > 2) or np.any((i[twin] != j) & inner):
+        return connected, False, None
+    del j, first, last
+    turn = np.where(inner, (twin + F) % C, h)   # at a boundary, a self-link
+    links = sparse.csr_matrix((np.ones(C, np.int8), turn, np.arange(C + 1)), (C, C))
+    del h, inner, twin, turn
     n_fans, fan = csgraph.connected_components(links, directed=False)
     fan_vertex = np.empty(n_fans, dtype=np.int64)
     fan_vertex[fan] = i
-    bad = np.flatnonzero(np.bincount(fan_vertex, minlength=n_vertices) != 1)
-    return True, int(bad[0]) if bad.size else None
+    bad = np.flatnonzero(np.bincount(fan_vertex, minlength=mesh.n_vertices) != 1)
+    return connected, True, int(bad[0]) if bad.size else None
 
 
 def _validation_report(mesh: Mesh) -> ValidationReport:
-    keys, inverse, counts = mesh._edge_table
+    counts = mesh._edge_table[2]
     closed = bool(len(counts) > 0 and np.all(counts == 2))
 
-    # Consistent orientation: every directed edge occurs exactly once, so the
-    # two faces of each undirected edge traverse it in opposite directions.
-    simple, bad_vertex = _trace_fans(mesh.faces, inverse, counts, mesh.n_vertices)
-    oriented = closed and simple
-
-    # Faces sharing an edge are linked through a graph node for that edge.
-    F = mesh.n_faces
-    n = F + len(keys)
-    face_edge = sparse.csr_matrix(
-        (np.ones(3 * F, dtype=np.int8), (np.tile(np.arange(F), 3), F + inverse)),
-        shape=(n, n),
-    )
-    connected = bool(csgraph.connected_components(face_edge, directed=False)[0] == 1)
+    # oriented: the two faces of each edge traverse it in opposite directions
+    connected, simple, bad_vertex = _trace_faces(mesh)
 
     areas = mesh.face_areas
     nonfinite = np.flatnonzero(~np.isfinite(areas))
     min_face_area = float(areas.min()) if len(areas) else 0.0
     mean_area = float(areas.mean()) if len(areas) else 0.0
-    threshold = DEGENERATE_AREA_FACTOR * mean_area
     return ValidationReport(
         closed=closed,
-        oriented=oriented,
+        oriented=closed and simple,
         connected=connected,
         outward=mesh.enclosed_volume > 0,
         min_face_area=min_face_area,
-        degenerate_threshold=threshold,
+        degenerate_threshold=DEGENERATE_AREA_FACTOR * mean_area,
         manifold=bad_vertex is None if simple else None,
         nonmanifold_vertex=bad_vertex,
         nonfinite_face=int(nonfinite[0]) if nonfinite.size else None,
     )
-

@@ -321,6 +321,22 @@ def test_measures_match_face_formulas():
     assert abs(mesh.enclosed_volume - volume) <= 1e-14 * volume
 
 
+def test_validation_reads_face_cross_once(sphere3, monkeypatch):
+    # the areas and the volume come from one face pass, cached on the mesh
+    reads = []
+    cross = Mesh.face_cross
+
+    def counted(mesh):
+        reads.append(mesh)
+        return cross.fget(mesh)
+
+    monkeypatch.setattr(Mesh, "face_cross", property(counted))
+    mesh = Mesh(sphere3.vertices, sphere3.faces)
+    assert validate_mesh(mesh).all_passed
+    assert (mesh.area, mesh.enclosed_volume) == (sphere3.area, sphere3.enclosed_volume)
+    assert len(reads) == 1 and reads[0] is mesh
+
+
 def test_barycenter_translation(sphere4):
     shifted = Mesh(sphere4.vertices + [3.0, 0.0, 0.0], sphere4.faces)
     assert np.allclose(shifted.barycenter, [3.0, 0.0, 0.0], atol=1e-6)
@@ -480,6 +496,15 @@ def three_sheet_mesh():
     return Mesh(np.array(verts, dtype=float), faces)
 
 
+def bowtie_mesh():
+    """Two tetrahedra sharing only vertex 0; the second is a translated copy."""
+    tetra = np.array([[1, 1, 1], [-1, -1, 1], [-1, 1, -1], [1, -1, -1]], dtype=float)
+    faces = np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])   # outward
+    # the copy's vertex 3 lands on vertex 0; its vertices 0, 1, 2 are 4, 5, 6
+    copy = np.array([4, 5, 6, 0])[faces]
+    return Mesh(np.vstack([tetra, tetra[:3] + tetra[0] - tetra[3]]), np.vstack([faces, copy]))
+
+
 def topology_cases(sphere3, torus):
     n = sphere3.n_vertices
     flipped = sphere3.faces.copy()
@@ -501,6 +526,9 @@ def topology_cases(sphere3, torus):
         # finite edge cross products whose norms overflow: inf areas (at
         # 1e200 the cross products overflow too, and the areas read nan)
         "overflow": Mesh(sphere3.vertices * 1e100, sphere3.faces),
+        # two components joined at one vertex: connected only through its
+        # one-ring, not through shared edges
+        "bowtie": bowtie_mesh(),
     }
 
 
