@@ -247,11 +247,11 @@ def estimate_geometry(mesh: Mesh) -> SurfaceGeometry:
     so beyond the O(V) records and the neighborhood matrix the working
     memory does not grow with the mesh.
 
-    With more than FIT_BLOCK vertices, the fits run on two processes
-    (`mesh._fork_halves`): everything up to the fits runs here, then a
-    forked child fits rows [V//2, V) while this process fits [0, V//2).
-    A rank test failing in this process's half is raised here; otherwise
-    the child's is raised again here, with the same message.
+    The fits are split by `mesh._fork_halves` with FIT_BLOCK: everything
+    up to the fits runs here, then beyond one block a forked child fits
+    rows [V//2, V) while this process fits [0, V//2).  A rank test
+    failing in this process's half is raised here; otherwise the child's
+    is raised again here, with the same message.
     """
     V = mesh.n_vertices
     normals = vertex_normals(mesh)
@@ -283,23 +283,16 @@ def estimate_geometry(mesh: Mesh) -> SurfaceGeometry:
                 lo, counts[blk], m, n_terms[blk], t1[blk], t2[blk], normals[blk],
             )
 
-    if V <= FIT_BLOCK:
-        fit(0, V)
-    else:
-        # a forked child fits rows [V//2, V); they are read back straight
-        # into this process's arrays
-        mid = V // 2
-        rows = (coef[mid:], scale[mid:])
+    def child_half(mid, stop):
+        fit(mid, stop)
+        return coef[mid:], scale[mid:]
 
-        def child_half():
-            fit(mid, V)
-            return rows
+    def receive(spool, mid):
+        # the child's rows are read back straight into this process's arrays
+        for half in (coef[mid:], scale[mid:]):
+            spool.readinto(half)
 
-        def receive(spool):
-            for half in rows:
-                spool.readinto(half)
-
-        _fork_halves(child_half, lambda: fit(0, mid), receive)
+    _fork_halves(V, FIT_BLOCK, child_half, fit, receive)
 
     p = coef[:, 0]
     q = coef[:, 1]

@@ -19,7 +19,7 @@ import shutil
 import signal
 import tempfile
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy import sparse
@@ -31,7 +31,7 @@ DEGENERATE_AREA_FACTOR = 1e-14
 
 # lines of text parsed or written at a time (mesh files, the analyze
 # table): bounds the Python strings and numbers alive at once in each
-# process, the parent and the child that `write_rows` forks
+# process; rows beyond one block are written on two (`_fork_halves`)
 TEXT_BLOCK = 1024
 
 
@@ -422,50 +422,41 @@ def write_rows(fh, columns, prefix: str = "", sep: str = " ", end: str = "\n") -
     """Write one line per row of two or more equal-length array `columns`.
 
     Each line is `prefix`, then the cells' `repr` joined by `sep`, then
-    `end`.  Rows spanning two or more TEXT_BLOCKs are formatted on two
-    processes (`_fork_halves`): this process writes the first half of the
-    blocks (rounded up) to `fh` while a forked child formats the rest,
-    which is then copied into `fh` in bounded chunks.
+    `end`.  Rows beyond one TEXT_BLOCK are split by `_fork_halves`: a
+    forked child formats the second half, which is copied into `fh` in
+    bounded chunks once this process has written the first.
     """
-    n = len(columns[0])
-    mid = -(-n // (2 * TEXT_BLOCK)) * TEXT_BLOCK
-    if mid >= n:
-        fh.writelines(_row_blocks(columns, 0, n, prefix, sep, end))
-        return
+    rows = partial(_row_blocks, columns, prefix=prefix, sep=sep, end=end)
 
-    def copy_back(spool):
+    def copy_back(spool, mid):
         with io.TextIOWrapper(spool, encoding="utf-8", newline="") as text:
             shutil.copyfileobj(text, fh)
 
-    _fork_halves(
-        lambda: map(str.encode, _row_blocks(columns, mid, n, prefix, sep, end)),
-        lambda: fh.writelines(_row_blocks(columns, 0, mid, prefix, sep, end)),
-        copy_back,
-    )
+    _fork_halves(len(columns[0]), TEXT_BLOCK, lambda mid, n: map(str.encode, rows(mid, n)),
+                 lambda start, mid: fh.writelines(rows(start, mid)), copy_back)
 
 
 def _row_blocks(columns, start: int, stop: int, prefix: str, sep: str, end: str):
-    """The text of rows [start, stop), TEXT_BLOCK rows at a time.
-
-    `start` is a multiple of TEXT_BLOCK and `stop` is one or the row count,
-    so every block ends by `stop`.
-    """
+    """The text of rows [start, stop), TEXT_BLOCK rows at a time; the last
+    block is cut at `stop`."""
     for lo in range(start, stop, TEXT_BLOCK):
-        cells = zip(*(map(repr, c[lo:lo + TEXT_BLOCK].tolist()) for c in columns))
+        cells = zip(*(map(repr, c[lo:min(lo + TEXT_BLOCK, stop)].tolist()) for c in columns))
         yield prefix + (end + prefix).join(map(sep.join, cells)) + end
 
 
-def _fork_halves(child_half, own_half, receive) -> None:
-    """Run `child_half` in a forked child while `own_half()` runs here.
+def _fork_halves(n, block, child_half, own_half, receive) -> None:
+    """Run rows [0, n) in two halves once they span more than one `block`.
 
-    `child_half()` returns an iterable of bytes-like buffers, which the
-    child writes to an unlinked temporary file, the spool.  Once both
-    halves are done, `receive(spool)`, rewound, reads them back here.
-    The child is reaped whatever happens:
-    - an exception the child raises is raised again here, with its type
-      and message, if it survives a pickle round-trip; one that does not
-      unpickle (`spectral.ConvergenceError`) raises pickle's TypeError
-      here, and one that does not pickle ends the child with status 1;
+    With n <= block, `own_half(0, n)` runs here alone.  Otherwise, with
+    mid = n // 2, a forked child runs `child_half(mid, n)` while
+    `own_half(0, mid)` runs here.  `child_half` returns an iterable of
+    bytes-like buffers, which the child writes to an unlinked temporary
+    file, the spool; `receive(spool, mid)`, rewound, reads them back
+    here.  The spool is the child's one channel, and the child is reaped
+    whatever happens:
+    - an exception the child raises replaces its buffers in the spool,
+      pickled, and is raised again here; one that does not pickle ends
+      the child with status 1;
     - a child that dies (exits with no result) raises OSError;
     - if `own_half` raises, the child is killed and reaped and
       `own_half`'s exception propagates.
@@ -473,39 +464,42 @@ def _fork_halves(child_half, own_half, receive) -> None:
     caller, runs no cleanup of this process's state and never flushes
     the stdio buffers it inherited.  `os.fork` makes this POSIX-only.
     """
+    if n <= block:
+        own_half(0, n)
+        return
+    mid = n // 2
+    raised = 3   # the child's exit status when the spool holds its exception
     with tempfile.TemporaryFile() as spool:
-        read_end, write_end = os.pipe()
-        # the pipe carries the child's pickled exception, if it raises
-        with open(read_end, "rb") as failure, open(write_end, "wb") as report:
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    try:
-                        for buffer in child_half():
-                            spool.write(buffer)
-                        spool.flush()
-                    except BaseException as exc:   # raised again in the parent
-                        report.write(pickle.dumps(exc))
-                        report.flush()
-                    status = 0
-                finally:
-                    os._exit(status)
-            report.close()   # so the read below ends when the child exits
+        pid = os.fork()
+        if pid == 0:
+            status = 1
             try:
-                own_half()
-                raised = failure.read()
-            except BaseException:
-                os.kill(pid, signal.SIGKILL)
-                raise
+                try:
+                    for buffer in child_half(mid, n):
+                        spool.write(buffer)
+                    spool.flush()
+                    status = 0
+                except BaseException as exc:   # raised again in the parent
+                    spool.seek(0)
+                    spool.truncate()   # drops the buffers already written
+                    pickle.dump(exc, spool)
+                    spool.flush()
+                    status = raised
             finally:
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if raised:
-            raise pickle.loads(raised)
+                os._exit(status)
+        try:
+            own_half(0, mid)
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        spool.seek(0)
+        if status == raised:
+            raise pickle.load(spool)
         if status:
             raise OSError(f"forked child process exited with status {status}")
-        spool.seek(0)
-        receive(spool)
+        receive(spool, mid)
 
 
 def validate_mesh(mesh: Mesh) -> ValidationReport:

@@ -71,6 +71,9 @@ class ConvergenceError(RuntimeError):
         self.best_residual = best_residual
         self.iterations = iterations
 
+    def __reduce__(self):   # all four arguments, so a pickle round-trip keeps them
+        return type(self), (str(self), self.best_lambda1, self.best_residual, self.iterations)
+
 
 @dataclass(frozen=True)
 class SpectralResult:

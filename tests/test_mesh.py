@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import umbilic.mesh as mesh_module
+from umbilic.diffgeo import FIT_BLOCK
 from umbilic.mesh import (
     Mesh,
     MeshFormatError,
@@ -14,6 +15,7 @@ from umbilic.mesh import (
     validate_mesh,
     write_rows,
 )
+from umbilic.spectral import ConvergenceError
 from umbilic.surfgen import PerturbedSphere, generate
 
 
@@ -95,26 +97,78 @@ def test_save_mesh_bytes_on_two_processes(tmp_path, sphere4, forked):
 
 
 def test_write_rows_child_failure_raises(monkeypatch, forked, failing_column):
-    # 20 rows in blocks of 4: this process writes rows 0-11, the child 12-19
+    # 20 rows in blocks of 4: this process writes rows 0-9, the child 10-19
     # and dies on row 12
     monkeypatch.setattr(mesh_module, "TEXT_BLOCK", 4)
     out = io.StringIO()
     with pytest.raises(OSError, match="exited with status 1"):
         write_rows(out, [np.arange(20), failing_column(20, 12, dies=True)])
-    assert out.getvalue() == "".join(f"{i} {i}\n" for i in range(12))
+    assert out.getvalue() == "".join(f"{i} {i}\n" for i in range(10))
     assert len(forked) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 def test_write_rows_child_exception_raised_here(monkeypatch, forked, failing_column):
-    # the child's own exception comes back, type and message, not an OSError
+    # the child's own exception comes back, type and message, not an OSError;
+    # this process writes rows 0-9
     monkeypatch.setattr(mesh_module, "TEXT_BLOCK", 4)
     out = io.StringIO()
     with pytest.raises(RuntimeError, match="^no repr for row 12$"):
         write_rows(out, [np.arange(20), failing_column(20, 12)])
-    assert out.getvalue() == "".join(f"{i} {i}\n" for i in range(12))
+    assert out.getvalue() == "".join(f"{i} {i}\n" for i in range(10))
     assert len(forked) == 1
+
+
+def test_write_rows_child_exception_after_buffers(monkeypatch, forked, failing_column):
+    # 40 rows in blocks of 4: the child writes rows 20-27 to the spool, then
+    # raises on row 30; its exception replaces those rows there
+    monkeypatch.setattr(mesh_module, "TEXT_BLOCK", 4)
+    out = io.StringIO()
+    with pytest.raises(RuntimeError, match="^no repr for row 30$"):
+        write_rows(out, [np.arange(40), failing_column(40, 30)])
+    assert out.getvalue() == "".join(f"{i} {i}\n" for i in range(20))
+    assert len(forked) == 1
+
+
+def test_fork_halves_child_convergence_error_whole(forked):
+    def child_half(start, stop):
+        raise ConvergenceError("no certified pair", 0.1 + 0.2, 1e-300, 96)
+
+    with pytest.raises(ConvergenceError, match="^no certified pair$") as error:
+        mesh_module._fork_halves(2, 1, child_half, lambda start, stop: None, None)
+    best = error.value.best_lambda1, error.value.best_residual, error.value.iterations
+    assert best == (0.1 + 0.2, 1e-300, 96)
+    assert len(forked) == 1
+
+
+@pytest.mark.parametrize("n, block", [
+    (0, mesh_module.TEXT_BLOCK),
+    (mesh_module.TEXT_BLOCK, mesh_module.TEXT_BLOCK),
+    (mesh_module.TEXT_BLOCK + 1, mesh_module.TEXT_BLOCK),
+    (10_242, FIT_BLOCK),   # the vertices of the s5, s6 and s7 icospheres
+    (40_962, FIT_BLOCK),
+    (163_842, FIT_BLOCK),
+    (163_842, mesh_module.TEXT_BLOCK),   # the s7 vertex and face rows
+    (327_680, mesh_module.TEXT_BLOCK),
+])
+def test_fork_halves_split_rule(n, block, forked):
+    ran = []
+
+    def child_half(start, stop):   # its range can only come back as an exception
+        if (start, stop) != (n // 2, n):
+            raise AssertionError(f"child ran [{start}, {stop})")
+        return ()
+
+    mesh_module._fork_halves(
+        n, block, child_half,
+        lambda start, stop: ran.append((start, stop)),
+        lambda spool, mid: ran.append(mid),
+    )
+    if n <= block:
+        assert ran == [(0, n)] and not forked
+    else:
+        assert ran == [(0, n // 2), n // 2] and len(forked) == 1
 
 
 def test_write_rows_reaps_child_when_write_fails(monkeypatch, forked):
