@@ -1,12 +1,12 @@
 """Triangle mesh container, OFF/OBJ ingestion, validation and face geometry.
 
-Meshes are closed oriented triangle surfaces embedded in R^3.  Vertices and
-faces are immutable numpy arrays.  Combinatorics come from one keyed edge
-table (see `edge_table`), built on first use and cached; the one-ring
-adjacency and the cotangent stiffness are `Mesh.edge_matrix` matrices on
-it.  Structural validation (closedness, orientability, connectivity,
-vertex manifoldness, degeneracy) is a separate, reporting-only step so
-that broken inputs can still be inspected.
+Meshes are closed oriented triangle surfaces in R^3, read from OFF or OBJ
+by one block reader (`load_mesh`, `_read_rows`).  Vertices and faces are
+immutable numpy arrays.  Combinatorics come from one keyed edge table
+(`edge_table`), built on first use and cached; the one-ring adjacency and
+the cotangent stiffness are `Mesh.edge_matrix` matrices on it.  Structural
+validation (closedness, orientability, connectivity, vertex manifoldness,
+degeneracy) is reporting-only, so that broken inputs can still be inspected.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from scipy.sparse import csgraph
 # curvature fitting divides by local area scales.
 DEGENERATE_AREA_FACTOR = 1e-14
 
-# lines of text parsed or written at a time (mesh files, the analyze
-# table): bounds the Python strings and numbers alive at once in each
+# lines of text converted (a mesh file section) or written (mesh files, the
+# analyze table) at a time: bounds the Python strings alive at once in each
 # process; rows beyond one block are written on two (`_fork_halves`)
 TEXT_BLOCK = 1024
 
@@ -240,8 +240,12 @@ def load_mesh(path) -> Mesh:
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
     fmt = _format_of(path)
+    lines = text.splitlines()   # then the non-blank ones, stripped of '#' comments
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    lines = list(filter(None, map(str.strip, lines)))
     try:
-        return (_parse_off if fmt == "off" else _parse_obj)(text)
+        return (_parse_off if fmt == "off" else _parse_obj)(lines)
     except OverflowError as exc:   # a face index beyond int64
         raise IndexError(f"{fmt.upper()} face index out of range: {exc}") from exc
 
@@ -254,26 +258,14 @@ def _format_of(path: str) -> str:
     return fmt
 
 
-def _content_lines(text: str) -> list[str]:
-    """The non-blank lines of `text`, stripped of '#' comments."""
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [line.split("#", 1)[0] for line in lines]
-    return list(filter(None, map(str.strip, lines)))
-
-
-def _parse_off(text: str) -> Mesh:
-    lines = _content_lines(text)
+def _parse_off(lines: list[str]) -> Mesh:
     if not lines:
         raise MeshFormatError("empty OFF file")
     header, body = lines[0], lines[1:]
-    if header == "OFF":
-        counts_line = body.pop(0) if body else None
-    elif header.startswith("OFF"):
-        # counts on the header line
-        counts_line = header[3:].strip()
-    else:
+    if not header.startswith("OFF"):
         raise MeshFormatError("missing OFF header")
+    # the counts follow on the header line or on the next one
+    counts_line = header[3:].strip() or (body.pop(0) if body else None)
     if not counts_line:
         raise MeshFormatError("missing OFF counts line")
     try:
@@ -282,57 +274,85 @@ def _parse_off(text: str) -> Mesh:
         raise MeshFormatError(f"bad OFF counts line {counts_line!r}") from exc
     # the counts are checked before they size an allocation
     if min(nv, nf) < 0 or nv + nf > len(body):
-        raise MeshFormatError(
-            f"OFF declares {nv} vertices and {nf} faces, but {len(body)} lines follow"
-        )
-    verts = np.empty((nv, 3))
-    faces = np.empty((nf, 3), dtype=np.int64)
-    # a block converts at once when it is well formed; otherwise the line
-    # parsers raise on its first bad line
-    for lo in range(0, nv, TEXT_BLOCK):
-        block = body[lo:min(lo + TEXT_BLOCK, nv)]
-        rows = _block_array(block, 3, np.float64)
-        verts[lo:lo + TEXT_BLOCK] = _off_vertex_lines(block) if rows is None else rows
-    for lo in range(0, nf, TEXT_BLOCK):
-        block = body[nv + lo:nv + min(lo + TEXT_BLOCK, nf)]
-        rows = _block_array(block, 4, np.int64)
-        triangles = rows is not None and np.all(rows[:, 0] == 3)
-        faces[lo:lo + TEXT_BLOCK] = rows[:, 1:] if triangles else _off_face_lines(block)
+        raise MeshFormatError(f"OFF declares {nv} vertices and {nf} faces, "
+                              f"but {len(body)} lines follow")
+    # the sections, split by the checked counts, follow each other: the
+    # first bad line raises first
+    vertex, face = body[:nv], body[nv:nv + nf]
+    del body   # the sections take its place in memory
+    verts = _read_rows(vertex, _VERTEX, (0, 1, 2), partial(_vertex_lines, fmt="OFF", first=0))
+    faces = _read_rows(face, _OFF_FACE, (0, 1, 2, 3), _off_face_lines, lead=3)
     return Mesh(verts, faces)
 
 
-def _block_array(block: list[str], width: int, dtype) -> np.ndarray | None:
-    """The (len(block), width) array of the lines' numbers, or None.
+def _parse_obj(lines: list[str]) -> Mesh:
+    tags = [line.split(None, 1)[0] for line in lines]   # only v and f records are read
+    rules = {"v": partial(_vertex_lines, fmt="OBJ", first=1), "f": _obj_face_lines}
+    records = {tag: [line for line, t in zip(lines, tags) if t == tag] for tag in rules}
+    try:
+        verts = _read_rows(records["v"], _VERTEX, (1, 2, 3), rules["v"])
+        faces = _read_rows(records["f"], _OBJ_FACE, None, rules["f"])
+    except (MeshFormatError, OverflowError):
+        # the sections interleave: name the first bad record in file order;
+        # an index beyond int64 raises only when every record is well formed
+        for line, tag in zip(lines, tags):
+            if tag in rules:
+                rules[tag]([line])
+        raise
+    if faces.size and (faces.min() < 1 or faces.max() > len(verts)):
+        raise IndexError(f"OBJ face index out of 1-based range [1, {len(verts)}]: "
+                         f"min {faces.min()}, max {faces.max()}")
+    return Mesh(verts, faces - 1)
 
-    numpy's C reader converts the block at once.  None when a line does
-    not hold exactly `width` numbers or a token does not convert; the line
-    parsers then name the line.  The reader takes fewer spellings than
-    Python's `float()` and `int()` (no `1_0`, no `1.0` as an integer), so
-    a line it rejects also goes to the line parsers, which decide it.
+
+_VERTEX = np.dtype([("row", np.float64, 3)])
+_OFF_FACE = np.dtype([("lead", np.int64), ("row", np.int64, 3)])
+_OBJ_FACE = np.dtype([("lead", "S1"), ("row", np.int64, 3)])
+
+
+def _read_rows(lines: list[str], dtype, usecols, rule, lead=None) -> np.ndarray:
+    """A section's rows, TEXT_BLOCK lines at a time; `rule` decides a block numpy refuses."""
+    rows = np.empty((len(lines), 3), dtype["row"].base)
+    for lo in range(0, len(lines), TEXT_BLOCK):
+        block = lines[lo:lo + TEXT_BLOCK]
+        array = _block_array(block, dtype, usecols, lead)
+        rows[lo:lo + TEXT_BLOCK] = rule(block) if array is None else array
+    return rows
+
+
+def _block_array(block: list[str], dtype, usecols, lead=None) -> np.ndarray | None:
+    """The block's rows as numpy's C reader converts them at once, or None.
+
+    Each line's columns `usecols` (with None, exactly those of `dtype`) make
+    a record: a `row` of three numbers after a face's `lead` column (an OFF
+    count, an OBJ tag); later columns are ignored, as by the line rules.  The
+    reader takes fewer spellings than Python (no `1_0`, no `1.0` as an
+    integer): a block it refuses, or whose `lead` is not `lead`, may be valid.
     """
     try:
-        rows = np.loadtxt(block, dtype=dtype, ndmin=2)
+        records = np.loadtxt(block, dtype=dtype, usecols=usecols, ndmin=1)
     except (ValueError, OverflowError):
         return None
-    return rows if rows.shape == (len(block), width) else None
+    bad = len(records) != len(block) or lead is not None and np.any(records["lead"] != lead)
+    return None if bad else records["row"]
 
 
-def _off_vertex_lines(block: list[str]) -> np.ndarray:
-    """OFF vertex lines parsed one at a time: the first 3 numbers of each."""
+def _vertex_lines(block: list[str], fmt: str, first: int) -> np.ndarray:
+    """Vertex lines one at a time: three numbers from column `first` on, or a
+    MeshFormatError naming the first line without them."""
     verts = np.empty((len(block), 3))
     for k, line in enumerate(block):
-        parts = line.split()
-        if len(parts) < 3:
-            raise MeshFormatError(f"bad OFF vertex line {line!r}")
         try:
-            verts[k] = [float(p) for p in parts[:3]]
-        except ValueError as exc:
-            raise MeshFormatError(f"bad OFF vertex line {line!r}") from exc
+            x, y, z = map(float, line.split()[first:first + 3])
+        except ValueError as exc:   # also when fewer than three are there
+            raise MeshFormatError(f"bad {fmt} vertex line {line!r}") from exc
+        verts[k] = x, y, z
     return verts
 
 
 def _off_face_lines(block: list[str]) -> np.ndarray:
-    """OFF face lines parsed one at a time: triangles only."""
+    """OFF face lines one at a time: a count of 3 and the three indices after
+    it; an index beyond int64 raises OverflowError at its line."""
     faces = np.empty((len(block), 3), dtype=np.int64)
     for k, line in enumerate(block):
         parts = line.split()
@@ -347,40 +367,19 @@ def _off_face_lines(block: list[str]) -> np.ndarray:
     return faces
 
 
-def _parse_obj(text: str) -> Mesh:
-    verts = []
+def _obj_face_lines(block: list[str]) -> list[list[int]]:
+    """OBJ face lines one at a time: exactly three `i`, `i/j` or `i/j/k`
+    tokens, whose `i` is kept as a Python int."""
     faces = []
-    for line in _content_lines(text):
+    for line in block:
         parts = line.split()
-        if parts[0] == "v":
-            if len(parts) < 4:
-                raise MeshFormatError(f"bad OBJ vertex line {line!r}")
-            try:
-                verts.append([float(p) for p in parts[1:4]])
-            except ValueError as exc:
-                raise MeshFormatError(f"bad OBJ vertex line {line!r}") from exc
-        elif parts[0] == "f":
-            if len(parts) != 4:
-                raise MeshFormatError(
-                    f"only triangle faces supported, got {line!r}"
-                )
-            idx = []
-            for tok in parts[1:]:
-                try:
-                    i = int(tok.split("/")[0])
-                except ValueError as exc:
-                    raise MeshFormatError(f"bad OBJ face line {line!r}") from exc
-                idx.append(i)
-            faces.append(idx)
-        # all other record types ignored
-    verts = np.asarray(verts, dtype=np.float64).reshape(-1, 3)
-    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
-    if faces.size and (faces.min() < 1 or faces.max() > len(verts)):
-        raise IndexError(
-            f"OBJ face index out of 1-based range [1, {len(verts)}]: "
-            f"min {faces.min()}, max {faces.max()}"
-        )
-    return Mesh(verts, faces - 1)
+        if len(parts) != 4:
+            raise MeshFormatError(f"only triangle faces supported, got {line!r}")
+        try:
+            faces.append([int(tok.split("/")[0]) for tok in parts[1:]])
+        except ValueError as exc:
+            raise MeshFormatError(f"bad OBJ face line {line!r}") from exc
+    return faces
 
 
 def save_mesh(mesh: Mesh, path) -> None:

@@ -503,7 +503,8 @@ def test_analyze_csv_rows_match_geometry(tmp_path):
 
 
 def test_analyze_csv_bytes_on_two_processes(tmp_path, sphere4, forked):
-    # 2,562 rows are three default blocks: a forked child formats the third
+    # 2,562 rows span more than one default block: a forked child formats
+    # rows 1281-2561
     mesh_path = tmp_path / "s4.off"
     save_mesh(sphere4, mesh_path)
     forked.clear()
@@ -516,8 +517,8 @@ def test_analyze_csv_bytes_on_two_processes(tmp_path, sphere4, forked):
 
 def test_analyze_child_failure_exits_2(tmp_path, sphere4, capsys, monkeypatch, forked,
                                        failing_column):
-    # only the child fails: it dies on the H2 cell of row 2048 (the third
-    # block of 2,562)
+    # only the child fails: it dies on the H2 cell of row 2048 (the child
+    # formats rows 1281-2561 of 2,562)
     import umbilic.cli as cli
 
     write_rows = cli.write_rows
@@ -581,7 +582,7 @@ def test_analyze_fit_child_death_exits_2(tmp_path, sphere4, capsys, monkeypatch,
 
 
 def test_gen_write_failure_leaves_no_file(tmp_path, capsys, monkeypatch, failing_column):
-    # the child formatting the second block of the 1,280 face rows dies
+    # the child formatting face rows 640-1279 of 1,280 dies on row 1024
     import umbilic.mesh as mesh_module
 
     write_rows = mesh_module.write_rows

@@ -195,20 +195,67 @@ def test_write_rows_forks_from_two_blocks(monkeypatch, forked):
         assert len(forked) == forks, n
 
 
-def test_off_blocks_skip_line_parsers(tmp_path, sphere3, monkeypatch):
+def assert_blocks_skip_line_rules(path, mesh, monkeypatch):
     # a well-formed file converts a block at a time, whatever the block size
-    def unexpected(block):
-        raise AssertionError("line parser used on a well-formed block")
+    def unexpected(*args, **kwargs):
+        raise AssertionError("line rule used on a well-formed block")
 
-    path = tmp_path / "s3.off"
-    save_mesh(sphere3, path)
-    monkeypatch.setattr(mesh_module, "_off_vertex_lines", unexpected)
-    monkeypatch.setattr(mesh_module, "_off_face_lines", unexpected)
+    for rule in ("_vertex_lines", "_off_face_lines", "_obj_face_lines"):
+        monkeypatch.setattr(mesh_module, rule, unexpected)
     for block in (mesh_module.TEXT_BLOCK, 1, 100):
         monkeypatch.setattr(mesh_module, "TEXT_BLOCK", block)
         back = load_mesh(path)
-        assert np.array_equal(back.vertices, sphere3.vertices)
-        assert np.array_equal(back.faces, sphere3.faces)
+        assert np.array_equal(back.vertices, mesh.vertices)
+        assert np.array_equal(back.faces, mesh.faces)
+
+
+def test_off_blocks_skip_line_parsers(tmp_path, sphere3, monkeypatch):
+    # colour columns after the numbers a line rule reads: RGBA on each
+    # vertex line, RGB on each face line
+    path = tmp_path / "s3.off"
+    save_mesh(sphere3, path)
+    head, counts, *body = path.read_text().splitlines()
+    body = [line + (" 0.5 0.5 1 1" if k < sphere3.n_vertices else " 255 0 0")
+            for k, line in enumerate(body)]
+    path.write_text("\n".join([head, counts, *body]) + "\n")
+    assert_blocks_skip_line_rules(path, sphere3, monkeypatch)
+
+
+def test_obj_blocks_skip_line_rules(tmp_path, sphere3, monkeypatch):
+    path = tmp_path / "s3.obj"
+    save_mesh(sphere3, path)
+    assert_blocks_skip_line_rules(path, sphere3, monkeypatch)
+
+
+@pytest.mark.parametrize("name, text, error, message", [
+    # the first bad record in file order, though the sections interleave
+    pytest.param("m.obj", "v 0 0 0\nf 1 2\nv 1\n", MeshFormatError,
+                 "only triangle faces supported, got 'f 1 2'", id="obj-face-first"),
+    pytest.param("m.obj", "v 0 0 0\nv 1\nf 1 2\n", MeshFormatError,
+                 "bad OBJ vertex line 'v 1'", id="obj-vertex-first"),
+    # an OBJ index beyond int64 raises only when every record is well formed
+    pytest.param("m.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999\nf 1 2\n",
+                 MeshFormatError, "only triangle faces supported, got 'f 1 2'",
+                 id="obj-overflow-then-bad-face"),
+    pytest.param("m.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999\nf 0 1 2\n",
+                 IndexError,
+                 "OBJ face index out of range: Python int too large to convert to C long",
+                 id="obj-overflow-before-range"),
+    # a vertex line with one number is short, not broadcast to three
+    pytest.param("m.off", "OFF\n3 1 0\n0 0 0\n1\n0 1 0\n3 0 1 2\n", MeshFormatError,
+                 "bad OFF vertex line '1'", id="off-one-number"),
+    # an OFF index beyond int64 raises at its line
+    pytest.param("m.off", "OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 99999999999999999999\n3 0 1\n",
+                 IndexError,
+                 "OFF face index out of range: Python int too large to convert to C long",
+                 id="off-overflow-then-bad-face"),
+])
+def test_first_bad_line_named(tmp_path, name, text, error, message):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(error) as raised:
+        load_mesh(path)
+    assert str(raised.value) == message
 
 
 def test_obj_ignores_other_records(tmp_path):

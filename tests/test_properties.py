@@ -84,6 +84,11 @@ obj_texts = st.one_of(
 )
 
 
+def grid_obj(faces):
+    """Three vertices and the lines `faces`, enough of them to fill blocks."""
+    return "\n".join(["v 0 0 0", "v 1 0 0", "v 0 1 0", *faces]) + "\n"
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -125,6 +130,7 @@ def parsed(path):
 @example(text="OFF\n3 1 0\n0 0\n1 0 0 5\n0 1 0\n3 0 1 2\n")
 @example(text="OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n4 0 1 2\n3 0 1 2\n")
 @example(text="OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n4 0 1 2\n3 0 1 99999999999999999999\n")
+@example(text="OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 99999999999999999999\n3 0 1\n")
 @example(text=grid_off(["3 0 1 2"] * 4097 + ["4 0 1 2 0"] + ["3 0 1 2"] * 3))
 @example(text=grid_off(["3 0 1 2"] * 5000 + ["3 0 1 2 7"]))
 @example(text="OFF\n3 1 0\n0 0 1_0\n1 0 0\n0 1 0\n3 0 1 0_2\n")
@@ -140,7 +146,30 @@ def test_off_blocks_parse_as_lines(fuzz_dir, text):
     assert blocks == lines
 
 
-# OFF vertex and face blocks as `_block_array` sees them: stripped content
+@settings(max_examples=100)
+@given(text=obj_texts)
+@example(text="v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3 1\n")
+@example(text="v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1/1/1 2/2 3//3\n")
+@example(text="v 0 0 0 1\nv 1 0 0 0.5\nv 0 1 0\nf 1 2 3\n")
+@example(text="vn 0 0 1\nvt 0 0\nv\t0 0 0\nv 1\t0 0\nv 0 1 0\nf\t1 2\t3\nvn x\n")
+@example(text="v 0 0 0\nf 1 2\nv 1\nv 0 1 0\n")
+@example(text="v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999\nf 1 2\n")
+@example(text="v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999\nv 1\n")
+@example(text="v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999\nf 0 1 2\n")
+@example(text=grid_obj(["f 1 2 3"] * 4097 + ["f 1 2 3 1"] + ["f 1 2 3"] * 3))
+@example(text=grid_obj(["f 1 2 3"] * 5000 + ["f 1 2 1_0"]))
+@example(text="v 0 0 1_0\nv 1 0 0\nv 0 1 0\nf 1 2 0_3\n")
+def test_obj_blocks_parse_as_lines(fuzz_dir, text):
+    # the same arrays, or the same error, as when every line is parsed alone
+    path = fuzz_dir / "blocks.obj"
+    path.write_text(text, encoding="ascii")
+    blocks = parsed(path)
+    with mock.patch.object(mesh_module, "_block_array", lambda *args: None):
+        lines = parsed(path)
+    assert blocks == lines
+
+
+# vertex and face blocks as `_block_array` sees them: stripped content
 # lines split by spaces and tabs, with numbers in the writers' and other
 # common spellings, special values, spellings only Python's converters
 # take, int64 overflow, and in some blocks junk tokens or lines with a
@@ -180,22 +209,35 @@ def off_blocks(draw, tokens, width, first=None):
     return block
 
 
-def block_array(block, width, dtype):
+def block_array(block, *args):
     """`_block_array`'s result; any warning it lets out fails the test."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return mesh_module._block_array(block, width, dtype)
+        return mesh_module._block_array(block, *args)
 
 
+# a line of width + 1 cells has a column after those the reader takes
 @settings(max_examples=300)
 @given(block=off_blocks(st.one_of(float_tokens, int_tokens), 3))
 @example(block=["inf -inf nan", "1e500\t-1e500  +1.5", "-nan 1e-400 +0.0"])
 @example(block=["1_0 2 3"])
 @example(block=["0x1p3 2 3"])
+@example(block=["0 0 0 255 0 0", "1 2 3 x"])
 def test_vertex_block_array_is_the_line_parsers(block):
-    rows = block_array(block, 3, np.float64)
+    rows = block_array(block, mesh_module._VERTEX, (0, 1, 2))
     if rows is not None:
-        assert rows.tobytes() == mesh_module._off_vertex_lines(block).tobytes()
+        assert rows.tobytes() == mesh_module._vertex_lines(block, "OFF", 0).tobytes()
+
+
+@settings(max_examples=300)
+@given(block=off_blocks(st.one_of(float_tokens, int_tokens), 4, st.just("v")))
+@example(block=["v inf -inf nan", "v\t1e500 -1e500 +1.5 1.0"])
+@example(block=["v 1_0 2 3"])
+@example(block=["v 1 2 3 w"])
+def test_obj_vertex_block_array_is_the_line_rule(block):
+    rows = block_array(block, mesh_module._VERTEX, (1, 2, 3))
+    if rows is not None:
+        assert rows.tobytes() == mesh_module._vertex_lines(block, "OBJ", 1).tobytes()
 
 
 @settings(max_examples=300)
@@ -204,12 +246,25 @@ def test_vertex_block_array_is_the_line_parsers(block):
 @example(block=["3 0 1 9223372036854775808"])
 @example(block=["3 0 1 1_0"])
 @example(block=["3 0 1.0 2"])
+@example(block=["3 0 1 2 255 0 0", "3 2 1 0 x"])
 def test_face_block_array_is_the_line_parsers(block):
-    rows = block_array(block, 4, np.int64)
+    rows = block_array(block, mesh_module._OFF_FACE, (0, 1, 2, 3), 3)
     if rows is not None:
-        assert rows.tolist() == [[int(token) for token in line.split()] for line in block]
-        if np.all(rows[:, 0] == 3):
-            assert np.array_equal(rows[:, 1:], mesh_module._off_face_lines(block))
+        assert all(int(line.split()[0]) == 3 for line in block)
+        assert rows.tolist() == [[int(token) for token in line.split()[1:4]] for line in block]
+        assert np.array_equal(rows, mesh_module._off_face_lines(block))
+
+
+@settings(max_examples=300)
+@given(block=off_blocks(st.one_of(int_tokens, st.sampled_from(["1/2", "1/2/3", "1//3"])),
+                        4, st.just("f")))
+@example(block=["f 1 2 3", "f\t4  5 9223372036854775807"])
+@example(block=["f 1 2 3 4"])
+@example(block=["f 1/1 2/2 3/3"])
+def test_obj_face_block_array_is_the_line_rule(block):
+    rows = block_array(block, mesh_module._OBJ_FACE, None)
+    if rows is not None:
+        assert rows.tolist() == mesh_module._obj_face_lines(block)
 
 
 @settings(max_examples=50)
