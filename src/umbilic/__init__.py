@@ -13,12 +13,7 @@ from .diffgeo import (
     estimate_geometry,
     ricci_deficit,
 )
-from .fields import (
-    ScalarField,
-    integrate,
-    lp_norm,
-    sublevel_measure,
-)
+from .fields import integrate, lp_norm, sublevel_measure
 from .mesh import (
     Mesh,
     MeshFormatError,

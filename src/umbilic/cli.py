@@ -231,8 +231,7 @@ def _write_table(mesh: Mesh, geo, fh) -> None:
 
 
 def _analyze_summary(mesh: Mesh, geo) -> dict:
-    anorm = fields.ScalarField(values=geo.A_traceless_norm, weights=mesh.vertex_areas)
-    hfield = fields.ScalarField(values=geo.H, weights=mesh.vertex_areas)
+    w = mesh.vertex_areas
     convexity = diffgeo.convexity_status(geo)
     return {
         "schema": SCHEMA,
@@ -246,10 +245,10 @@ def _analyze_summary(mesh: Mesh, geo) -> dict:
             "barycenter": [float(x) for x in mesh.barycenter],
         },
         "norms": {
-            "A_traceless_L2": fields.lp_norm(anorm, 2.0),
-            "A_traceless_sup": fields.lp_norm(anorm, float("inf")),
-            "H_integral": fields.integrate(hfield),
-            "H_sup": fields.lp_norm(hfield, float("inf")),
+            "A_traceless_L2": fields.lp_norm(geo.A_traceless_norm, w, 2.0),
+            "A_traceless_sup": fields.lp_norm(geo.A_traceless_norm, w, float("inf")),
+            "H_integral": fields.integrate(geo.H, w),
+            "H_sup": fields.lp_norm(geo.H, w, float("inf")),
             "H_min": convexity.min_H,
             "kappa1_min": convexity.min_kappa1,
         },
@@ -351,9 +350,7 @@ def _cmd_converge(args) -> int:
         lam_exact = 2.0 / radius**2
         lam_err = abs(lam.lambda1 - lam_exact)
         area_err = abs(mesh.area - 4 * math.pi * radius**2)
-        gauss = fields.integrate(
-            fields.ScalarField(values=geo.H2, weights=mesh.vertex_areas)
-        )
+        gauss = fields.integrate(geo.H2, mesh.vertex_areas)
         rows.append([
             s, mesh.n_vertices, h_err, h_mean_err, lam.lambda1, lam_err,
             area_err, gauss,

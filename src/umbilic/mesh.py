@@ -286,23 +286,28 @@ def _parse_off(lines: list[str]) -> Mesh:
 
 
 def _parse_obj(lines: list[str]) -> Mesh:
-    tags = [line.split(None, 1)[0] for line in lines]   # only v and f records are read
     rules = {"v": partial(_vertex_lines, fmt="OBJ", first=1), "f": _obj_face_lines}
-    records = {tag: [line for line, t in zip(lines, tags) if t == tag] for tag in rules}
+    records = {tag: [] for tag in rules}   # only v and f records are read
+    for line in lines:
+        tag = line.split(None, 1)[0]
+        if tag in rules:
+            records[tag].append(line)
     try:
         verts = _read_rows(records["v"], _VERTEX, (1, 2, 3), rules["v"])
         faces = _read_rows(records["f"], _OBJ_FACE, None, rules["f"])
     except (MeshFormatError, OverflowError):
         # the sections interleave: name the first bad record in file order;
         # an index beyond int64 raises only when every record is well formed
-        for line, tag in zip(lines, tags):
+        for line in lines:
+            tag = line.split(None, 1)[0]
             if tag in rules:
                 rules[tag]([line])
         raise
     if faces.size and (faces.min() < 1 or faces.max() > len(verts)):
         raise IndexError(f"OBJ face index out of 1-based range [1, {len(verts)}]: "
                          f"min {faces.min()}, max {faces.max()}")
-    return Mesh(verts, faces - 1)
+    faces -= 1   # in place: Mesh makes the one copy it keeps
+    return Mesh(verts, faces)
 
 
 _VERTEX = np.dtype([("row", np.float64, 3)])

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import logsumexp
 
-from . import spectral, surfgen
+from . import fields, spectral, surfgen
 from .diffgeo import (
     ConvexityStatus,
     SurfaceGeometry,
@@ -32,13 +32,7 @@ from .diffgeo import (
     estimate_geometry,
     ricci_deficit,
 )
-from .fields import (
-    ScalarField,
-    integrate,
-    lp_norm,
-    lp_norm_log_pth_power,
-    sublevel_measure,
-)
+from .fields import lp_norm, lp_norm_log_pth_power, sublevel_measure
 from .mesh import Mesh, validate_mesh
 
 # Amplitude search: stop at this relative error of the pinching ratio, or
@@ -271,10 +265,8 @@ def roth_condition(unit: UnitArea) -> RothResult:
         raise ValueError(
             f"eps = {eps:g} >= 2/(3 sup H) = {2.0 / (3.0 * h_inf):g}"
         )
-    integral_h = integrate(ScalarField(values=geometries.H, weights=weights))
-    h2_norm = lp_norm(
-        ScalarField(values=geometries.H2, weights=weights), 2.0 * constants.p_roth
-    )
+    integral_h = fields.integrate(geometries.H, weights)
+    h2_norm = lp_norm(geometries.H2, weights, 2.0 * constants.p_roth)
     lhs = unit.lambda1 * integral_h**2 - n * h2_norm**2
     constituents = {
         "L_sqrt_term": constants.L * _r_lambda(unit.lambda1) * eps**2,
@@ -403,29 +395,27 @@ def proof_trace(unit: UnitArea) -> ProofTrace:
     n, alpha, kp, eps_t = constants.n, constants.alpha, constants.kp, constants.epsilon
 
     mu0 = fit_umbilical_mu(geo_t, w_t, kp)
-    mean_h = integrate(ScalarField(values=geo_t.H, weights=w_t)) / float(np.sum(w_t))
+    mean_h = fields.integrate(geo_t.H, w_t) / float(np.sum(w_t))
     bracket = (float(geo_t.kappa[:, 0].min()), float(geo_t.kappa[:, 1].max()))
     gamma = eps_t ** (2.0 + 0.5 * alpha)
 
     k1, k2 = geo_t.kappa[:, 0], geo_t.kappa[:, 1]
     dev = np.sqrt((k1 - mu0) ** 2 + (k2 - mu0) ** 2)
-    dev_field = ScalarField(values=dev, weights=w_t)
-    log_dev_kp = lp_norm_log_pth_power(dev_field, kp)   # log int ||A~-mu0 g~||^kp
+    log_dev_kp = lp_norm_log_pth_power(dev, w_t, kp)   # log int ||A~-mu0 g~||^kp
 
-    pgamma_bad = sublevel_measure(dev_field, gamma)
+    pgamma_bad = sublevel_measure(dev, w_t, gamma)
     log_cheb_pgamma = log_dev_kp - kp * math.log(gamma)
     cheb_pgamma = math.exp(log_cheb_pgamma) if log_cheb_pgamma < 700 else math.inf
     eps_rate = eps_t ** (0.5 * alpha * kp)
 
     # mu0-rescaled surface: curvature kappa/mu0, measure mu0^n * measure
     w_hat = w_t * mu0**n
-    hat_field = ScalarField(values=dev / mu0, weights=w_hat)
-    p_bad = sublevel_measure(hat_field, 1.0)
+    p_bad = sublevel_measure(dev / mu0, w_hat, 1.0)
     log_p_bound = (n - kp) * math.log(mu0) + log_dev_kp
     p_bound = math.exp(log_p_bound) if log_p_bound < 700 else math.inf
 
     deficit = ricci_deficit(geo_t.H2, mu0)
-    log_def = lp_norm_log_pth_power(ScalarField(values=deficit, weights=w_hat), kp)
+    log_def = lp_norm_log_pth_power(deficit, w_hat, kp)
     deficit_integral = math.exp(log_def) if log_def < 700 else math.inf
     aubry = spectral.aubry_lower_bound(
         deficit_integral, volume=mu0**n, p=kp, C_np=constants.C_np_aubry

@@ -13,7 +13,13 @@ from hypothesis import settings
 from umbilic.diffgeo import estimate_geometry
 from umbilic.mesh import Mesh
 from umbilic.spectral import lambda1
-from umbilic.surfgen import Ellipsoid, PerturbedSphere, generate
+from umbilic.surfgen import (
+    Ellipsoid,
+    PerturbedSphere,
+    generate,
+    surface_point,
+    unit_icosphere,
+)
 
 # property tests draw the same few examples on every run, with no per-example
 # deadline, so the suite stays reproducible and quick on a slow host
@@ -21,6 +27,24 @@ settings.register_profile(
     "umbilic", derandomize=True, deadline=None, max_examples=20, database=None
 )
 settings.load_profile("umbilic")
+
+
+def jittered(surface, subdivision: int, seed: int) -> Mesh:
+    """`generate(surface, subdivision)` with irregular triangles.
+
+    The icosphere's faces are kept.  Each unit direction moves tangentially,
+    in a random direction, by up to 0.45 of the mean edge length, and is
+    renormalised before `surface_point` maps it onto the surface.
+    """
+    dirs, faces = unit_icosphere(subdivision)
+    rng = np.random.default_rng(seed)
+    step = rng.normal(size=dirs.shape)
+    step -= np.sum(step * dirs, axis=1, keepdims=True) * dirs
+    step /= np.linalg.norm(step, axis=1, keepdims=True)
+    edge = np.linalg.norm(dirs[faces] - dirs[np.roll(faces, 1, axis=1)], axis=-1).mean()
+    moved = dirs + 0.45 * edge * rng.uniform(size=(len(dirs), 1)) * step
+    moved /= np.linalg.norm(moved, axis=1, keepdims=True)
+    return Mesh(surface_point(surface, moved), faces)
 
 
 @pytest.fixture(autouse=True)

@@ -21,6 +21,8 @@ from umbilic.surfgen import (
     oracle_curvatures_at_vertices,
 )
 
+from conftest import jittered
+
 
 def subdivided_tetrahedron(levels=3) -> Mesh:
     """Midpoint-subdivided tetrahedron on the unit sphere.
@@ -80,6 +82,22 @@ def test_ellipsoid_matches_fd_oracle():
     o = oracle_curvatures_at_vertices(surf, mesh)
     assert np.max(np.abs(geo.kappa - o.kappa) / np.abs(o.kappa)) < 0.05
     assert np.max(np.abs(geo.H - o.H) / o.H) < 0.05
+
+
+def test_jittered_fit_error_near_uniform():
+    # irregular triangles cost the two-ring jet fit at most a small factor
+    # in max |H - H_oracle| at every resolution: no accuracy that rests on
+    # the icosphere's symmetric neighborhoods
+    surf = PerturbedSphere(1.0, 0.05, 3, 1)
+
+    def h_error(mesh):
+        exact = oracle_curvatures_at_vertices(surf, mesh)
+        return np.abs(estimate_geometry(mesh).H - exact.H).max()
+
+    for s in (3, 4, 5):
+        uniform = h_error(generate(surf, s))
+        for seed in range(3):
+            assert h_error(jittered(surf, s, seed)) <= 4.0 * uniform, (s, seed)
 
 
 def test_kappa_ordering_and_identities(geom_ellipsoid4):

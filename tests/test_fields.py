@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from umbilic.fields import (
-    ScalarField,
-    integrate,
-    lp_norm,
-    lp_norm_log_pth_power,
-    sublevel_measure,
-)
+from umbilic.fields import integrate, lp_norm, lp_norm_log_pth_power, sublevel_measure
 from umbilic.diffgeo import estimate_geometry
 from umbilic.mesh import Mesh
 from umbilic.pinching import PinchingConstants, unit_area
@@ -20,57 +14,57 @@ def normalize(mesh, geometries):
 
 
 def unit_area_field(values):
+    """(values, weights) of a field on n equal cells of total area 1."""
     values = np.asarray(values, dtype=float)
-    w = np.full(len(values), 1.0 / len(values))
-    return ScalarField(values=values, weights=w)
+    return values, np.full(len(values), 1.0 / len(values))
 
 
 def test_constant_field_all_p():
     f = unit_area_field(np.ones(50))
     for p in (1.0, 2.0, 3.5, 32.0, np.inf):
-        assert lp_norm(f, p) == pytest.approx(1.0, rel=1e-12)
+        assert lp_norm(*f, p) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_sup_norm():
     f = unit_area_field([1.0, -3.0, 2.0])
-    assert lp_norm(f, np.inf) == 3.0
+    assert lp_norm(*f, np.inf) == 3.0
 
 
 def test_traceless_norm_small_on_sphere(geom_sphere5, sphere5):
-    f = ScalarField(values=geom_sphere5.A_traceless_norm, weights=sphere5.vertex_areas)
+    f = (geom_sphere5.A_traceless_norm, sphere5.vertex_areas)
     for p in (1.0, 2.0, 8.0, np.inf):
-        assert lp_norm(f, p) <= 0.02
+        assert lp_norm(*f, p) <= 0.02
 
 
 def test_invalid_p():
     f = unit_area_field([1.0, 2.0])
     for p in (0.5, -np.inf, np.nan):
         with pytest.raises(ValueError):
-            lp_norm(f, p)
+            lp_norm(*f, p)
 
 
 def test_zero_field_norms():
     f = unit_area_field(np.zeros(10))
-    assert lp_norm(f, 3.0) == 0.0
-    assert lp_norm_log_pth_power(f, 3.0) == -np.inf
-    assert integrate(f) == 0.0
+    assert lp_norm(*f, 3.0) == 0.0
+    assert lp_norm_log_pth_power(*f, 3.0) == -np.inf
+    assert integrate(*f) == 0.0
 
 
 def test_integrate_sphere_fields(geom_sphere5, sphere5):
-    ones = ScalarField(values=np.ones(sphere5.n_vertices), weights=sphere5.vertex_areas)
-    assert integrate(ones) == pytest.approx(4 * np.pi, rel=1e-3)
-    h = ScalarField(values=geom_sphere5.H, weights=sphere5.vertex_areas)
-    assert integrate(h) == pytest.approx(4 * np.pi, rel=1e-2)
+    ones = (np.ones(sphere5.n_vertices), sphere5.vertex_areas)
+    assert integrate(*ones) == pytest.approx(4 * np.pi, rel=1e-3)
+    h = (geom_sphere5.H, sphere5.vertex_areas)
+    assert integrate(*h) == pytest.approx(4 * np.pi, rel=1e-2)
 
 
 def test_large_exponent_log_space():
     f = unit_area_field(np.linspace(0.5, 2.0, 100))
-    val = lp_norm(f, 180.0)
+    val = lp_norm(*f, 180.0)
     assert np.isfinite(val)
-    assert lp_norm(f, np.inf) * 0.9 < val <= lp_norm(f, np.inf) * (1 + 1e-12)
+    assert lp_norm(*f, np.inf) * 0.9 < val <= lp_norm(*f, np.inf) * (1 + 1e-12)
     # log of the p-th power stays finite even when the power itself overflows
     g = unit_area_field(np.full(10, 50.0))
-    logp = lp_norm_log_pth_power(g, 500.0)
+    logp = lp_norm_log_pth_power(*g, 500.0)
     assert logp == pytest.approx(500.0 * np.log(50.0), rel=1e-12)
 
 
@@ -78,24 +72,24 @@ def test_lp_matches_direct_small_p():
     rng = np.random.default_rng(7)
     vals = rng.normal(size=64)
     wts = rng.uniform(0.1, 2.0, size=64)
-    f = ScalarField(values=vals, weights=wts)
+    f = (vals, wts)
     direct = (np.sum(wts * np.abs(vals) ** 2.5)) ** (1 / 2.5)
-    assert lp_norm(f, 2.5) == pytest.approx(direct, rel=1e-12)
+    assert lp_norm(*f, 2.5) == pytest.approx(direct, rel=1e-12)
 
 
 def test_holder_monotonicity_unit_area():
     rng = np.random.default_rng(3)
     f = unit_area_field(rng.uniform(0.0, 3.0, 200))
-    norms = [lp_norm(f, p) for p in (1.0, 2.0, 8.0, 32.0, 128.0)]
+    norms = [lp_norm(*f, p) for p in (1.0, 2.0, 8.0, 32.0, 128.0)]
     assert all(norms[i] <= norms[i + 1] * (1 + 1e-12) for i in range(len(norms) - 1))
-    assert norms[-1] <= lp_norm(f, np.inf) * (1 + 1e-12)
+    assert norms[-1] <= lp_norm(*f, np.inf) * (1 + 1e-12)
 
 
 def test_lp_tends_to_sup():
     rng = np.random.default_rng(11)
     f = unit_area_field(rng.uniform(0.5, 4.0, 150))
-    sup = lp_norm(f, np.inf)
-    gaps = [sup - lp_norm(f, p) for p in (2.0, 8.0, 32.0, 128.0)]
+    sup = lp_norm(*f, np.inf)
+    gaps = [sup - lp_norm(*f, p) for p in (2.0, 8.0, 32.0, 128.0)]
     assert all(g >= -1e-12 for g in gaps)
     assert all(gaps[i + 1] <= gaps[i] for i in range(len(gaps) - 1))
 
@@ -105,24 +99,23 @@ def test_chebyshev_bound():
     f = unit_area_field(rng.uniform(0.0, 2.0, 500))
     for t in (0.5, 1.0, 1.5):
         for p in (2.0, 6.0, 12.0):
-            above = sublevel_measure(f, t)
-            assert above <= (lp_norm(f, p) / t) ** p * (1 + 1e-12)
+            above = sublevel_measure(*f, t)
+            assert above <= (lp_norm(*f, p) / t) ** p * (1 + 1e-12)
 
 
 def test_sublevel_traceless_norm_sphere(geom_sphere5, sphere5):
-    f = ScalarField(values=geom_sphere5.A_traceless_norm, weights=sphere5.vertex_areas)
-    assert sublevel_measure(f, 0.1) == 0.0
-    assert sublevel_measure(f, 0.0) == pytest.approx(sphere5.area, rel=1e-14)
+    f = (geom_sphere5.A_traceless_norm, sphere5.vertex_areas)
+    assert sublevel_measure(*f, 0.1) == 0.0
+    assert sublevel_measure(*f, 0.0) == pytest.approx(sphere5.area, rel=1e-14)
 
 
 def test_sublevel_edges():
-    f = ScalarField(values=np.array([1.0, 2.0, 3.0]), weights=np.array([1.0, 2.0, 4.0]))
-    assert sublevel_measure(f, 0.5) == 7.0
-    assert sublevel_measure(f, 10.0) == 0.0
-    assert sublevel_measure(f, 2.0) == 6.0   # threshold at a value: >= side
+    w = np.array([1.0, 2.0, 4.0])
+    assert sublevel_measure([1.0, 2.0, 3.0], w, 0.5) == 7.0
+    assert sublevel_measure([1.0, 2.0, 3.0], w, 10.0) == 0.0
+    assert sublevel_measure([1.0, 2.0, 3.0], w, 2.0) == 6.0   # threshold at a value: >= side
     # a nan value is not below the threshold, so it is measured
-    f = ScalarField(values=np.array([1.0, np.nan, 3.0]), weights=f.weights)
-    assert sublevel_measure(f, 2.0) == 6.0
+    assert sublevel_measure([1.0, np.nan, 3.0], w, 2.0) == 6.0
 
 
 def test_normalize_mesh(sphere4, geom_sphere4):
@@ -155,13 +148,22 @@ def test_normalize_sphere2():
 
 
 def test_field_validation(sphere4):
-    with pytest.raises(ValueError):
-        ScalarField(values=np.ones(3), weights=np.array([1.0, 0.0, 1.0]))
-    with pytest.raises(ValueError):
-        ScalarField(values=np.ones(3), weights=np.ones(4))
+    # every function checks its (values, weights) before reducing them
+    calls = [
+        integrate,
+        lambda v, w: lp_norm(v, w, 2.0),
+        lambda v, w: lp_norm(v, w, np.inf),
+        lambda v, w: lp_norm_log_pth_power(v, w, 2.0),
+        lambda v, w: sublevel_measure(v, w, 0.5),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="weights must be strictly positive"):
+            call(np.ones(3), np.array([1.0, 0.0, 1.0]))
+        with pytest.raises(ValueError, match="must be equal-length 1-D arrays"):
+            call(np.ones(3), np.ones(4))
     # the vertex areas partition the mesh area
-    f = ScalarField(values=np.ones(sphere4.n_vertices), weights=sphere4.vertex_areas)
-    assert integrate(f) == pytest.approx(float(np.sum(sphere4.face_areas)), rel=1e-14)
+    f = (np.ones(sphere4.n_vertices), sphere4.vertex_areas)
+    assert integrate(*f) == pytest.approx(float(np.sum(sphere4.face_areas)), rel=1e-14)
 
 
 def test_rescaling_law(sphere4, geom_sphere4):
@@ -190,6 +192,6 @@ def test_pinching_ratio_scale_invariant():
 
 
 def test_deterministic_reduction(geom_sphere5, sphere5):
-    f = ScalarField(values=geom_sphere5.H, weights=sphere5.vertex_areas)
-    assert integrate(f) == integrate(f)
-    assert lp_norm(f, 7.3) == lp_norm(f, 7.3)
+    f = (geom_sphere5.H, sphere5.vertex_areas)
+    assert integrate(*f) == integrate(*f)
+    assert lp_norm(*f, 7.3) == lp_norm(*f, 7.3)

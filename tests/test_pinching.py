@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from umbilic.diffgeo import SurfaceGeometry, estimate_geometry
-from umbilic.fields import ScalarField, lp_norm
+from umbilic.fields import lp_norm
 from umbilic.mesh import Mesh, validate_mesh
 from umbilic.pinching import (
     PinchingConstants,
@@ -304,7 +304,7 @@ def test_mu_fit_sphere_all_p(geom_sphere4, sphere4):
         mu = fit_umbilical_mu(geom_sphere4, sphere4.vertex_areas, p)
         assert mu == pytest.approx(1.0, abs=2e-3)
         dev = np.hypot(*(geom_sphere4.kappa - mu).T)
-        assert lp_norm(ScalarField(values=dev, weights=sphere4.vertex_areas), p) <= 1e-2
+        assert lp_norm(dev, sphere4.vertex_areas, p) <= 1e-2
 
 
 def test_mu_fit_two_point_toy_grid_oracle():

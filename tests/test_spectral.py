@@ -16,6 +16,8 @@ from umbilic.spectral import (
 )
 from umbilic.surfgen import Ellipsoid, PerturbedSphere, generate
 
+from conftest import jittered
+
 
 def test_stiffness_row_sums_zero(tetra):
     S = build_laplace(load_mesh(tetra))
@@ -203,12 +205,14 @@ def dense_spectrum(mesh):
 # Ellipsoid(3, 1, 1) at s2 and Ellipsoid(5, 1, 1) at s4 need the widest
 # bases; a subspace iteration run past 16 steps on the latter certified a
 # third Ritz value of 1.2093, where the true one is 0.9871
-@pytest.mark.parametrize("surface, subdiv", [
-    (PerturbedSphere(1.0), 2), (Ellipsoid(2.0, 1.0, 1.0), 2),
-    (Ellipsoid(3.0, 1.0, 1.0), 2), (Ellipsoid(5.0, 1.0, 1.0), 4),
-], ids=["surface0", "surface1", "surface2", "surface3"])
-def test_dense_cross_check(surface, subdiv):
-    mesh = generate(surface, subdiv)
+# the jittered meshes (seeds 0-2) have irregular triangles and no symmetry
+@pytest.mark.parametrize("surface, subdiv, seed", [
+    (PerturbedSphere(1.0), 2, None), (Ellipsoid(2.0, 1.0, 1.0), 2, None),
+    (Ellipsoid(3.0, 1.0, 1.0), 2, None), (Ellipsoid(5.0, 1.0, 1.0), 4, None),
+    *[(PerturbedSphere(1.0, 0.05, 3, 1), 2, seed) for seed in range(3)],
+], ids=[*[f"surface{k}" for k in range(4)], *[f"jittered{k}" for k in range(3)]])
+def test_dense_cross_check(surface, subdiv, seed):
+    mesh = generate(surface, subdiv) if seed is None else jittered(surface, subdiv, seed)
     dense = dense_spectrum(mesh)
     res = lambda1(mesh)
     assert res.lambda1 == pytest.approx(dense[1], rel=1e-10)

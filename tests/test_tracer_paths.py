@@ -37,13 +37,14 @@ def test_traced_paths_resolve():
 
 
 def counting(module, name, monkeypatch):
-    """Replace module.name by a wrapper; return the list of its calls' meshes."""
+    """Replace module.name by a wrapper; return the list of its calls' first
+    arguments (a mesh, or a field's values)."""
     calls = []
     target = getattr(module, name)
 
-    def wrapper(mesh, *args, **kwargs):
-        calls.append(mesh)
-        return target(mesh, *args, **kwargs)
+    def wrapper(first, *args, **kwargs):
+        calls.append(first)
+        return target(first, *args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
@@ -57,6 +58,21 @@ def test_lambda1_assembles_through_the_module(sphere3, monkeypatch):
     calls = counting(spectral, "build_laplace", monkeypatch)
     spectral.lambda1(sphere3)
     assert len(calls) == 1 and calls[0] is sphere3
+
+
+def test_pinching_integrates_through_the_module(sphere3, monkeypatch):
+    # the tracer counts the weighted integrals by replacing
+    # umbilic.fields.integrate; if pinching bound it privately, fields.calls
+    # would miss the spectral condition's integral of H and the trace's
+    from umbilic import fields, pinching
+
+    calls = counting(fields, "integrate", monkeypatch)
+    constants = pinching.PinchingConstants(alpha=0.5, epsilon=0.2)
+    report = pinching.verify_theorem(sphere3, constants)
+    assert report.roth is not None and report.trace is not None
+    assert len(calls) == 2 and calls[0] is calls[1]   # both integrate H of |M| = 1
+    pinching.verify_theorem(sphere3, constants, with_trace=False)
+    assert len(calls) == 3
 
 
 def test_fit_runs_whole_through_the_traced_names(tmp_path, sphere3, monkeypatch):
