@@ -83,13 +83,9 @@ class PinchingConstants:
         return (1.0 / math.sqrt(self.n * (self.n - 1))) ** (1.0 / (2.0 + self.alpha))
 
     @property
-    def k_exponent(self) -> float:
-        return 6.0 / self.alpha
-
-    @property
     def kp(self) -> float:
-        """Large integrability exponent k*p with p = p_roth."""
-        return self.k_exponent * self.p_roth
+        """Large integrability exponent k*p with k = 6/alpha and p = p_roth."""
+        return 6.0 / self.alpha * self.p_roth
 
     def rescaled(self, factor: float) -> "PinchingConstants":
         """Constants for the mesh scaled by `factor` (eps is a length)."""
@@ -165,8 +161,8 @@ class ProofTrace:
 class PinchingReport:
     """Full hypothesis/conclusion ledger of one verify run.
 
-    Stages after a failed precondition stay None (serialized as null); the
-    failure message names the stage that stopped the pipeline.  spectral is
+    Stages that failed or did not run stay None (serialized as null); the
+    failure message names the first stage that failed.  spectral is
     lambda1's full result, or its ConvergenceError when it did not certify
     (None when it did not run): the solver diagnostics the CLI writes to
     its meta block.
@@ -214,6 +210,13 @@ def unit_area(
     )
 
 
+def _require_positive(values: np.ndarray, what: str) -> None:
+    """Raise naming the first minimiser of `values` when any is <= 0."""
+    if np.any(values <= 0.0):
+        bad = int(np.argmin(values))
+        raise ValueError(f"{what}({bad}) = {values[bad]:g} <= 0")
+
+
 # -- hypothesis --------------------------------------------------------------
 
 
@@ -222,11 +225,7 @@ def check_hypothesis(
 ) -> HypothesisResult:
     """Pointwise pinching margins; requires mean-convexity (H > 0 everywhere)."""
     H = geometries.H
-    if np.any(H <= 0.0):
-        bad = int(np.argmin(H))
-        raise ValueError(
-            f"mean-convexity violated: H({bad}) = {H[bad]:g} <= 0"
-        )
+    _require_positive(H, "mean-convexity violated: H")
     area = mesh.area
     n, alpha, eps = constants.n, constants.alpha, constants.epsilon
     rhs_scale = area ** (-(2.0 + alpha) / n) * eps ** (2.0 + alpha)
@@ -255,9 +254,7 @@ def roth_condition(unit: UnitArea) -> RothResult:
     area = float(weights.sum())
     if abs(area - 1.0) > 1e-6:
         raise ValueError(f"spectral condition needs unit-area weights, |M| = {area:g}")
-    if np.any(geometries.H2 <= 0.0):
-        bad = int(np.argmin(geometries.H2))
-        raise ValueError(f"H2({bad}) = {geometries.H2[bad]:g} <= 0")
+    _require_positive(geometries.H2, "H2")
     n = constants.n
     eps = constants.epsilon
     h_inf = float(np.abs(geometries.H).max())
@@ -385,21 +382,16 @@ def proof_trace(unit: UnitArea) -> ProofTrace:
     Requires strict convexity and the record's lambda1 (see `unit_area`).
     """
     geo_t = unit.geometries
-    if np.any(geo_t.kappa[:, 0] <= 0.0):
-        bad = int(np.argmin(geo_t.kappa[:, 0]))
-        raise ValueError(
-            f"strict convexity violated: kappa1({bad}) = "
-            f"{geo_t.kappa[bad, 0]:g} <= 0"
-        )
+    k1, k2 = geo_t.kappa.T
+    _require_positive(k1, "strict convexity violated: kappa1")
     lam1_t, constants, w_t = unit.lambda1, unit.constants, unit.weights
     n, alpha, kp, eps_t = constants.n, constants.alpha, constants.kp, constants.epsilon
 
     mu0 = fit_umbilical_mu(geo_t, w_t, kp)
     mean_h = fields.integrate(geo_t.H, w_t) / float(np.sum(w_t))
-    bracket = (float(geo_t.kappa[:, 0].min()), float(geo_t.kappa[:, 1].max()))
+    bracket = (float(k1.min()), float(k2.max()))
     gamma = eps_t ** (2.0 + 0.5 * alpha)
 
-    k1, k2 = geo_t.kappa[:, 0], geo_t.kappa[:, 1]
     dev = np.sqrt((k1 - mu0) ** 2 + (k2 - mu0) ** 2)
     log_dev_kp = lp_norm_log_pth_power(dev, w_t, kp)   # log int ||A~-mu0 g~||^kp
 
@@ -478,55 +470,42 @@ def verify_theorem(
 ) -> PinchingReport:
     """Run the full pipeline and assemble the report.
 
-    Structural mesh defects raise; every analytic failure downstream is
-    recorded in the report and later stages stay None.
+    Structural mesh defects raise; analytic failures are recorded.  A failed
+    hypothesis skips lambda1 and all after it, a failed lambda1 every
+    unit-area stage; the spectral condition, annulus, phi and trace run
+    independently, and `failure` names the first that failed.
     """
     report = validate_mesh(mesh)
     if not report.all_passed:
         raise ValueError(report.failure)
     geometries = estimate_geometry(mesh)
     convexity = convexity_status(geometries)
+    failure = res = unit = roth = annulus = phi = trace = None
 
-    hypothesis = None
-    res = lam1 = lam1_t = lam1_res = None
-    roth = annulus = trace = None
-    oscillation = phi = None
-    failure = None
+    def stage(name, fn, *args):
+        nonlocal failure
+        try:
+            return fn(*args)
+        except ValueError as exc:
+            failure = failure or f"{name}: {exc}"
 
-    try:
-        hypothesis = check_hypothesis(mesh, geometries, constants)
-    except ValueError as exc:
-        failure = f"hypothesis: {exc}"
-
+    hypothesis = stage("hypothesis", check_hypothesis, mesh, geometries, constants)
     if failure is None:
         try:
             res = spectral.lambda1(mesh, tol=tol)
-            lam1 = res.lambda1
-            lam1_res = res.residual
         except spectral.ConvergenceError as exc:
-            failure = f"lambda1: {exc}"
-            res = exc
-
-        if lam1 is not None:
-            unit = unit_area(mesh, geometries, constants, lam1)
-            lam1_t = unit.lambda1
-            try:
-                roth = roth_condition(unit)
-            except ValueError as exc:
-                failure = f"spectral condition: {exc}"
+            failure, res = f"lambda1: {exc}", exc
+        else:
+            unit = unit_area(mesh, geometries, constants, res.lambda1)
+            roth = stage("spectral condition", roth_condition, unit)
             center = mesh.barycenter
             dist = np.linalg.norm(mesh.vertices - center, axis=1)
-            try:
-                annulus = _annulus(center, dist, lam1, constants.epsilon)
-                oscillation = annulus.oscillation
-            except ValueError as exc:
-                failure = failure or f"annulus: {exc}"
-            phi = _phi_sup(dist, lam1)
+            annulus = stage(
+                "annulus", _annulus, center, dist, res.lambda1, constants.epsilon
+            )
+            phi = _phi_sup(dist, res.lambda1)
             if with_trace and convexity.strictly_convex:
-                try:
-                    trace = proof_trace(unit)
-                except ValueError as exc:
-                    failure = failure or f"proof trace: {exc}"
+                trace = stage("proof trace", proof_trace, unit)
 
     return PinchingReport(
         constants=constants,
@@ -534,13 +513,13 @@ def verify_theorem(
         hypothesis=hypothesis,
         strictly_convex=convexity.strictly_convex,
         convexity=convexity,
-        lambda1=lam1,
-        lambda1_normalized=lam1_t,
-        lambda1_residual=lam1_res,
+        lambda1=None if unit is None else res.lambda1,
+        lambda1_normalized=None if unit is None else unit.lambda1,
+        lambda1_residual=None if unit is None else res.residual,
         spectral=res,
         roth=roth,
         annulus=annulus,
-        oscillation=oscillation,
+        oscillation=None if annulus is None else annulus.oscillation,
         phi_sup=phi,
         trace=trace,
         failure=failure,

@@ -100,14 +100,20 @@ def test_jittered_fit_error_near_uniform():
             assert h_error(jittered(surf, s, seed)) <= 4.0 * uniform, (s, seed)
 
 
-def test_kappa_ordering_and_identities(geom_ellipsoid4):
-    g = geom_ellipsoid4
-    assert np.all(g.kappa[:, 0] <= g.kappa[:, 1])
-    assert np.allclose(g.H, g.kappa.mean(axis=1), atol=1e-14)
-    # ||A - Hg||^2 = (k1-H)^2 + (k2-H)^2 = (k1-k2)^2/2
-    lhs = g.A_traceless_norm**2
-    rhs = (g.kappa[:, 0] - g.kappa[:, 1]) ** 2 / 2.0
-    assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-300)
+def test_kappa_ordering_and_identities(geom_sphere5, geom_ellipsoid4, geom_perturbed4):
+    u = np.finfo(float).eps
+    elongated = estimate_geometry(generate(Ellipsoid(3.0, 1.0, 1.0), 4))
+    for g in (geom_sphere5, geom_ellipsoid4, geom_perturbed4, elongated):
+        k1, k2 = g.kappa.T
+        assert np.all(k1 <= k2)
+        assert np.allclose(g.H, g.kappa.mean(axis=1), atol=1e-14)
+        # ||A - Hg||^2 = (k1-H)^2 + (k2-H)^2 = (k1-k2)^2/2, to the rounding of
+        # k1 - k2: near-umbilic vertices lose digits to cancellation there,
+        # so a fixed relative bound would hold only by luck
+        lhs = g.A_traceless_norm**2
+        diff = np.abs(k1 - k2)
+        bound = diff * u * (np.abs(k1) + np.abs(k2) + diff / 2.0) + 4.0 * u * lhs
+        assert np.all(np.abs(lhs - diff**2 / 2.0) <= bound)
 
 
 def test_am_gm_exact(geom_sphere5, geom_ellipsoid4, geom_perturbed4):

@@ -21,7 +21,7 @@ from umbilic.pinching import (
     unit_area,
     verify_theorem,
 )
-from umbilic.spectral import lambda1
+from umbilic.spectral import ConvergenceError, lambda1
 from umbilic.surfgen import (
     Ellipsoid,
     PerturbedSphere,
@@ -59,8 +59,7 @@ def test_constants_derived_values():
     with pytest.raises(TypeError):
         PinchingConstants(alpha=0.5, epsilon=0.2, n=3)
     assert c.p_roth == 3.0  # n + 1
-    assert c.k_exponent == pytest.approx(12.0)
-    assert c.kp == pytest.approx(36.0)
+    assert c.kp == pytest.approx(36.0)   # k = 6/alpha = 12 times p = 3
     # (1/sqrt(2))^(1/2.5) = 2^(-0.2)
     assert c.c_threshold == pytest.approx(2.0 ** -0.2, rel=1e-14)
     scaled = c.rescaled(2.0)
@@ -457,6 +456,12 @@ def test_verify_lambda1_failure_carries_certificate(sphere3):
     assert "best lambda1 1.99999" in report.failure
     assert "residual " in report.failure
     assert report.lambda1 is None
+    # every field derived from lambda1's result stays None; spectral keeps
+    # the error that carries the certificate
+    for name in ("lambda1_normalized", "lambda1_residual", "roth", "annulus",
+                 "oscillation", "phi_sup", "trace"):
+        assert getattr(report, name) is None, name
+    assert isinstance(report.spectral, ConvergenceError)
 
 
 def test_verify_non_mean_convex_halts(torus):
@@ -607,3 +612,15 @@ def test_verify_reports_phi_when_annulus_raises():
     assert report.roth is None and report.annulus is None
     assert report.oscillation is None
     assert report.phi_sup == phi_sup(mesh, report.lambda1)
+
+
+def test_verify_names_first_failure_and_runs_later_stages(sphere3):
+    # the spectral condition fails first; the annulus fails too but is not
+    # named, and phi and the proof trace still run
+    report = verify_theorem(sphere3, PinchingConstants(alpha=0.5, epsilon=1.5))
+    assert report.failure.startswith("spectral condition:")
+    assert report.annulus is None
+    assert report.phi_sup is not None
+    assert report.trace is not None
+    assert any(w.startswith("normalized eps = ") and ">= 2/(3 sup H)" in w
+               for w in report.trace.warnings)

@@ -75,6 +75,22 @@ def test_pinching_integrates_through_the_module(sphere3, monkeypatch):
     assert len(calls) == 3
 
 
+def test_verify_traces_through_the_module(sphere3, monkeypatch):
+    # the tracer times the proof trace and the mu fit by replacing
+    # umbilic.pinching.proof_trace and umbilic.pinching.fit_umbilical_mu; if
+    # verify_theorem bound either privately, pinching.proof_trace_s and
+    # pinching.mu_fit_s would read 0
+    from umbilic import pinching
+
+    traced = counting(pinching, "proof_trace", monkeypatch)
+    fitted = counting(pinching, "fit_umbilical_mu", monkeypatch)
+    constants = pinching.PinchingConstants(alpha=0.5, epsilon=0.2)
+    assert pinching.verify_theorem(sphere3, constants).trace is not None
+    assert len(traced) == 1 and len(fitted) == 1
+    pinching.verify_theorem(sphere3, constants, with_trace=False)
+    assert len(traced) == 1 and len(fitted) == 1
+
+
 def test_fit_runs_whole_through_the_traced_names(tmp_path, sphere3, monkeypatch):
     # the tracer times the jet fit by replacing umbilic.diffgeo.estimate_geometry
     # (analyze) and umbilic.pinching.estimate_geometry (verify_theorem): one
