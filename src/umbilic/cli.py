@@ -296,7 +296,6 @@ def _cmd_sweep(args) -> int:
         raise CliError("config", f"--eps must be a comma list, got {args.eps!r}")
     alpha = _floored_alpha(args.alpha)
     result = pinching.sharpness_sweep(
-        radius=args.radius,
         degree=degree,
         order=order,
         alpha=alpha,
@@ -324,32 +323,31 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    _check_tol(args.tol)
     try:
         subdivs = [int(s) for s in args.subdivs.split(",")]
     except ValueError:
         raise CliError("config", f"--subdivs must be a comma list, got {args.subdivs!r}")
-    if len(subdivs) < 2 or len(set(subdivs)) < len(subdivs):
-        # an order needs two distinct refinement levels
+    if len(subdivs) < 2 or any(a >= b for a, b in zip(subdivs, subdivs[1:])):
+        # an order needs two refinement levels, and a step's order its gap
         raise CliError(
             "config",
-            f"--subdivs needs two or more subdivisions, none repeated, got {args.subdivs!r}",
+            f"--subdivs needs two or more strictly increasing subdivisions, "
+            f"got {args.subdivs!r}",
         )
-    radius = args.radius
     rows = []
     errors_h, errors_lam, hs = [], [], []
     for s in subdivs:
-        mesh = surfgen.generate(surfgen.PerturbedSphere(radius), s)
+        # the unit sphere: H = 1, lambda1 = 2, area 4 pi
+        mesh = surfgen.generate(surfgen.PerturbedSphere(), s)
         geo = diffgeo.estimate_geometry(mesh)
-        h_err = float(np.abs(geo.H - 1.0 / radius).max())
-        h_mean_err = float(np.abs(geo.H - 1.0 / radius).mean())
+        h_err = float(np.abs(geo.H - 1.0).max())
+        h_mean_err = float(np.abs(geo.H - 1.0).mean())
         try:
-            lam = spectral.lambda1(mesh, tol=args.tol)
+            lam = spectral.lambda1(mesh)
         except spectral.ConvergenceError as exc:
             raise CliError("lambda1", f"subdivision {s}: {exc}") from exc
-        lam_exact = 2.0 / radius**2
-        lam_err = abs(lam.lambda1 - lam_exact)
-        area_err = abs(mesh.area - 4 * math.pi * radius**2)
+        lam_err = abs(lam.lambda1 - 2.0)
+        area_err = abs(mesh.area - 4 * math.pi)
         gauss = fields.integrate(geo.H2, mesh.vertex_areas)
         rows.append([
             s, mesh.n_vertices, h_err, h_mean_err, lam.lambda1, lam_err,
@@ -359,7 +357,7 @@ def _cmd_converge(args) -> int:
         errors_lam.append(lam_err)
         hs.append(2.0 ** -s)
     orders_h = [
-        math.log2(errors_h[i] / errors_h[i + 1])
+        math.log2(errors_h[i] / errors_h[i + 1]) / (subdivs[i + 1] - subdivs[i])
         for i in range(len(errors_h) - 1)
     ]
     slope_h = float(np.polyfit(np.log(hs), np.log(errors_h), 1)[0])
@@ -422,7 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="amplitude sweep over an epsilon grid")
     p.add_argument("--family", required=True, help="harmonic family, e.g. l2 or l3m1")
-    p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--eps", required=True, help="comma list of epsilons")
     p.add_argument("--subdiv", type=int, default=4)
@@ -430,10 +427,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="table path (stdout when omitted)")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("converge", help="refinement study on the round sphere")
-    p.add_argument("--radius", type=float, default=1.0)
+    p = sub.add_parser("converge", help="refinement study on the unit sphere")
     p.add_argument("--subdivs", default="3,4,5,6")
-    p.add_argument("--tol", type=float, default=spectral.DEFAULT_TOL)
     p.add_argument("--out", help="CSV path (stdout when omitted)")
     p.set_defaults(func=_cmd_converge)
 

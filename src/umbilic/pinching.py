@@ -470,7 +470,8 @@ def verify_theorem(
 ) -> PinchingReport:
     """Run the full pipeline and assemble the report.
 
-    Structural mesh defects raise; analytic failures are recorded.  A failed
+    Structural mesh defects and a mesh that is not a sphere (Euler
+    characteristic != 2) raise; analytic failures are recorded.  A failed
     hypothesis skips lambda1 and all after it, a failed lambda1 every
     unit-area stage; the spectral condition, annulus, phi and trace run
     independently, and `failure` names the first that failed.
@@ -478,6 +479,9 @@ def verify_theorem(
     report = validate_mesh(mesh)
     if not report.all_passed:
         raise ValueError(report.failure)
+    chi = mesh.euler_characteristic
+    if chi != 2:  # the theorem's closed convex surfaces are spheres
+        raise ValueError(f"Euler characteristic {chi} != 2: not a sphere")
     geometries = estimate_geometry(mesh)
     convexity = convexity_status(geometries)
     failure = res = unit = roth = annulus = phi = trace = None
@@ -563,41 +567,38 @@ def pinch_ratio(surface: surfgen.AnalyticSurface, mesh: Mesh, constants) -> floa
 
 
 def amplitude_for_ratio(
-    radius: float,
     degree: int,
     order: int,
-    alpha: float,
-    epsilon: float,
+    constants: PinchingConstants,
     subdivision: int,
     slack: float = 1.0,
 ) -> tuple[float, float, Mesh]:
     """Search for the harmonic amplitude realizing the pinching ratio.
 
-    Finds delta with pinch_ratio = slack * eps^(2+alpha) to a relative
-    error of RATIO_RTOL by regula falsi with the Illinois modification on
-    [0, delta_max], where the ratio is 0 (the round sphere) and above the
-    target; a step bisects instead when the secant point is not inside the
-    bracket, as when the upper value is +inf (the oracle lost
-    mean-convexity there).  At most MAX_SEARCH_STEPS steps; the result
-    must be within 1% of the target.  Raises before any mesh is built
-    unless alpha and eps are valid constants and the target is finite and
-    positive, and when the radial
-    positivity limit is reached before the target.  Returns (delta,
+    Finds delta with pinch_ratio = slack * eps^(2+alpha) on the unit
+    sphere perturbed by delta * Y_lm (a sphere of radius r is the unit one
+    at eps / r, rescaled) to a relative error of RATIO_RTOL by regula falsi
+    with the Illinois modification on [0, delta_max], where the ratio is 0
+    (the round sphere) and above the target; a step bisects instead when
+    the secant point is not inside the bracket, as when the upper value is
+    +inf (the oracle lost mean-convexity there).  At most MAX_SEARCH_STEPS
+    steps; the result must be within 1% of the target.  Raises before any
+    mesh is built unless the target is finite and positive, and when the
+    radial positivity limit is reached before the target.  Returns (delta,
     achieved ratio, the mesh at delta that ratio was measured on).
     """
-    consts = PinchingConstants(alpha=alpha, epsilon=epsilon)
-    target = slack * epsilon ** (2.0 + alpha)
+    target = slack * constants.epsilon ** (2.0 + constants.alpha)
     if not 0.0 < target < math.inf:
         raise ValueError(
             f"amplitude search failed: target slack*eps^(2+alpha) = {target:g} "
             "is not finite and positive"
         )
-    delta_max = 0.9 * radius / surfgen.harmonic_sup(degree, order)
+    delta_max = 0.9 / surfgen.harmonic_sup(degree, order)
 
     def ratio_at(delta: float) -> tuple[float, Mesh]:
-        surf = surfgen.PerturbedSphere(radius, delta, degree, order)
+        surf = surfgen.PerturbedSphere(1.0, delta, degree, order)
         mesh = surfgen.generate(surf, subdivision)
-        return pinch_ratio(surf, mesh, consts), mesh
+        return pinch_ratio(surf, mesh, constants), mesh
 
     achieved, mesh = ratio_at(delta_max)
     if achieved < target:
@@ -633,7 +634,6 @@ def amplitude_for_ratio(
 
 
 def sharpness_sweep(
-    radius: float,
     degree: int,
     order: int,
     alpha: float,
@@ -641,8 +641,9 @@ def sharpness_sweep(
     subdivision: int = 4,
     slack: float = 1.0,
 ) -> SweepResult:
-    """For each eps, tune the amplitude to the pinching target and verify.
+    """For each eps, tune the amplitude on the unit sphere and verify.
 
+    Each row builds one constants record for its search and its verify.
     Rows keep the grid order.  The fit is least squares of log(oscillation)
     against log(eps) over rows with positive oscillation.
     """
@@ -651,15 +652,12 @@ def sharpness_sweep(
         raise ValueError(f"eps grid must be finite and positive, got {eps_grid}")
 
     def run_one(eps: float) -> SweepRow:
+        constants = PinchingConstants(alpha=alpha, epsilon=eps)
         delta, achieved, msh = amplitude_for_ratio(
-            radius, degree, order, alpha, eps, subdivision, slack=slack
+            degree, order, constants, subdivision, slack=slack
         )
         # a row reads no trace field
-        report = verify_theorem(
-            msh,
-            PinchingConstants(alpha=alpha, epsilon=eps),
-            with_trace=False,
-        )
+        report = verify_theorem(msh, constants, with_trace=False)
         return SweepRow(
             epsilon=eps,
             delta=delta,

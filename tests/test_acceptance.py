@@ -215,7 +215,7 @@ def test_criterion_6_sphere_equality_cases(
 
 
 SWEEP_ARGS = dict(
-    radius=1.0, degree=2, order=0, alpha=0.5,
+    degree=2, order=0, alpha=0.5,
     eps_grid=[0.4, 0.2, 0.1], subdivision=4, slack=0.99,
 )
 

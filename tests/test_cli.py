@@ -7,8 +7,10 @@ import pytest
 from umbilic.cli import main
 from umbilic.diffgeo import estimate_geometry
 from umbilic.mesh import Mesh, load_mesh, save_mesh
+from umbilic.spectral import ConvergenceError
 from umbilic.surfgen import PerturbedSphere, generate
 
+from conftest import make_torus
 from test_diffgeo import fit_error, in_child, singular_mesh
 
 
@@ -176,8 +178,15 @@ INWARD_FAILURE = (
     (["verify", "--mesh", "{inward}", "--epsilon", "0.2", "--alpha", "0.5",
       "--out", "{out}"],
      "validate", INWARD_FAILURE),
-    (["converge", "--subdivs", "2,3", "--tol", "1e-17", "--out", "{out}"],
-     "lambda1", "subdivision 2: residual above tol=1e-17"),
+    # converge runs on the unit sphere at lambda1's own tol, and the sweep
+    # on the unit sphere: the options are gone
+    (["converge", "--subdivs", "2,3", "--tol", "1e-9", "--out", "{out}"],
+     "config", "unrecognized arguments: --tol 1e-9"),
+    (["converge", "--subdivs", "2,3", "--radius", "2", "--out", "{out}"],
+     "config", "unrecognized arguments: --radius 2"),
+    (["sweep", "--family", "l2", "--alpha", "0.5", "--eps", "0.2", "--radius", "2",
+      "--out", "{out}"],
+     "config", "unrecognized arguments: --radius 2"),
     # the constant harmonic never bends the sphere, so no amplitude reaches
     # the target
     (["sweep", "--family", "l0", "--alpha", "0.5", "--eps", "0.2", "--subdiv", "1",
@@ -215,8 +224,6 @@ INWARD_FAILURE = (
     (["verify", "--mesh", "{bumpy}", "--epsilon", "0.2", "--alpha", "0.5",
       "--tol", "inf", "--out", "{out}"],
      "config", "tol must be finite and positive, got inf"),
-    (["converge", "--subdivs", "2,3", "--tol", "nan", "--out", "{out}"],
-     "config", "tol must be finite and positive, got nan"),
     (["converge", "--subdivs", "3,x", "--out", "{out}"],
      "config", "--subdivs must be a comma list"),
     (["sweep", "--family", "l2", "--alpha", "0.5", "--eps", "0.2,inf",
@@ -261,16 +268,21 @@ INWARD_FAILURE = (
     # the icosahedron's 9-term fits are rank-deficient
     (["analyze", "--mesh", "{icosa}", "--out", "{out}", "--json-out", "{out}.json"],
      "analyze", "singular jet fit: vertex 0 has a rank-deficient 9-term basis"),
-], ids=["analyze-open", "verify-open", "analyze-inward", "verify-inward", "converge-tol", "sweep-amplitude",
+    # a mean-convex torus passes validation but is outside the theorem's setting
+    (["verify", "--mesh", "{torus}", "--epsilon", "1.0", "--alpha", "0.5",
+      "--out", "{out}"],
+     "verify", "Euler characteristic 0 != 2: not a sphere"),
+], ids=["analyze-open", "verify-open", "analyze-inward", "verify-inward", "converge-tol",
+        "converge-radius", "sweep-radius", "sweep-amplitude",
         "gen-axes", "unwritable-out", "analyze-unwritable-json",
         "analyze-unwritable-table", "verify-eps-nan", "verify-eps-inf",
         "verify-L-nan", "verify-p-roth-inf", "verify-tol-inf",
-        "verify-tol-inf-not-convex", "converge-tol-nan", "converge-subdivs-not-int",
+        "verify-tol-inf-not-convex", "converge-subdivs-not-int",
         "sweep-eps-inf", "sweep-eps-not-float",
         "analyze-same-path", "sweep-slack-nan", "sweep-slack-zero",
         "sweep-slack-inf", "verify-eps-overflow", "sweep-eps-overflow",
         "verify-no-epsilon", "verify-eps-not-float", "gen-kind-cube",
-        "no-command", "gen-radius-nan", "analyze-singular-fit"])
+        "no-command", "gen-radius-nan", "analyze-singular-fit", "verify-torus"])
 def test_error_record_on_stdout_not_out(tmp_path, capsys, command, stage, message):
     # --out only ever holds a result; the record goes to stdout
     mesh = generate(PerturbedSphere(1.0), 2)
@@ -279,16 +291,17 @@ def test_error_record_on_stdout_not_out(tmp_path, capsys, command, stage, messag
     save_mesh(Mesh(mesh.vertices, mesh.faces[:, ::-1]), tmp_path / "inward.off")
     save_mesh(generate(PerturbedSphere(1.0, 0.45, 4, 0), 3), tmp_path / "bumpy.off")
     save_mesh(generate(PerturbedSphere(1.0), 0), tmp_path / "icosa.off")
+    save_mesh(make_torus(1.0, 0.3, 96, 48), tmp_path / "torus.off")
     paths = dict(open=tmp_path / "open.off", inward=tmp_path / "inward.off",
                  closed=tmp_path / "closed.off",
                  bumpy=tmp_path / "bumpy.off", icosa=tmp_path / "icosa.off",
-                 out=tmp_path / "result.out")
+                 torus=tmp_path / "torus.off", out=tmp_path / "result.out")
     assert run([arg.format(**paths) for arg in command]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"]["stage"] == stage
     assert doc["error"]["message"].startswith(message)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "bumpy.off", "closed.off", "icosa.off", "inward.off", "open.off"]
+        "bumpy.off", "closed.off", "icosa.off", "inward.off", "open.off", "torus.off"]
 
 
 @pytest.mark.parametrize("command", [
@@ -444,17 +457,35 @@ def test_converge_csv(tmp_path):
     assert any(line.startswith("H_order_2_to_3") for line in lines)
 
 
-def test_converge_uncertified_lambda1_error_record(capsys):
-    # no double-precision eigenpair meets tol = 1e-17
-    assert run(["converge", "--subdivs", "2,3", "--tol", "1e-17"]) == 2
+def test_converge_uncertified_lambda1_error_record(tmp_path, capsys, monkeypatch):
+    # a lambda1 that does not certify is an error record naming the level,
+    # and no --out file is left
+    def uncertified(mesh):
+        raise ConvergenceError("residual above tol=1e-08", 2.0, 1e-7, 20)
+
+    monkeypatch.setattr("umbilic.spectral.lambda1", uncertified)
+    out = tmp_path / "conv.csv"
+    assert run(["converge", "--subdivs", "2,3", "--out", str(out)]) == 2
     doc = json.loads(capsys.readouterr().out)
-    assert doc["error"]["stage"] == "lambda1"
-    assert doc["error"]["message"].startswith("subdivision 2: residual above tol")
+    assert doc["error"] == {
+        "stage": "lambda1", "message": "subdivision 2: residual above tol=1e-08"}
+    assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("subdivs", ["3", "3,3", "2,3,2"])
+def test_converge_step_order_divides_by_gap(tmp_path):
+    # one step over two levels: its order is the two-point fit's slope
+    out = tmp_path / "conv.csv"
+    assert run(["converge", "--subdivs", "2,4", "--out", str(out)]) == 0
+    rows = dict(line.split(",")[:2] for line in out.read_text().splitlines()
+                if line.startswith("H_order"))
+    assert float(rows["H_order_2_to_4"]) == pytest.approx(
+        float(rows["H_order_fit"]), rel=1e-12)
+
+
+@pytest.mark.parametrize("subdivs", ["3", "3,3", "2,3,2", "4,3"])
 def test_converge_needs_two_distinct_subdivisions(capsys, subdivs):
-    # one level gives no order, and a repeated level a spurious one
+    # one level gives no order, and a repeated or decreasing level a
+    # spurious one
     assert run(["converge", "--subdivs", subdivs]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"]["stage"] == "config"

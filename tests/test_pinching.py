@@ -30,6 +30,8 @@ from umbilic.surfgen import (
     oracle_curvatures_at_vertices,
 )
 
+from conftest import make_torus
+
 
 def with_field(geometry, **overrides):
     """Copy of a geometry record with some per-vertex arrays replaced."""
@@ -44,8 +46,9 @@ def test_constants_validation():
         PinchingConstants(alpha=0.0, epsilon=0.1)
     with pytest.raises(ValueError):
         PinchingConstants(alpha=1.0, epsilon=0.1)
-    with pytest.raises(ValueError):
-        PinchingConstants(alpha=0.5, epsilon=-1.0)
+    for eps in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            PinchingConstants(alpha=0.5, epsilon=eps)
     with pytest.raises(ValueError):
         PinchingConstants(alpha=0.5, epsilon=0.1, L=0.0)
     # p = n + 1 is fixed, like n
@@ -82,35 +85,30 @@ def test_hypothesis_sphere_holds(sphere4, geom_sphere4):
 def test_hypothesis_fails_beyond_threshold():
     # amplitude tuned 3x past the pinching target must give a negative margin
     eps, alpha = 0.3, 0.5
-    delta, _, searched = amplitude_for_ratio(1.0, 2, 0, alpha, eps, 3, slack=3.0)
+    c = PinchingConstants(alpha=alpha, epsilon=eps)
+    delta, _, searched = amplitude_for_ratio(2, 0, c, 3, slack=3.0)
     surf = PerturbedSphere(1.0, delta, 2, 0)
     mesh = generate(surf, 3)
     # the search hands back the mesh its final ratio was measured on
     assert np.array_equal(searched.vertices, mesh.vertices)
     assert np.array_equal(searched.faces, mesh.faces)
-    res = check_hypothesis(
-        mesh, oracle_curvatures_at_vertices(surf, mesh),
-        PinchingConstants(alpha=alpha, epsilon=eps),
-    )
+    res = check_hypothesis(mesh, oracle_curvatures_at_vertices(surf, mesh), c)
     assert not res.holds
     assert res.worst_margin < 0
 
 
-@pytest.mark.parametrize("slack, epsilon, message", [
-    *(pytest.param(s, 0.2, "not finite and positive", id=str(s))
-      for s in (0.0, -1.0, math.inf, math.nan)),
-    # (-0.2)^2.5 is complex: eps is checked before the target is formed
-    *(pytest.param(1.0, e, "epsilon must be positive", id=f"eps{e}")
-      for e in (-0.2, 0.0)),
-])
-def test_amplitude_search_rejects_bad_target(monkeypatch, slack, epsilon, message):
-    # the constants and the target are checked before any mesh is built
+@pytest.mark.parametrize("slack", [0.0, -1.0, math.inf, math.nan])
+def test_amplitude_search_rejects_bad_target(monkeypatch, slack):
+    # the target is checked before any mesh is built (eps and alpha are
+    # checked by the constants record the search takes)
     def no_mesh(*args):
         raise AssertionError("a mesh was built")
 
     monkeypatch.setattr("umbilic.surfgen.generate", no_mesh)
-    with pytest.raises(ValueError, match=message):
-        amplitude_for_ratio(1.0, 2, 0, 0.5, epsilon, 1, slack=slack)
+    with pytest.raises(ValueError, match="not finite and positive"):
+        amplitude_for_ratio(
+            2, 0, PinchingConstants(alpha=0.5, epsilon=0.2), 1, slack=slack
+        )
 
 
 def test_hypothesis_requires_mean_convexity(torus):
@@ -464,8 +462,10 @@ def test_verify_lambda1_failure_carries_certificate(sphere3):
     assert isinstance(report.spectral, ConvergenceError)
 
 
-def test_verify_non_mean_convex_halts(torus):
-    report = verify_theorem(torus, PinchingConstants(alpha=0.5, epsilon=0.1))
+def test_verify_non_mean_convex_halts():
+    # a genus-0 sphere with deep l4 dents: H < 0 inside them
+    bumpy = generate(PerturbedSphere(1.0, 0.45, 4, 0), 3)
+    report = verify_theorem(bumpy, PinchingConstants(alpha=0.5, epsilon=0.1))
     assert report.failure is not None
     assert "mean-convexity" in report.failure
     assert report.hypothesis is None
@@ -474,6 +474,15 @@ def test_verify_non_mean_convex_halts(torus):
     assert report.roth is None
     assert report.annulus is None
     assert report.trace is None
+
+
+def test_verify_rejects_torus():
+    # a mean-convex torus passes validation and gave lambda1 = 1.03 and a
+    # contained annulus at eps = 1; the theorem's surfaces are spheres
+    thin = make_torus(1.0, 0.3, 96, 48)
+    assert validate_mesh(thin).all_passed
+    with pytest.raises(ValueError, match=r"^Euler characteristic 0 != 2"):
+        verify_theorem(thin, PinchingConstants(alpha=0.5, epsilon=1.0))
 
 
 def test_verify_rejects_invalid_mesh(sphere3):
@@ -511,7 +520,7 @@ def test_sweep_builds_each_mesh_once(monkeypatch):
     counts = []
     for _ in range(2):
         calls.update(generate=0, ratio=0)
-        sharpness_sweep(1.0, 2, 0, alpha=0.5, eps_grid=[0.3, 0.2], subdivision=2)
+        sharpness_sweep(2, 0, alpha=0.5, eps_grid=[0.3, 0.2], subdivision=2)
         assert calls["generate"] == calls["ratio"]
         counts.append(calls["ratio"])
     # the positivity limit plus nine search steps per eps, the same each run
@@ -527,7 +536,7 @@ def test_sweep_verifies_without_trace(monkeypatch):
         raise AssertionError("proof_trace called by the sweep")
 
     monkeypatch.setattr(pinching, "proof_trace", no_trace)
-    result = sharpness_sweep(1.0, 2, 0, alpha=0.5, eps_grid=[0.3], subdivision=2)
+    result = sharpness_sweep(2, 0, alpha=0.5, eps_grid=[0.3], subdivision=2)
     assert result.rows[0].contained
 
 
@@ -557,7 +566,8 @@ def test_pinch_ratio_nonconvex_guard(torus):
 
 def test_amplitude_search_reaches_small_eps():
     # the finite-difference oracle's noise stopped this search at 1.2% off
-    delta, achieved, _ = amplitude_for_ratio(1.0, 2, 0, 0.5, 0.05, 4)
+    c = PinchingConstants(alpha=0.5, epsilon=0.05)
+    delta, achieved, _ = amplitude_for_ratio(2, 0, c, 4)
     assert delta > 0
     assert achieved == pytest.approx(0.05**2.5, rel=1e-6)
 
@@ -571,20 +581,18 @@ def test_amplitude_search_bisects_past_lost_convexity():
     surf = PerturbedSphere(1.0, delta_max, 3, -1)
     c = PinchingConstants(alpha=alpha, epsilon=eps)
     assert pinch_ratio(surf, generate(surf, 3), c) == math.inf
-    _, achieved, _ = amplitude_for_ratio(1.0, 3, -1, alpha, eps, 3)
+    _, achieved, _ = amplitude_for_ratio(3, -1, c, 3)
     assert achieved == pytest.approx(eps**2.5, rel=1e-6)
 
 
 def test_amplitude_search_positivity_failure():
     # the constant harmonic (l=0) never bends the sphere: no amplitude works
     with pytest.raises(ValueError, match="amplitude search failed"):
-        amplitude_for_ratio(1.0, 0, 0, 0.5, 0.3, 2)
+        amplitude_for_ratio(0, 0, PinchingConstants(alpha=0.5, epsilon=0.3), 2)
 
 
 def test_sharpness_sweep_rows_and_fit():
-    result = sharpness_sweep(
-        1.0, 2, 0, alpha=0.5, eps_grid=[0.4, 0.2, 0.1], subdivision=3
-    )
+    result = sharpness_sweep(2, 0, alpha=0.5, eps_grid=[0.4, 0.2, 0.1], subdivision=3)
     assert len(result.rows) == 3
     eps = [r.epsilon for r in result.rows]
     assert eps == [0.4, 0.2, 0.1]
@@ -598,7 +606,7 @@ def test_sharpness_sweep_rows_and_fit():
 
 def test_sweep_rejects_bad_grid():
     with pytest.raises(ValueError):
-        sharpness_sweep(1.0, 2, 0, alpha=0.5, eps_grid=[0.4, -0.1])
+        sharpness_sweep(2, 0, alpha=0.5, eps_grid=[0.4, -0.1])
 
 
 def test_verify_reports_phi_when_annulus_raises():

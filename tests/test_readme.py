@@ -1,8 +1,11 @@
 """The README's examples against the code: each `umbilic` line of the
-Command-line block parses, and the Library block runs.  A renamed option,
-command or public name fails here instead of leaving the README stale.
+Command-line block parses, each `<command> --<option>` span of its prose
+names an option of that command, and the Library block runs.  A renamed
+or removed option, command or public name fails here instead of leaving
+the README stale.
 """
 
+import re
 import shlex
 from pathlib import Path
 
@@ -26,6 +29,21 @@ def test_readme_commands_parse():
         if args.command == "gen":
             # gen reads every shape option the line gives
             _surface_from_args(args)
+
+
+def test_readme_prose_options_exist():
+    # an inline span such as `sweep --slack` names an option its command's
+    # parser knows, so a removed option cannot stay documented
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    prose = "".join(readme.split("```")[::2])
+    spans = re.findall(r"`(gen|analyze|verify|sweep|converge) (--[\w-]+)", prose)
+    assert ("sweep", "--slack") in spans
+    commands = _build_parser()._subparsers._group_actions[0].choices
+    unknown = [
+        f"{command} {option}" for command, option in spans
+        if option not in commands[command]._option_string_actions
+    ]
+    assert unknown == []
 
 
 def test_readme_library_block_runs(capsys):
