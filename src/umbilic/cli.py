@@ -88,20 +88,11 @@ def _spectral_summary(res):
     if res is None:
         return None
     if isinstance(res, spectral.ConvergenceError):
-        return _jsonable({
-            "best_lambda1": res.best_lambda1,
-            "best_residual": res.best_residual,
-            "iterations": res.iterations,
-        })
-    return _jsonable({
-        "iterations": res.iterations,
-        "residual": res.residual,
-        "ritz_values": res.ritz_values,
-        "gap_warning": res.gap_warning,
-        "factor_nnz": res.factor_nnz,
-        "sigma": res.sigma,
-        "basis_columns": res.basis_columns,
-    })
+        names = ("best_lambda1", "best_residual", "iterations")
+    else:
+        names = ("iterations", "residual", "ritz_values", "gap_warning",
+                 "factor_nnz", "sigma", "basis_columns")
+    return _jsonable({name: getattr(res, name) for name in names})
 
 
 def _output(out_path: str | None):
@@ -121,12 +112,18 @@ def _emit_json(document: dict, out_path: str | None, meta: dict | None = None) -
         fh.write(_json_text(document, meta))
 
 
-def _emit_csv(header, rows, out_path: str | None) -> None:
-    """Write a header and rows; csv writes a float with str(), its shortest repr."""
+def _emit_csv(header, rows, summaries, out_path: str | None) -> None:
+    """Write the header, the dict rows, then the (label, value) summary rows.
+
+    A row's cells follow the header: a column it lacks is an empty cell,
+    and so is None.  A summary row's label and value fill the first two
+    columns.  csv writes a float with str(), its shortest repr.
+    """
     with _output(out_path) as fh:
-        writer = csv.writer(fh, delimiter=",")
-        writer.writerow(header)
+        writer = csv.DictWriter(fh, header, restval="")
+        writer.writeheader()
         writer.writerows(rows)
+        writer.writerows(dict(zip(header, summary)) for summary in summaries)
 
 
 def _load_validated(path) -> Mesh:
@@ -221,13 +218,15 @@ def _write_table(mesh: Mesh, geo, fh) -> None:
     OSError when the child fails becomes `main`'s error record, and
     `_output` removes the partial file.
     """
-    csv.writer(fh).writerow([
-        "vertex", "x", "y", "z", "area_weight", "kappa1", "kappa2",
-        "H", "A_traceless_norm", "H2",
-    ])
-    columns = [np.arange(mesh.n_vertices), *mesh.vertices.T, mesh.vertex_areas,
-               *geo.kappa.T, geo.H, geo.A_traceless_norm, geo.H2]
-    write_rows(fh, columns, sep=",", end="\r\n")
+    x, y, z = mesh.vertices.T
+    kappa1, kappa2 = geo.kappa.T
+    table = {
+        "vertex": np.arange(mesh.n_vertices), "x": x, "y": y, "z": z,
+        "area_weight": mesh.vertex_areas, "kappa1": kappa1, "kappa2": kappa2,
+        "H": geo.H, "A_traceless_norm": geo.A_traceless_norm, "H2": geo.H2,
+    }
+    csv.writer(fh).writerow(table)
+    write_rows(fh, list(table.values()), sep=",", end="\r\n")
 
 
 def _analyze_summary(mesh: Mesh, geo) -> dict:
@@ -303,22 +302,12 @@ def _cmd_sweep(args) -> int:
         subdivision=args.subdiv,
         slack=args.slack,
     )
-    header = [
-        "epsilon", "delta", "achieved_ratio", "hypothesis_holds",
-        "contained", "oscillation",
-    ]
-    rows = [
-        [
-            r.epsilon, r.delta, r.achieved_ratio,
-            "" if r.hypothesis_holds is None else r.hypothesis_holds,
-            "" if r.contained is None else r.contained,
-            "" if r.oscillation is None else r.oscillation,
-        ]
-        for r in result.rows
-    ]
-    rows.append(["fit_slope", result.fit_slope, "", "", "", ""])
-    rows.append(["fit_intercept", result.fit_intercept, "", "", "", ""])
-    _emit_csv(header, rows, args.out)
+    _emit_csv(
+        [f.name for f in dataclasses.fields(pinching.SweepRow)],
+        [dataclasses.asdict(r) for r in result.rows],
+        [("fit_slope", result.fit_slope), ("fit_intercept", result.fit_intercept)],
+        args.out,
+    )
     return 0
 
 
@@ -335,44 +324,34 @@ def _cmd_converge(args) -> int:
             f"got {args.subdivs!r}",
         )
     rows = []
-    errors_h, errors_lam, hs = [], [], []
     for s in subdivs:
         # the unit sphere: H = 1, lambda1 = 2, area 4 pi
         mesh = surfgen.generate(surfgen.PerturbedSphere(), s)
         geo = diffgeo.estimate_geometry(mesh)
-        h_err = float(np.abs(geo.H - 1.0).max())
-        h_mean_err = float(np.abs(geo.H - 1.0).mean())
         try:
-            lam = spectral.lambda1(mesh)
+            lam = spectral.lambda1(mesh).lambda1
         except spectral.ConvergenceError as exc:
             raise CliError("lambda1", f"subdivision {s}: {exc}") from exc
-        lam_err = abs(lam.lambda1 - 2.0)
-        area_err = abs(mesh.area - 4 * math.pi)
-        gauss = fields.integrate(geo.H2, mesh.vertex_areas)
-        rows.append([
-            s, mesh.n_vertices, h_err, h_mean_err, lam.lambda1, lam_err,
-            area_err, gauss,
-        ])
-        errors_h.append(h_err)
-        errors_lam.append(lam_err)
-        hs.append(2.0 ** -s)
+        rows.append({
+            "subdivision": s,
+            "vertices": mesh.n_vertices,
+            "H_err_max": float(np.abs(geo.H - 1.0).max()),
+            "H_err_mean": float(np.abs(geo.H - 1.0).mean()),
+            "lambda1": lam,
+            "lambda1_err": abs(lam - 2.0),
+            "area_err": abs(mesh.area - 4 * math.pi),
+            "gauss_bonnet_integral": fields.integrate(geo.H2, mesh.vertex_areas),
+        })
+    errors_h = [r["H_err_max"] for r in rows]
+    errors_lam = [r["lambda1_err"] for r in rows]
+    slope_h = float(np.polyfit(np.log([2.0 ** -s for s in subdivs]), np.log(errors_h), 1)[0])
+    # each step's order is per halving of the mesh size
     orders_h = [
-        math.log2(errors_h[i] / errors_h[i + 1]) / (subdivs[i + 1] - subdivs[i])
-        for i in range(len(errors_h) - 1)
+        (f"H_order_{a}_to_{b}", math.log2(e_a / e_b) / (b - a))
+        for a, b, e_a, e_b in zip(subdivs, subdivs[1:], errors_h, errors_h[1:])
     ]
-    slope_h = float(np.polyfit(np.log(hs), np.log(errors_h), 1)[0])
-    header = [
-        "subdivision", "vertices", "H_err_max", "H_err_mean", "lambda1",
-        "lambda1_err", "area_err", "gauss_bonnet_integral",
-    ]
-    rows.append(["H_order_fit", slope_h, "", "", "", "", "", ""])
-    for i, o in enumerate(orders_h):
-        rows.append([f"H_order_{subdivs[i]}_to_{subdivs[i+1]}", o,
-                     "", "", "", "", "", ""])
-    _emit_csv(header, rows, args.out)
-    lam_decreasing = all(
-        errors_lam[i + 1] < errors_lam[i] for i in range(len(errors_lam) - 1)
-    )
+    _emit_csv(list(rows[0]), rows, [("H_order_fit", slope_h), *orders_h], args.out)
+    lam_decreasing = all(b < a for a, b in zip(errors_lam, errors_lam[1:]))
     print(
         f"H-error fitted order: {slope_h:.3f}; "
         f"lambda1 error decreasing: {lam_decreasing}",

@@ -459,8 +459,9 @@ def _fork_halves(n, block, child_half, own_half, receive) -> None:
     here.  The spool is the child's one channel, and the child is reaped
     whatever happens:
     - an exception the child raises replaces its buffers in the spool,
-      pickled, and is raised again here; one that does not pickle ends
-      the child with status 1;
+      pickled, and is raised again here; one that does not survive a
+      pickle round-trip comes back as an OSError naming its type and
+      message;
     - a child that dies (exits with no result) raises OSError;
     - if `own_half` raises, the child is killed and reaped and
       `own_half`'s exception propagates.
@@ -486,6 +487,11 @@ def _fork_halves(n, block, child_half, own_half, receive) -> None:
                 except BaseException as exc:   # raised again in the parent
                     spool.seek(0)
                     spool.truncate()   # drops the buffers already written
+                    try:   # one that does not come back whole comes back named
+                        pickle.loads(pickle.dumps(exc))
+                    except Exception:
+                        exc = OSError(f"forked child process raised "
+                                      f"{type(exc).__name__}: {exc}")
                     pickle.dump(exc, spool)
                     spool.flush()
                     status = raised

@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import json
 import os
 
@@ -7,6 +9,7 @@ import pytest
 from umbilic.cli import main
 from umbilic.diffgeo import estimate_geometry
 from umbilic.mesh import Mesh, load_mesh, save_mesh
+from umbilic.pinching import SweepResult, SweepRow
 from umbilic.spectral import ConvergenceError
 from umbilic.surfgen import PerturbedSphere, generate
 
@@ -16,6 +19,14 @@ from test_diffgeo import fit_error, in_child, singular_mesh
 
 def run(args):
     return main(args)
+
+
+def csv_lines(path):
+    """The CSV file's rows, each checked to have the header's width."""
+    with open(path, newline="") as fh:
+        lines = list(csv.reader(fh))
+    assert {len(line) for line in lines} == {len(lines[0])}
+    return lines
 
 
 def load_payload(path):
@@ -418,6 +429,26 @@ def test_sweep_csv(tmp_path):
     assert len(lines) == 1 + 2 + 2  # header, two rows, slope + intercept
     assert lines[-2].startswith("fit_slope,")
     assert lines[1].split(",")[0] == "0.4"
+    rows = csv_lines(out)
+    assert rows[0] == [f.name for f in dataclasses.fields(SweepRow)]
+
+
+def test_sweep_csv_none_cells(tmp_path, monkeypatch):
+    # a row whose stages did not all run has empty cells, as do the fit
+    # rows past their value
+    row = SweepRow(epsilon=0.4, delta=0.25, achieved_ratio=0.1,
+                   hypothesis_holds=None, contained=None, oscillation=None)
+    monkeypatch.setattr("umbilic.pinching.sharpness_sweep",
+                        lambda **kwargs: SweepResult((row,), float("nan"), -0.5))
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--family", "l2", "--alpha", "0.5", "--eps", "0.4",
+                "--out", str(out)]) == 0
+    assert out.read_bytes() == (
+        b"epsilon,delta,achieved_ratio,hypothesis_holds,contained,oscillation\r\n"
+        b"0.4,0.25,0.1,,,\r\n"
+        b"fit_slope,nan,,,,\r\n"
+        b"fit_intercept,-0.5,,,,\r\n"
+    )
 
 
 def test_sweep_family_parsing(tmp_path, capsys):
@@ -455,6 +486,7 @@ def test_converge_csv(tmp_path):
     assert lines[0].startswith("subdivision,vertices,H_err_max")
     assert any(line.startswith("H_order_fit") for line in lines)
     assert any(line.startswith("H_order_2_to_3") for line in lines)
+    assert len(csv_lines(out)) == 1 + 2 + 2  # header, two levels, fit + one step
 
 
 def test_converge_uncertified_lambda1_error_record(tmp_path, capsys, monkeypatch):

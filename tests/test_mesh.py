@@ -142,6 +142,37 @@ def test_fork_halves_child_convergence_error_whole(forked):
     assert len(forked) == 1
 
 
+class TwoArgError(Exception):
+    """Pickles, but its pickle calls __init__ with the message alone."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def test_fork_halves_child_exception_that_does_not_pickle(forked):
+    # a class defined in a function cannot be pickled; its type name and
+    # message still come back, as an OSError like a dead child's
+    class LocalError(Exception):
+        pass
+
+    def child_half(start, stop):
+        raise LocalError("no pickle")
+
+    with pytest.raises(OSError, match="^forked child process raised LocalError: no pickle$"):
+        mesh_module._fork_halves(2, 1, child_half, lambda start, stop: None, None)
+    assert len(forked) == 1
+
+
+def test_fork_halves_child_exception_that_does_not_unpickle(forked):
+    # TwoArgError pickles, but loading it would raise TypeError here
+    def child_half(start, stop):
+        raise TwoArgError(1, 2)
+
+    with pytest.raises(OSError, match="^forked child process raised TwoArgError: 1 and 2$"):
+        mesh_module._fork_halves(2, 1, child_half, lambda start, stop: None, None)
+    assert len(forked) == 1
+
+
 @pytest.mark.parametrize("n, block", [
     (0, mesh_module.TEXT_BLOCK),
     (mesh_module.TEXT_BLOCK, mesh_module.TEXT_BLOCK),

@@ -1,15 +1,16 @@
 """The README's examples against the code: each `umbilic` line of the
 Command-line block parses, each `<command> --<option>` span of its prose
-names an option of that command, and the Library block runs.  A renamed
-or removed option, command or public name fails here instead of leaving
-the README stale.
+names an option of that command, each CSV column list is the header its
+command writes, and the Library block runs.  A renamed or removed option,
+command, column or public name fails here instead of leaving the README
+stale.
 """
 
 import re
 import shlex
 from pathlib import Path
 
-from umbilic.cli import _build_parser, _surface_from_args
+from umbilic.cli import _build_parser, _surface_from_args, main
 
 
 def test_readme_commands_parse():
@@ -52,3 +53,24 @@ def test_readme_library_block_runs(capsys):
     block = readme.split("## Library", 1)[1].split("```python", 1)[1]
     exec(block.split("```", 1)[0], {})
     assert capsys.readouterr().out.count("\n") == 3
+
+
+def test_readme_csv_columns_match_headers(tmp_path):
+    # the README's column list of each CSV table is the header its command
+    # writes, so a renamed, added or moved column fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = dict(re.findall(r"^- `(analyze|sweep|converge)[^`]*`: `([^`]+)`", readme, re.M))
+    assert sorted(listed) == ["analyze", "converge", "sweep"]
+    mesh = tmp_path / "s1.off"
+    assert main(["gen", "--kind", "sphere", "--subdiv", "1", "--out", str(mesh)]) == 0
+    runs = {
+        "analyze": ["analyze", "--mesh", str(mesh), "--json-out", str(tmp_path / "s.json")],
+        "sweep": ["sweep", "--family", "l2", "--alpha", "0.5", "--eps", "0.4",
+                  "--subdiv", "1"],
+        "converge": ["converge", "--subdivs", "1,2"],
+    }
+    for command, argv in runs.items():
+        out = tmp_path / f"{command}.csv"
+        assert main([*argv, "--out", str(out)]) == 0, command
+        header = out.read_text().splitlines()[0]
+        assert header.split(",") == listed[command].split(", "), command
