@@ -52,17 +52,15 @@ class _Parser(argparse.ArgumentParser):
 def _jsonable(obj):
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else repr(obj)
+    # np.float64 is a float, whose repr names numpy: take its Python value first
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return _jsonable(obj.item())
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else repr(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonable(x) for x in obj.tolist()]
     if dataclasses.is_dataclass(obj):
-        return {
-            f.name: _jsonable(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
+        return _record(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -70,29 +68,17 @@ def _jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _hypothesis_summary(h):
-    if h is None:
+def _record(obj, /, *omit, **extra):
+    """A dataclass's fields, or a ConvergenceError's attributes, as JSON
+    values: those named in `omit` left out, the `extra` ones added.  None
+    (a stage that did not run) stays None."""
+    if obj is None:
         return None
-    return {
-        "holds": h.holds,
-        "worst_margin": h.worst_margin,
-        "worst_vertex": h.worst_vertex,
-        "epsilon_admissible": h.epsilon_admissible,
-        "rhs_scale": h.rhs_scale,
-        "margin_min": h.worst_margin,
-        "margin_max": float(h.margins.max()),
-    }
-
-
-def _spectral_summary(res):
-    if res is None:
-        return None
-    if isinstance(res, spectral.ConvergenceError):
-        names = ("best_lambda1", "best_residual", "iterations")
-    else:
-        names = ("iterations", "residual", "ritz_values", "gap_warning",
-                 "factor_nnz", "sigma", "basis_columns")
-    return _jsonable({name: getattr(res, name) for name in names})
+    # fields(), not vars(): vars() misses the init=False class defaults
+    names = vars(obj) if isinstance(obj, spectral.ConvergenceError) else [
+        f.name for f in dataclasses.fields(obj)]
+    record = {name: getattr(obj, name) for name in names if name not in omit}
+    return _jsonable(dict(record, **extra))
 
 
 def _output(out_path: str | None):
@@ -264,20 +250,21 @@ def _cmd_verify(args) -> int:
         L=args.L, c_n=args.cn, C_np_aubry=args.C_aubry,
     )
     report = pinching.verify_theorem(mesh, constants, tol=args.tol)
-    # the solver's diagnostics go in meta; the report keeps lambda1 and its residual
-    payload = _jsonable(dataclasses.replace(report, hypothesis=None, spectral=None))
-    del payload["spectral"]
+    h = report.hypothesis
+    # the margins' range stands for the per-vertex margins
+    hypothesis = None if h is None else _record(
+        h, "margins", margin_min=h.worst_margin, margin_max=h.margins.max()
+    )
     document = {
         "schema": SCHEMA,
         "command": "verify",
-        "constants": dict(
-            _jsonable(constants), c_threshold=constants.c_threshold, kp=constants.kp
-        ),
+        "constants": _record(constants, c_threshold=constants.c_threshold, kp=constants.kp),
         "tolerances": {"lambda1_tol": args.tol, "ring_depth": diffgeo.RING_DEPTH},
-        # the summary replaces the hypothesis, whose margins go unserialized
-        "report": dict(payload, hypothesis=_hypothesis_summary(report.hypothesis)),
+        "report": _record(report, "hypothesis", "spectral", hypothesis=hypothesis),
     }
-    _emit_json(document, args.out, meta={"spectral": _spectral_summary(report.spectral)})
+    # the solver's diagnostics go in meta; the report keeps lambda1 and its residual
+    spectral_meta = _record(report.spectral, "lambda1", "eigenfunction")
+    _emit_json(document, args.out, meta={"spectral": spectral_meta})
     return 0 if report.failure is None else 3
 
 
@@ -368,8 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate an analytic surface mesh")
-    p.add_argument("--kind", required=True,
-                   choices=["sphere", "ellipsoid", "perturbed"])
+    p.add_argument("--kind", required=True, choices=GEN_OPTIONS)
     shape = p.add_argument_group("shape", argument_default=argparse.SUPPRESS)
     shape.add_argument("--radius", type=float)
     shape.add_argument("--axes", help="ellipsoid semi-axes a,b,c (default 1,1,1)")

@@ -72,6 +72,11 @@ class PinchingConstants:
             raise ValueError("epsilon must be positive")
         if min(self.L, self.c_n, self.C_np_aubry) <= 0:
             raise ValueError("L, c_n and C_np_aubry must be positive")
+        try:
+            self.epsilon ** (2.0 + self.alpha)
+        except OverflowError:
+            raise ValueError(f"epsilon^(2+alpha) overflows a float: epsilon = "
+                             f"{self.epsilon}, alpha = {self.alpha}") from None
 
     @property
     def c_threshold(self) -> float:

@@ -103,6 +103,24 @@ def test_verify_mean_convexity_failure(tmp_path):
     assert doc["meta"]["spectral"] is None
 
 
+def test_verify_overflowing_hypothesis_is_strict_json(tmp_path):
+    # at radius 1e-30 and eps 1e100, |M|^(-(2+alpha)/n) * eps^(2+alpha)
+    # overflows: the hypothesis writes "inf" as the other records do, not
+    # the bare Infinity that strict JSON rejects
+    mesh_path = tmp_path / "tiny.off"
+    out = tmp_path / "report.json"
+    run(["gen", "--kind", "sphere", "--radius", "1e-30", "--subdiv", "2",
+         "--out", str(mesh_path)])
+    assert run(["verify", "--mesh", str(mesh_path), "--epsilon", "1e100",
+                "--alpha", "0.5", "--out", str(out)]) == 3
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    hypothesis = json.loads(out.read_text(), parse_constant=reject)["report"]["hypothesis"]
+    assert hypothesis["rhs_scale"] == hypothesis["margin_max"] == "inf"
+
+
 def test_verify_deterministic_payload(tmp_path):
     mesh_path = tmp_path / "s2.off"
     run(["gen", "--kind", "sphere", "--subdiv", "2", "--out", str(mesh_path)])
@@ -261,10 +279,10 @@ INWARD_FAILURE = (
     # eps^(2+alpha) overflows a float
     (["verify", "--mesh", "{closed}", "--epsilon", "1e200", "--alpha", "0.5",
       "--out", "{out}"],
-     "verify", "(34, 'Numerical result out of range')"),
+     "verify", "epsilon^(2+alpha) overflows a float: epsilon = 1e+200, alpha = 0.5"),
     (["sweep", "--family", "l2", "--alpha", "0.5", "--eps", "1e200",
       "--subdiv", "1", "--out", "{out}"],
-     "sweep", "(34, 'Numerical result out of range')"),
+     "sweep", "epsilon^(2+alpha) overflows a float: epsilon = 1e+200, alpha = 0.5"),
     # usage errors found by the parser
     (["verify", "--mesh", "{closed}", "--alpha", "0.5", "--out", "{out}"],
      "config", "the following arguments are required: --epsilon"),

@@ -51,6 +51,9 @@ def test_constants_validation():
             PinchingConstants(alpha=0.5, epsilon=eps)
     with pytest.raises(ValueError):
         PinchingConstants(alpha=0.5, epsilon=0.1, L=0.0)
+    # eps^(2+alpha) is checked on every record, a rescaled one too
+    with pytest.raises(ValueError, match=r"^epsilon\^\(2\+alpha\) overflows a float"):
+        PinchingConstants(alpha=0.5, epsilon=0.1).rescaled(1e200)
     # p = n + 1 is fixed, like n
     with pytest.raises(TypeError):
         PinchingConstants(alpha=0.5, epsilon=0.1, p_roth=4.0)

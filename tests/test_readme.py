@@ -1,11 +1,13 @@
 """The README's examples against the code: each `umbilic` line of the
 Command-line block parses, each `<command> --<option>` span of its prose
 names an option of that command, each CSV column list is the header its
-command writes, and the Library block runs.  A renamed or removed option,
-command, column or public name fails here instead of leaving the README
-stale.
+command writes, each `meta.spectral` field list is the keys `verify`
+writes there, and the Library block runs.  A renamed or removed option,
+command, column, field or public name fails here instead of leaving the
+README stale.
 """
 
+import json
 import re
 import shlex
 from pathlib import Path
@@ -74,3 +76,19 @@ def test_readme_csv_columns_match_headers(tmp_path):
         assert main([*argv, "--out", str(out)]) == 0, command
         header = out.read_text().splitlines()[0]
         assert header.split(",") == listed[command].split(", "), command
+
+
+def test_readme_meta_spectral_fields_match_verify(tmp_path):
+    # the README's two `meta.spectral` field lists, certified and not, are
+    # the keys `verify` writes there, so a renamed or added field fails here
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    lists = re.search(r"`meta\.spectral` holds the eigensolver's diagnostics: (.*?) When "
+                      r"`lambda1` did not certify it holds (.*?) instead", readme).groups()
+    certified, uncertified = [sorted(re.findall(r"`(\w+)`", part)) for part in lists]
+    mesh, out = tmp_path / "s2.off", tmp_path / "report.json"
+    assert main(["gen", "--kind", "sphere", "--subdiv", "2", "--out", str(mesh)]) == 0
+    verify = ["verify", "--mesh", str(mesh), "--epsilon", "0.2", "--alpha", "0.5",
+              "--out", str(out)]
+    for tol, listed, status in [("1e-8", certified, 0), ("1e-17", uncertified, 3)]:
+        assert main([*verify, "--tol", tol]) == status, tol
+        assert sorted(json.loads(out.read_text())["meta"]["spectral"]) == listed, tol
