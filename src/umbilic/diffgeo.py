@@ -39,7 +39,9 @@ QUARTIC_MIN_NEIGHBORS = 12
 
 # Vertices per jet-fit block: the padded offsets and design matrix of one
 # block, not of the whole mesh, bound the fit's working memory in each
-# process.  A mesh of more than one block is fitted on two processes.
+# process.  A mesh of more than one block is fitted on two processes, in
+# halves, except in a forked child (`verify_theorem` fits there), which
+# fits every block itself.
 FIT_BLOCK = 4096
 
 # Rank test of a fit: each Cholesky pivot d_j^2 of the normal matrix G must
@@ -251,7 +253,8 @@ def estimate_geometry(mesh: Mesh) -> SurfaceGeometry:
     up to the fits runs here, then beyond one block a forked child fits
     rows [V//2, V) while this process fits [0, V//2).  A rank test
     failing in this process's half is raised here; otherwise the child's
-    is raised again here, with the same message.
+    is raised again here, with the same message.  Inside a forked child
+    (as `verify_theorem` runs the fit) every row is fitted in that child.
     """
     V = mesh.n_vertices
     normals = vertex_normals(mesh)

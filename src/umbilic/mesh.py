@@ -448,39 +448,54 @@ def _row_blocks(columns, start: int, stop: int, prefix: str, sep: str, end: str)
         yield prefix + (end + prefix).join(map(sep.join, cells)) + end
 
 
+_in_child = False   # True in a process that `_fork_child` made
+
+
 def _fork_halves(n, block, child_half, own_half, receive) -> None:
     """Run rows [0, n) in two halves once they span more than one `block`.
 
-    With n <= block, `own_half(0, n)` runs here alone.  Otherwise, with
-    mid = n // 2, a forked child runs `child_half(mid, n)` while
-    `own_half(0, mid)` runs here.  `child_half` returns an iterable of
-    bytes-like buffers, which the child writes to an unlinked temporary
-    file, the spool; `receive(spool, mid)`, rewound, reads them back
-    here.  The spool is the child's one channel, and the child is reaped
-    whatever happens:
+    With n <= block, or inside a forked child (which never forks again),
+    `own_half(0, n)` runs here alone.  Otherwise, with mid = n // 2,
+    `_fork_child` runs `child_half(mid, n)` in a child while
+    `own_half(0, mid)` runs here, and `receive(spool, mid)` reads the
+    child's buffers back.
+    """
+    if n <= block or _in_child:
+        own_half(0, n)
+        return
+    mid = n // 2
+    _fork_child(lambda: child_half(mid, n), lambda: own_half(0, mid),
+                lambda spool: receive(spool, mid))
+
+
+def _fork_child(child, own, receive):
+    """(own(), receive(spool)): `child()` runs in a forked child meanwhile.
+
+    `child` returns an iterable of bytes-like buffers, which the child
+    writes to an unlinked temporary file, the spool; once `own()` has
+    returned, `receive(spool)`, rewound, reads them back here.  The spool
+    is the child's one channel, and the child is reaped whatever happens:
     - an exception the child raises replaces its buffers in the spool,
-      pickled, and is raised again here; one that does not survive a
-      pickle round-trip comes back as an OSError naming its type and
-      message;
+      pickled, and is raised again here, whatever `own()` returned; one
+      that does not survive a pickle round-trip comes back as an OSError
+      naming its type and message;
     - a child that dies (exits with no result) raises OSError;
-    - if `own_half` raises, the child is killed and reaped and
-      `own_half`'s exception propagates.
+    - if `own` raises, the child is killed and reaped and `own`'s
+      exception propagates.
     The child leaves through `os._exit`: it never returns into the
     caller, runs no cleanup of this process's state and never flushes
     the stdio buffers it inherited.  `os.fork` makes this POSIX-only.
     """
-    if n <= block:
-        own_half(0, n)
-        return
-    mid = n // 2
+    global _in_child
     raised = 3   # the child's exit status when the spool holds its exception
     with tempfile.TemporaryFile() as spool:
         pid = os.fork()
         if pid == 0:
+            _in_child = True
             status = 1
             try:
                 try:
-                    for buffer in child_half(mid, n):
+                    for buffer in child():
                         spool.write(buffer)
                     spool.flush()
                     status = 0
@@ -498,7 +513,7 @@ def _fork_halves(n, block, child_half, own_half, receive) -> None:
             finally:
                 os._exit(status)
         try:
-            own_half(0, mid)
+            result = own()
         except BaseException:
             os.kill(pid, signal.SIGKILL)
             raise
@@ -509,7 +524,7 @@ def _fork_halves(n, block, child_half, own_half, receive) -> None:
             raise pickle.load(spool)
         if status:
             raise OSError(f"forked child process exited with status {status}")
-        receive(spool, mid)
+        return result, receive(spool)
 
 
 def validate_mesh(mesh: Mesh) -> ValidationReport:

@@ -19,6 +19,7 @@ all conclusions are conditional on them.
 from __future__ import annotations
 
 import math
+import pickle
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -33,7 +34,7 @@ from .diffgeo import (
     ricci_deficit,
 )
 from .fields import lp_norm, lp_norm_log_pth_power, sublevel_measure
-from .mesh import Mesh, validate_mesh
+from .mesh import Mesh, _fork_child, validate_mesh
 
 # Amplitude search: stop at this relative error of the pinching ratio, or
 # after this many steps (enough for bisection alone to narrow [0, delta_max]
@@ -476,10 +477,12 @@ def verify_theorem(
     """Run the full pipeline and assemble the report.
 
     Structural mesh defects and a mesh that is not a sphere (Euler
-    characteristic != 2) raise; analytic failures are recorded.  A failed
-    hypothesis skips lambda1 and all after it, a failed lambda1 every
-    unit-area stage; the spectral condition, annulus, phi and trace run
-    independently, and `failure` names the first that failed.
+    characteristic != 2) raise, as does a failed fit; analytic failures
+    are recorded.  A failed hypothesis discards lambda1's outcome and
+    skips all after it, a failed lambda1 every unit-area stage; the
+    spectral condition, annulus, phi and trace run independently, and
+    `failure` names the first that failed.  The fit runs in a forked
+    child (`_fork_child`) while lambda1 runs here.
     """
     report = validate_mesh(mesh)
     if not report.all_passed:
@@ -487,7 +490,15 @@ def verify_theorem(
     chi = mesh.euler_characteristic
     if chi != 2:  # the theorem's closed convex surfaces are spheres
         raise ValueError(f"Euler characteristic {chi} != 2: not a sphere")
-    geometries = estimate_geometry(mesh)
+
+    def spectrum():   # lambda1's result or exception, read after the hypothesis
+        try:
+            return spectral.lambda1(mesh, tol=tol)
+        except Exception as exc:
+            return exc
+
+    outcome, geometries = _fork_child(
+        lambda: [pickle.dumps(estimate_geometry(mesh))], spectrum, pickle.load)
     convexity = convexity_status(geometries)
     failure = res = unit = roth = annulus = phi = trace = None
 
@@ -500,10 +511,11 @@ def verify_theorem(
 
     hypothesis = stage("hypothesis", check_hypothesis, mesh, geometries, constants)
     if failure is None:
-        try:
-            res = spectral.lambda1(mesh, tol=tol)
-        except spectral.ConvergenceError as exc:
-            failure, res = f"lambda1: {exc}", exc
+        res = outcome
+        if isinstance(res, spectral.ConvergenceError):
+            failure = f"lambda1: {res}"
+        elif isinstance(res, Exception):
+            raise res
         else:
             unit = unit_area(mesh, geometries, constants, res.lambda1)
             roth = stage("spectral condition", roth_condition, unit)

@@ -218,8 +218,12 @@ def lambda1(mesh: Mesh, tol: float = DEFAULT_TOL) -> SpectralResult:
     (_orthonormalise, which drops the directions already spanned), and
     does Rayleigh-Ritz of (S, M) on the whole basis.  It stops when each
     of the BLOCK_SIZE lowest Ritz vectors has a _certify residual <= tol *
-    min(1, 4 pi / area) (that is, tol * sigma / _SHIFT), so the rule
-    scales with the mesh's units as sigma does.  A planar mesh's centred
+    min(1, 4 pi / area) (that is, tol * sigma / _SHIFT, capped at tol).
+    Above area 4 pi the rule scales with the mesh's units as sigma does;
+    below it the threshold stays at tol while the residual, in 1/length^2,
+    grows as the mesh shrinks, so a small mesh may not certify: the s3
+    round sphere of radius 1e-3 or less raises ConvergenceError, and
+    `verify` exits 3 on it.  A planar mesh's centred
     normal coordinate is zero and is dropped from the first block.  On a
     mesh with fewer than BLOCK_SIZE + 3 vertices the basis soon spans every
     nonconstant function and stops growing; its Ritz pairs are then exact.

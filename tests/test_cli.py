@@ -644,6 +644,31 @@ def test_singular_fit_in_child_exits_2(command, tmp_path, capsys, monkeypatch, f
     assert len(forked) == 1
 
 
+def test_verify_fit_error_in_child_beats_lambda1_error(tmp_path, capsys, monkeypatch,
+                                                      forked):
+    # the child fits the rank-deficient vertex 34 while lambda1 raises its
+    # own ValueError here: the fit's error is reported, as in one process
+    from umbilic import diffgeo, spectral
+
+    mesh = singular_mesh(last=True)
+    expected = fit_error(mesh)
+    mesh_path = tmp_path / "singular.off"
+    save_mesh(mesh, mesh_path)
+    calls = []
+
+    def lambda1(mesh, tol):
+        calls.append(mesh)
+        raise ValueError("lambda1 failed")
+
+    monkeypatch.setattr(spectral, "lambda1", lambda1)
+    monkeypatch.setattr(diffgeo, "FIT_BLOCK", 8)
+    capsys.readouterr()
+    assert run(["verify", "--epsilon", "0.2", "--alpha", "0.5", "--mesh", str(mesh_path)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"stage": "verify", "message": expected}
+    assert len(calls) == 1 and len(forked) == 1
+
+
 def test_analyze_fit_child_death_exits_2(tmp_path, sphere4, capsys, monkeypatch, forked):
     from umbilic import diffgeo
 

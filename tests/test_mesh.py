@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -191,15 +192,25 @@ def test_fork_halves_split_rule(n, block, forked):
             raise AssertionError(f"child ran [{start}, {stop})")
         return ()
 
-    mesh_module._fork_halves(
-        n, block, child_half,
-        lambda start, stop: ran.append((start, stop)),
-        lambda spool, mid: ran.append(mid),
-    )
+    def split():
+        ran.clear()
+        mesh_module._fork_halves(
+            n, block, child_half,
+            lambda start, stop: ran.append((start, stop)),
+            lambda spool, mid: ran.append(mid),
+        )
+        return ran
+
     if n <= block:
-        assert ran == [(0, n)] and not forked
+        assert split() == [(0, n)] and not forked
     else:
-        assert ran == [(0, n // 2), n // 2] and len(forked) == 1
+        assert split() == [(0, n // 2), n // 2] and len(forked) == 1
+    # inside a forked child the helper forks nothing and runs [0, n) itself;
+    # the child's copy of `forked` would hold any pid it forked
+    forked.clear()
+    _, in_child = mesh_module._fork_child(
+        lambda: [pickle.dumps((split(), forked))], lambda: None, pickle.load)
+    assert in_child == ([(0, n)], []) and len(forked) == 1
 
 
 def test_write_rows_reaps_child_when_write_fails(monkeypatch, forked):

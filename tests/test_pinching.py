@@ -1,9 +1,12 @@
 import dataclasses
 import math
+import os
+import time
 
 import numpy as np
 import pytest
 
+from umbilic import diffgeo, pinching, spectral
 from umbilic.diffgeo import SurfaceGeometry, estimate_geometry
 from umbilic.fields import lp_norm
 from umbilic.mesh import Mesh, validate_mesh
@@ -635,3 +638,126 @@ def test_verify_names_first_failure_and_runs_later_stages(sphere3):
     assert report.trace is not None
     assert any(w.startswith("normalized eps = ") and ">= 2/(3 sup H)" in w
                for w in report.trace.warnings)
+
+
+# -- the fit in a forked child beside lambda1 ------------------------------------
+#
+# verify_theorem fits the jets in one forked child while lambda1 runs here.
+# With 256-vertex blocks the child's fit of an s3 mesh (642 vertices) spans
+# three blocks, which a process that was not forked would split in halves.
+
+
+def raising(exc):
+    """A stand-in for `spectral.lambda1` that records its call and raises `exc`."""
+    calls = []
+
+    def lambda1(mesh, tol):
+        calls.append(mesh)
+        raise exc
+
+    lambda1.calls = calls
+    return lambda1
+
+
+@pytest.mark.parametrize("delta, degree", [(0.01, 2), (0.45, 4)], ids=["l2", "bumpy"])
+def test_verify_reads_the_child_fit_whole(delta, degree, monkeypatch, forked):
+    # the curvature record comes back from the child bit for bit: the
+    # margins and the convexity minima equal those of a fit made here
+    mesh = generate(PerturbedSphere(1.0, delta, degree, 0), 3)
+    geometries = estimate_geometry(mesh)
+    monkeypatch.setattr(diffgeo, "FIT_BLOCK", 256)
+    report = verify_theorem(mesh, PinchingConstants(alpha=0.5, epsilon=0.2))
+    assert len(forked) == 1
+    assert report.convexity == diffgeo.convexity_status(geometries)
+    if report.hypothesis is None:
+        with pytest.raises(ValueError) as error:
+            check_hypothesis(mesh, geometries, PinchingConstants(alpha=0.5, epsilon=0.2))
+        assert report.failure == f"hypothesis: {error.value}"
+    else:
+        expected = check_hypothesis(mesh, geometries, PinchingConstants(alpha=0.5, epsilon=0.2))
+        assert np.array_equal(report.hypothesis.margins, expected.margins)
+        assert report.lambda1 == lambda1(mesh).lambda1
+
+
+@pytest.mark.parametrize("lambda1_raises", [
+    None,
+    ValueError("need at least 4 vertices"),
+    ConvergenceError("no certified pair", 2.0, 1.0, 96),
+], ids=["result", "value-error", "convergence-error"])
+def test_verify_failed_hypothesis_discards_lambda1(lambda1_raises, monkeypatch, forked):
+    # whatever lambda1 gave, the hypothesis fails first and every field
+    # derived from lambda1 stays None
+    monkeypatch.setattr(diffgeo, "FIT_BLOCK", 256)
+    if lambda1_raises is not None:
+        monkeypatch.setattr(spectral, "lambda1", raising(lambda1_raises))
+    bumpy = generate(PerturbedSphere(1.0, 0.45, 4, 0), 3)
+    report = verify_theorem(bumpy, PinchingConstants(alpha=0.5, epsilon=0.1))
+    assert report.failure.startswith("hypothesis: mean-convexity violated")
+    for name in ("hypothesis", "lambda1", "lambda1_normalized", "lambda1_residual",
+                 "spectral", "roth", "annulus", "oscillation", "phi_sup", "trace"):
+        assert getattr(report, name) is None, name
+    assert report.strictly_convex is False
+    assert len(forked) == 1
+    if lambda1_raises is not None:
+        assert spectral.lambda1.calls == [bumpy]
+
+
+def test_verify_lambda1_failure_beside_the_fit(sphere3, monkeypatch, forked):
+    # the ConvergenceError that lambda1 raises here is recorded as the
+    # lambda1 failure, with its certificate
+    with pytest.raises(ConvergenceError) as error:
+        lambda1(sphere3, tol=1e-17)
+    monkeypatch.setattr(diffgeo, "FIT_BLOCK", 256)
+    report = verify_theorem(sphere3, PinchingConstants(alpha=0.5, epsilon=0.2),
+                            tol=1e-17)
+    assert len(forked) == 1
+    assert report.failure == f"lambda1: {error.value}"
+    assert isinstance(report.spectral, ConvergenceError)
+    assert report.spectral.__reduce__() == error.value.__reduce__()
+    assert report.hypothesis is not None and report.lambda1 is None
+
+
+def test_verify_error_from_lambda1_raised_after_the_fit(sphere3, monkeypatch, forked):
+    # an error other than ConvergenceError still leaves verify_theorem once
+    # the hypothesis holds
+    monkeypatch.setattr(diffgeo, "FIT_BLOCK", 256)
+    monkeypatch.setattr(spectral, "lambda1", raising(ValueError("lambda1 failed")))
+    with pytest.raises(ValueError, match="^lambda1 failed$"):
+        verify_theorem(sphere3, PinchingConstants(alpha=0.5, epsilon=0.2))
+    assert len(forked) == 1
+
+
+def test_verify_interrupt_kills_fit_child(sphere3, monkeypatch, forked):
+    # the child would fit for a minute; an interrupt in lambda1 ends it
+    parent, fit = os.getpid(), pinching.estimate_geometry
+
+    def slow_in_child(mesh):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return fit(mesh)
+
+    monkeypatch.setattr(diffgeo, "FIT_BLOCK", 256)
+    monkeypatch.setattr(pinching, "estimate_geometry", slow_in_child)
+    monkeypatch.setattr(spectral, "lambda1", raising(KeyboardInterrupt()))
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        verify_theorem(sphere3, PinchingConstants(alpha=0.5, epsilon=0.2))
+    assert time.monotonic() - start < 30
+    assert len(forked) == 1
+
+
+def test_verify_forks_one_child_that_forks_none(sphere3, tmp_path, monkeypatch, forked):
+    # each fork call is logged by its caller's pid
+    log, fork = tmp_path / "forks", os.fork
+
+    def logged_fork():
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return fork()
+
+    monkeypatch.setattr(diffgeo, "FIT_BLOCK", 256)
+    monkeypatch.setattr(os, "fork", logged_fork)
+    report = verify_theorem(sphere3, PinchingConstants(alpha=0.5, epsilon=0.2))
+    assert report.failure is None
+    assert log.read_text().split() == [str(os.getpid())]
+    assert len(forked) == 1

@@ -94,8 +94,10 @@ def test_verify_traces_through_the_module(sphere3, monkeypatch):
 def test_fit_runs_whole_through_the_traced_names(tmp_path, sphere3, monkeypatch):
     # the tracer times the jet fit by replacing umbilic.diffgeo.estimate_geometry
     # (analyze) and umbilic.pinching.estimate_geometry (verify_theorem): one
-    # call per pass, so the span holds the whole two-process fit, the wait
-    # for the child included
+    # call per pass.  In analyze the span holds the whole two-process fit,
+    # the wait for the child included; verify_theorem makes its one call in
+    # the forked child that fits beside lambda1, so that call is logged to a
+    # file by the mesh's id, which the fork keeps
     from umbilic import cli, diffgeo, pinching
     from umbilic.mesh import save_mesh
 
@@ -107,6 +109,13 @@ def test_fit_runs_whole_through_the_traced_names(tmp_path, sphere3, monkeypatch)
     assert cli.main(args) == 0
     assert len(analyzed) == 1
 
-    verified = counting(pinching, "estimate_geometry", monkeypatch)
+    log, fit = tmp_path / "verified", pinching.estimate_geometry
+
+    def logged(mesh):
+        with open(log, "a") as fh:
+            fh.write(f"{id(mesh)}\n")
+        return fit(mesh)
+
+    monkeypatch.setattr(pinching, "estimate_geometry", logged)
     pinching.verify_theorem(sphere3, pinching.PinchingConstants(alpha=0.5, epsilon=0.2))
-    assert len(verified) == 1 and verified[0] is sphere3
+    assert log.read_text().split() == [str(id(sphere3))]
