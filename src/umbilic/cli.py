@@ -244,11 +244,11 @@ def _analyze_summary(mesh: Mesh, geo) -> dict:
 def _cmd_verify(args) -> int:
     _check_tol(args.tol)
     _check_paths(("--out", args.out), ("--mesh", args.mesh))
-    mesh = _load_validated(args.mesh)
     constants = pinching.PinchingConstants(
         alpha=_floored_alpha(args.alpha), epsilon=args.epsilon,
         L=args.L, c_n=args.cn, C_np_aubry=args.C_aubry,
     )
+    mesh = _load_validated(args.mesh)
     report = pinching.verify_theorem(mesh, constants, tol=args.tol)
     h = report.hypothesis
     # the margins' range stands for the per-vertex margins

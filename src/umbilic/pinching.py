@@ -364,7 +364,7 @@ def fit_umbilical_mu(
         return -float(sign)
 
     a, b = float(k1.min()), float(k2.max())
-    width_tol = 1e-12 * max(1.0, abs(a), abs(b))
+    width_tol = 1e-12 * max(abs(a), abs(b))
     for _ in range(200):
         if b - a <= width_tol:
             break

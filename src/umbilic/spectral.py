@@ -218,12 +218,8 @@ def lambda1(mesh: Mesh, tol: float = DEFAULT_TOL) -> SpectralResult:
     (_orthonormalise, which drops the directions already spanned), and
     does Rayleigh-Ritz of (S, M) on the whole basis.  It stops when each
     of the BLOCK_SIZE lowest Ritz vectors has a _certify residual <= tol *
-    min(1, 4 pi / area) (that is, tol * sigma / _SHIFT, capped at tol).
-    Above area 4 pi the rule scales with the mesh's units as sigma does;
-    below it the threshold stays at tol while the residual, in 1/length^2,
-    grows as the mesh shrinks, so a small mesh may not certify: the s3
-    round sphere of radius 1e-3 or less raises ConvergenceError, and
-    `verify` exits 3 on it.  A planar mesh's centred
+    4 pi / area (that is, tol * sigma / _SHIFT), which scales with the
+    mesh's units as the residual and sigma do.  A planar mesh's centred
     normal coordinate is zero and is dropped from the first block.  On a
     mesh with fewer than BLOCK_SIZE + 3 vertices the basis soon spans every
     nonconstant function and stops growing; its Ritz pairs are then exact.
@@ -237,9 +233,9 @@ def lambda1(mesh: Mesh, tol: float = DEFAULT_TOL) -> SpectralResult:
     solve pair each); it depends only on the matrices, so it repeats
     exactly.  basis_columns is the width of the final basis and sigma the
     shift.  ritz_values are the BLOCK_SIZE lowest nonzero Ritz values in
-    ascending order.  A multiple second/third Ritz value only sets
-    gap_warning (spheres have a three-dimensional first eigenspace; that
-    is expected, not an error).
+    ascending order.  Second and third Ritz values that agree to tol
+    relative to the third only set gap_warning (spheres have a
+    three-dimensional first eigenspace; that is expected, not an error).
 
     When the basis reaches MAX_BASIS columns, or stops growing, without
     meeting the stop rule, ConvergenceError carries the first Ritz pair's
@@ -254,7 +250,7 @@ def lambda1(mesh: Mesh, tol: float = DEFAULT_TOL) -> SpectralResult:
     p = nested_dissection(mesh.vertices, mesh.one_ring_matrix)
 
     sigma = _SHIFT * 4.0 * np.pi / m.sum()
-    threshold = tol * min(1.0, sigma / _SHIFT)
+    threshold = tol * (sigma / _SHIFT)
     # relax=1: no relaxed supernodes, so lu.nnz counts no stored zeros
     # and is nnz(L) + nnz(U) without building the L and U copies
     lu = splu(
@@ -290,7 +286,7 @@ def lambda1(mesh: Mesh, tol: float = DEFAULT_TOL) -> SpectralResult:
                 else f"did not converge within MAX_BASIS={MAX_BASIS} columns"
             )
             raise ConvergenceError(
-                f"residual above tol={tol:g} * min(1, 4 pi/area) among the lowest "
+                f"residual above tol={tol:g} * 4 pi/area among the lowest "
                 f"Ritz pairs: {why} (best lambda1 {lam!r}, residual {residual!r})",
                 best_lambda1=lam,
                 best_residual=residual,
@@ -301,7 +297,7 @@ def lambda1(mesh: Mesh, tol: float = DEFAULT_TOL) -> SpectralResult:
         block = np.empty_like(block)
         block[:, p] = x.T
     ritz = tuple(float(t) for t in vals[:BLOCK_SIZE])
-    gap = len(ritz) >= 3 and abs(ritz[2] - ritz[1]) <= tol * max(1.0, abs(ritz[2]))
+    gap = len(ritz) >= 3 and abs(ritz[2] - ritz[1]) <= tol * abs(ritz[2])
     return SpectralResult(
         lambda1=lam,
         eigenfunction=u,

@@ -106,13 +106,15 @@ def test_verify_mean_convexity_failure(tmp_path):
 def test_verify_overflowing_hypothesis_is_strict_json(tmp_path):
     # at radius 1e-30 and eps 1e100, |M|^(-(2+alpha)/n) * eps^(2+alpha)
     # overflows: the hypothesis writes "inf" as the other records do, not
-    # the bare Infinity that strict JSON rejects
+    # the bare Infinity that strict JSON rejects.  tol 1e-17 is below what
+    # lambda1 can certify, so the run stops there, before the unit-area
+    # rescale of eps overflows
     mesh_path = tmp_path / "tiny.off"
     out = tmp_path / "report.json"
     run(["gen", "--kind", "sphere", "--radius", "1e-30", "--subdiv", "2",
          "--out", str(mesh_path)])
     assert run(["verify", "--mesh", str(mesh_path), "--epsilon", "1e100",
-                "--alpha", "0.5", "--out", str(out)]) == 3
+                "--alpha", "0.5", "--tol", "1e-17", "--out", str(out)]) == 3
 
     def reject(constant):
         raise ValueError(f"not strict JSON: {constant}")
@@ -280,6 +282,14 @@ INWARD_FAILURE = (
     (["verify", "--mesh", "{closed}", "--epsilon", "1e200", "--alpha", "0.5",
       "--out", "{out}"],
      "verify", "epsilon^(2+alpha) overflows a float: epsilon = 1e+200, alpha = 0.5"),
+    # lambda1 certifies the radius-1e-30 sphere as it does the unit sphere;
+    # eps rescaled to unit area then overflows, as on the unit sphere at that eps
+    (["verify", "--mesh", "{tiny}", "--epsilon", "1e100", "--alpha", "0.5",
+      "--out", "{out}"],
+     "verify", "epsilon^(2+alpha) overflows a float: epsilon = 2.847876344188605e+129"),
+    # the constants are checked before the (missing) mesh is read
+    (["verify", "--mesh", "{out}", "--epsilon", "-1", "--alpha", "0.5"],
+     "verify", "epsilon must be positive"),
     (["sweep", "--family", "l2", "--alpha", "0.5", "--eps", "1e200",
       "--subdiv", "1", "--out", "{out}"],
      "sweep", "epsilon^(2+alpha) overflows a float: epsilon = 1e+200, alpha = 0.5"),
@@ -309,7 +319,8 @@ INWARD_FAILURE = (
         "verify-tol-inf-not-convex", "converge-subdivs-not-int",
         "sweep-eps-inf", "sweep-eps-not-float",
         "analyze-same-path", "sweep-slack-nan", "sweep-slack-zero",
-        "sweep-slack-inf", "verify-eps-overflow", "sweep-eps-overflow",
+        "sweep-slack-inf", "verify-eps-overflow", "verify-unit-area-eps-overflow",
+        "verify-eps-before-load", "sweep-eps-overflow",
         "verify-no-epsilon", "verify-eps-not-float", "gen-kind-cube",
         "no-command", "gen-radius-nan", "analyze-singular-fit", "verify-torus"])
 def test_error_record_on_stdout_not_out(tmp_path, capsys, command, stage, message):
@@ -321,16 +332,19 @@ def test_error_record_on_stdout_not_out(tmp_path, capsys, command, stage, messag
     save_mesh(generate(PerturbedSphere(1.0, 0.45, 4, 0), 3), tmp_path / "bumpy.off")
     save_mesh(generate(PerturbedSphere(1.0), 0), tmp_path / "icosa.off")
     save_mesh(make_torus(1.0, 0.3, 96, 48), tmp_path / "torus.off")
+    save_mesh(generate(PerturbedSphere(1e-30), 2), tmp_path / "tiny.off")
     paths = dict(open=tmp_path / "open.off", inward=tmp_path / "inward.off",
                  closed=tmp_path / "closed.off",
                  bumpy=tmp_path / "bumpy.off", icosa=tmp_path / "icosa.off",
-                 torus=tmp_path / "torus.off", out=tmp_path / "result.out")
+                 torus=tmp_path / "torus.off", tiny=tmp_path / "tiny.off",
+                 out=tmp_path / "result.out")
     assert run([arg.format(**paths) for arg in command]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"]["stage"] == stage
     assert doc["error"]["message"].startswith(message)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "bumpy.off", "closed.off", "icosa.off", "inward.off", "open.off", "torus.off"]
+        "bumpy.off", "closed.off", "icosa.off", "inward.off", "open.off", "tiny.off",
+        "torus.off"]
 
 
 @pytest.mark.parametrize("command", [

@@ -5,6 +5,7 @@ conftest.py, so every run draws the same ones.
 """
 
 import dataclasses
+import functools
 import string
 import warnings
 from unittest import mock
@@ -18,7 +19,7 @@ from scipy.spatial.transform import Rotation
 import umbilic.mesh as mesh_module
 from umbilic.mesh import Mesh, load_mesh
 from umbilic.pinching import PinchingConstants, verify_theorem
-from umbilic.surfgen import PerturbedSphere, generate
+from umbilic.surfgen import Ellipsoid, PerturbedSphere, generate
 
 from conftest import jittered
 
@@ -342,6 +343,53 @@ def test_verify_invariant_under_relabelling_and_rigid_motion(
                 assert got == pytest.approx(want, rel=1e-9), name
             else:
                 assert got == want, name
+
+
+# s3 surfaces whose verify reports must scale exactly by powers of two
+POW2_SURFACES = {
+    "l2": PerturbedSphere(1.0, 0.01, 2, 0),
+    "ellipsoid": Ellipsoid(3.0, 1.0, 1.0),
+    "sphere": PerturbedSphere(1.0),
+}
+
+
+@functools.cache
+def pow2_base(name):
+    mesh = generate(POW2_SURFACES[name], 3)
+    return mesh, verify_theorem(mesh, CONSTANTS)
+
+
+@pytest.mark.parametrize("k", [-60, -20, -10, -3, -2, -1, 1, 2, 3, 10, 20, 60])
+@pytest.mark.parametrize("name", sorted(POW2_SURFACES))
+def test_verify_exact_under_power_of_two_scaling(name, k):
+    # scaling a mesh and eps by 2^k is exact in floating point, so a pipeline
+    # whose every tolerance is relative to its own scale gives the same
+    # report, each number moved by its power of two and every count and
+    # flag unchanged.  rhs_scale = area^(-(2+alpha)/n) eps^(2+alpha) is
+    # unit-free, but its two factors are powers of two only for even k
+    mesh, base = pow2_base(name)
+    s = 2.0**k
+    report = verify_theorem(Mesh(s * mesh.vertices, mesh.faces), CONSTANTS.rescaled(s))
+
+    assert report.failure == base.failure is None
+    got, want = report.spectral, base.spectral
+    assert (got.lambda1 * s**2, got.residual * s**2, got.sigma * s**2) == (
+        want.lambda1, want.residual, want.sigma)
+    assert tuple(r * s**2 for r in got.ritz_values) == want.ritz_values
+    assert (got.iterations, got.basis_columns, got.factor_nnz, got.gap_warning) == (
+        want.iterations, want.basis_columns, want.factor_nnz, want.gap_warning)
+    assert report.lambda1_normalized == base.lambda1_normalized
+    assert report.roth.lhs == base.roth.lhs
+    assert report.oscillation / s == base.oscillation
+    assert report.phi_sup / s**3 == base.phi_sup
+    assert dataclasses.asdict(report.trace) == dataclasses.asdict(base.trace)
+    got, want = report.hypothesis, base.hypothesis
+    assert got.holds == want.holds
+    if k % 2:
+        assert abs(got.rhs_scale - want.rhs_scale) <= np.spacing(want.rhs_scale)
+    else:
+        assert got.rhs_scale == want.rhs_scale
+        assert np.array_equal(got.margins * s, want.margins)
 
 
 # floats of every kind: nan, the infinities, zeros, subnormals and huge values

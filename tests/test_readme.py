@@ -2,7 +2,8 @@
 Command-line block parses, each `<command> --<option>` span of its prose
 names an option of that command, each CSV column list is the header its
 command writes, each `meta.spectral` field list is the keys `verify`
-writes there, and the Library block runs.  A renamed or removed option,
+writes there, the stop rule of `lambda1` is the one its ConvergenceError
+states, and the Library block runs.  A renamed or removed option,
 command, column, field or public name fails here instead of leaving the
 README stale.
 """
@@ -12,7 +13,11 @@ import re
 import shlex
 from pathlib import Path
 
+import pytest
+
 from umbilic.cli import _build_parser, _surface_from_args, main
+from umbilic.spectral import ConvergenceError, lambda1
+from umbilic.surfgen import PerturbedSphere, generate
 
 
 def test_readme_commands_parse():
@@ -92,3 +97,14 @@ def test_readme_meta_spectral_fields_match_verify(tmp_path):
     for tol, listed, status in [("1e-8", certified, 0), ("1e-17", uncertified, 3)]:
         assert main([*verify, "--tol", tol]) == status, tol
         assert sorted(json.loads(out.read_text())["meta"]["spectral"]) == listed, tol
+
+
+def test_readme_stop_rule_is_lambda1s():
+    # the README's stop rule for lambda1 is the one its ConvergenceError
+    # names, so a changed threshold cannot leave the README stale
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    documented = re.findall(r"residual `<= tol \* ([^`]+)`", readme)
+    with pytest.raises(ConvergenceError) as failed:
+        lambda1(generate(PerturbedSphere(1.0), 2), tol=1e-17)
+    stated = re.match(r"residual above tol=\S+ \* (.+?) among ", str(failed.value))[1]
+    assert documented == [stated]
