@@ -87,16 +87,20 @@ def _half_edges(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return faces.T.ravel(), faces[:, [1, 2, 0]].T.ravel()
 
 
+def _edge_keys(i: np.ndarray, j: np.ndarray, n_vertices: int) -> np.ndarray:
+    """The key min(i,j)*V + max(i,j) of each undirected edge (i, j)."""
+    return np.minimum(i, j) * n_vertices + np.maximum(i, j)
+
+
 def edge_table(faces: np.ndarray, n_vertices: int):
     """(keys, inverse, counts) of the undirected edges of a (F, 3) face array.
 
-    `keys` are the sorted unique min(i,j)*V + max(i,j); `inverse` maps each
-    half-edge (in `_half_edges` order) to its key; `counts` is the number of
-    half-edges per key (2 on a closed manifold).
+    `keys` are the sorted unique `_edge_keys` of the half-edges; `inverse`
+    maps each half-edge (in `_half_edges` order) to its key; `counts` is
+    the number of half-edges per key (2 on a closed manifold).
     """
-    i, j = _half_edges(faces)
-    keys = np.minimum(i, j) * n_vertices + np.maximum(i, j)
-    return np.unique(keys, return_inverse=True, return_counts=True)
+    i, j = _half_edges(faces)   # alive through np.unique: freed first, s7 RSS peaks 2 MB higher
+    return np.unique(_edge_keys(i, j, n_vertices), return_inverse=True, return_counts=True)
 
 
 class Mesh:
@@ -396,7 +400,10 @@ def save_mesh(mesh: Mesh, path) -> None:
     path = os.fspath(path)
     faces = mesh.faces
     if _format_of(path) == "off":
-        head = f"OFF\n{mesh.n_vertices} {mesh.n_faces} {len(mesh._edge_table[0])}\n"
+        keys = _edge_keys(*_half_edges(faces), mesh.n_vertices)
+        keys.sort()   # for the header's edge count only: no cached edge table
+        n_edges = len(keys) - np.count_nonzero(keys[1:] == keys[:-1])
+        head = f"OFF\n{mesh.n_vertices} {mesh.n_faces} {n_edges}\n"
         v_prefix, f_prefix = "", "3 "
     else:
         head, v_prefix, f_prefix, faces = "", "v ", "f ", faces + 1

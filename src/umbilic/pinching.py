@@ -36,9 +36,9 @@ from .diffgeo import (
 from .fields import lp_norm, lp_norm_log_pth_power, sublevel_measure
 from .mesh import Mesh, _fork_child, validate_mesh
 
-# Amplitude search: stop at this relative error of the pinching ratio, or
-# after this many steps (enough for bisection alone to narrow [0, delta_max]
-# by 2^-60).
+# Amplitude search (a proportional step with a bisection fallback): stop at
+# this relative error of the pinching ratio, or after this many steps (enough
+# for bisection alone to narrow [0, delta_max] by 2^-60).
 RATIO_RTOL = 1e-6
 MAX_SEARCH_STEPS = 60
 
@@ -594,15 +594,16 @@ def amplitude_for_ratio(
 
     Finds delta with pinch_ratio = slack * eps^(2+alpha) on the unit
     sphere perturbed by delta * Y_lm (a sphere of radius r is the unit one
-    at eps / r, rescaled) to a relative error of RATIO_RTOL by regula falsi
-    with the Illinois modification on [0, delta_max], where the ratio is 0
-    (the round sphere) and above the target; a step bisects instead when
-    the secant point is not inside the bracket, as when the upper value is
-    +inf (the oracle lost mean-convexity there).  At most MAX_SEARCH_STEPS
-    steps; the result must be within 1% of the target.  Raises before any
-    mesh is built unless the target is finite and positive, and when the
-    radial positivity limit is reached before the target.  Returns (delta,
-    achieved ratio, the mesh at delta that ratio was measured on).
+    at eps / r, rescaled) to a relative error of RATIO_RTOL.  The ratio is
+    0 at delta = 0 and nearly proportional to delta, so each step scales
+    the newest delta by target / ratio, or bisects the bracket kept from
+    [0, delta_max] when that point leaves it or the ratio is not finite and
+    positive (+inf: the oracle lost mean-convexity).  About five to nine
+    ratio evaluations, at most MAX_SEARCH_STEPS steps; the result must be
+    within 1% of the target.  Raises before any mesh is built unless the
+    target is finite and positive, and when the radial positivity limit is
+    reached before the target.  Returns (delta, achieved ratio, the mesh at
+    delta that ratio was measured on).
     """
     target = slack * constants.epsilon ** (2.0 + constants.alpha)
     if not 0.0 < target < math.inf:
@@ -623,24 +624,16 @@ def amplitude_for_ratio(
             f"amplitude search failed: ratio at the positivity limit "
             f"delta = {delta_max:g} is below the target {target:g}"
         )
-    # f = ratio - target changes sign between `kept` and the newest point
-    # `delta`: f(0) = -target (the round sphere) and f(delta_max) >= 0
-    kept, f_kept = 0.0, -target
-    delta, f = delta_max, achieved - target
+    # [lo, hi] brackets the target; a nan ratio counts as above it
+    lo, hi, delta = 0.0, delta_max, delta_max
     for _ in range(MAX_SEARCH_STEPS):
-        if abs(f) <= RATIO_RTOL * target:
+        if abs(achieved - target) <= RATIO_RTOL * target:
             break
-        # an infinite f puts the secant point at an end or at nan: bisect
-        step = delta - f * (delta - kept) / (f - f_kept)
-        if not min(kept, delta) < step < max(kept, delta):
-            step = 0.5 * (kept + delta)
-        achieved, mesh = ratio_at(step)
-        if (achieved < target) != (f < 0.0):
-            kept, f_kept = delta, f
-        else:
-            # Illinois: `kept` stays a second time, so halve its value
-            f_kept *= 0.5
-        delta, f = step, achieved - target
+        lo, hi = (delta, hi) if achieved < target else (lo, delta)
+        delta = delta * target / achieved if 0.0 < achieved < math.inf else lo
+        if not lo < delta < hi:
+            delta = 0.5 * (lo + hi)
+        achieved, mesh = ratio_at(delta)
     # `not <=` also fails a nan ratio
     if not abs(achieved - target) <= 0.01 * target:
         raise ValueError(

@@ -64,11 +64,8 @@ def test_save_mesh_bytes(tmp_path, monkeypatch):
     ]
     vertices = np.resize(np.array(values), (5, 3))
     faces = np.array([[0, 1, 2], [2**31 + 5, 2**40, 0], [4, 3, 2**63 - 2]])
-    mesh = SimpleNamespace(
-        vertices=vertices, faces=faces, n_vertices=5, n_faces=3,
-        _edge_table=(np.zeros(7), None, None),
-    )
-    off = ["OFF", "5 3 7"]
+    mesh = SimpleNamespace(vertices=vertices, faces=faces, n_vertices=5, n_faces=3)
+    off = ["OFF", "5 3 9"]   # no two faces share an edge
     off += [f"{float(x)!r} {float(y)!r} {float(z)!r}" for x, y, z in vertices]
     off += [f"3 {i} {j} {k}" for i, j, k in faces]
     obj = [f"v {float(x)!r} {float(y)!r} {float(z)!r}" for x, y, z in vertices]
@@ -79,6 +76,21 @@ def test_save_mesh_bytes(tmp_path, monkeypatch):
             save_mesh(mesh, tmp_path / name)
             expected = ("\n".join(lines) + "\n").encode("ascii")
             assert (tmp_path / name).read_bytes() == expected, (name, block)
+
+
+@pytest.mark.parametrize("name", ["sphere3", "holed", "three_sheet", "pinched"])
+def test_save_off_counts_edges_without_the_table(tmp_path, sphere3, torus, name):
+    # the header's edge count is the reference's on a closed, an open and
+    # two non-manifold meshes, and saving leaves no edge table cached
+    mesh = topology_cases(sphere3, torus)[name]
+    mesh = Mesh(mesh.vertices, mesh.faces)   # a fresh mesh: nothing cached
+    save_mesh(mesh, tmp_path / "m.off")
+    assert "_edge_table" not in mesh.__dict__
+    edges = reference_topology(mesh)[0]
+    lines = ["OFF", f"{mesh.n_vertices} {mesh.n_faces} {len(edges)}"]
+    lines += [f"{x!r} {y!r} {z!r}" for x, y, z in mesh.vertices.tolist()]
+    lines += [f"3 {i} {j} {k}" for i, j, k in mesh.faces.tolist()]
+    assert (tmp_path / "m.off").read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
 
 
 def test_save_mesh_bytes_on_two_processes(tmp_path, sphere4, forked):

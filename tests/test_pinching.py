@@ -529,8 +529,9 @@ def test_sweep_builds_each_mesh_once(monkeypatch):
         sharpness_sweep(2, 0, alpha=0.5, eps_grid=[0.3, 0.2], subdivision=2)
         assert calls["generate"] == calls["ratio"]
         counts.append(calls["ratio"])
-    # the positivity limit plus nine search steps per eps, the same each run
-    assert counts == [2 * (1 + 9)] * 2
+    # the positivity limit plus the proportional steps (5 for eps 0.3, 4 for
+    # 0.2), the same each run
+    assert counts == [(1 + 5) + (1 + 4)] * 2
     assert counts[0] <= 2 * 15
 
 
@@ -589,6 +590,67 @@ def test_amplitude_search_bisects_past_lost_convexity():
     assert pinch_ratio(surf, generate(surf, 3), c) == math.inf
     _, achieved, _ = amplitude_for_ratio(3, -1, c, 3)
     assert achieved == pytest.approx(eps**2.5, rel=1e-6)
+
+
+SEARCH_FAMILIES = [("l2", 2, 0, 7), ("l22", 2, 2, 9), ("l3m1", 3, -1, 9), ("l40", 4, 0, 9)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("slack", [0.99, 3.0])
+@pytest.mark.parametrize("eps", [0.4, 0.1, 0.02])
+@pytest.mark.parametrize(
+    "degree, order, most", [f[1:] for f in SEARCH_FAMILIES], ids=[f[0] for f in SEARCH_FAMILIES]
+)
+def test_amplitude_search_steps(monkeypatch, degree, order, most, eps, slack):
+    # the ratio is nearly proportional to delta, so scaling the newest point
+    # to the target reaches RATIO_RTOL in a few oracle evaluations
+    import umbilic.pinching as pinching
+
+    deltas = []
+    true_ratio = pinching.pinch_ratio
+
+    def ratio(surf, mesh, constants):
+        deltas.append(surf.delta)
+        return true_ratio(surf, mesh, constants)
+
+    monkeypatch.setattr(pinching, "pinch_ratio", ratio)
+    c = PinchingConstants(alpha=0.5, epsilon=eps)
+    delta, achieved, _ = amplitude_for_ratio(degree, order, c, 2, slack=slack)
+    target = slack * eps**2.5
+    assert abs(achieved - target) <= pinching.RATIO_RTOL * target
+    assert delta == deltas[-1]
+    assert len(deltas) <= most
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
+def test_amplitude_search_bisects_on_a_bad_ratio(monkeypatch, bad):
+    # a ratio of 0, nan or inf at an interior delta gives no proportional
+    # step (0 would divide by zero), so the next delta bisects the bracket:
+    # 0 counts as below the target, nan and inf as above it.  The bad value
+    # replaces the first interior ratio on its own side of the target, so
+    # the bracket still holds the root.
+    import umbilic.pinching as pinching
+
+    target = 0.2**2.5
+    seen, injected = [], []
+    true_ratio = pinching.pinch_ratio
+
+    def ratio(surf, mesh, constants):
+        r = true_ratio(surf, mesh, constants)
+        if seen and not injected and (r < target) == (bad == 0.0):
+            injected.append(len(seen))
+            r = bad
+        seen.append((surf.delta, r))
+        return r
+
+    monkeypatch.setattr(pinching, "pinch_ratio", ratio)
+    _, achieved, _ = amplitude_for_ratio(2, 0, PinchingConstants(alpha=0.5, epsilon=0.2), 2)
+    (k,) = injected
+    lo = max([0.0] + [d for d, r in seen[: k + 1] if r < target])
+    hi = min(d for d, r in seen[: k + 1] if not r < target)
+    assert seen[k + 1][0] == 0.5 * (lo + hi)
+    assert achieved == pytest.approx(target, rel=pinching.RATIO_RTOL)
 
 
 def test_amplitude_search_positivity_failure():
