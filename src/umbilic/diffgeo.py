@@ -39,10 +39,11 @@ QUARTIC_MIN_NEIGHBORS = 12
 
 # Vertices per jet-fit block: the padded offsets and design matrix of one
 # block, not of the whole mesh, bound the fit's working memory in each
-# process.  A mesh of more than one block is fitted on two processes, in
-# halves, except in a forked child (`verify_theorem` fits there), which
-# fits every block itself.
-FIT_BLOCK = 4096
+# process; at 1024 (unlike 4096) they stay within a 4 MB L2 cache.  A mesh
+# of more than one block is fitted on two processes, in halves, except in
+# a forked child (`verify_theorem` fits there), which fits every block
+# itself.
+FIT_BLOCK = 1024
 
 # Rank test of a fit: each Cholesky pivot d_j^2 of the normal matrix G must
 # be at least this fraction of its own diagonal entry G_jj (a NaN ratio
@@ -159,8 +160,8 @@ def neighborhoods(mesh: Mesh) -> sparse.csr_matrix:
     # bool: boolean sparse products take OR for +, so they record
     # reachability without path counts that could overflow, at one byte
     # per entry
-    adj = mesh.one_ring_matrix.astype(bool)
-    acc = adj.copy()
+    # astype copies, so setdiag below never reaches the cached matrix
+    acc = adj = mesh.one_ring_matrix.astype(bool)
     for _ in range(RING_DEPTH - 1):
         acc = acc + acc @ adj
     acc = acc.tocsr()
@@ -170,8 +171,9 @@ def neighborhoods(mesh: Mesh) -> sparse.csr_matrix:
 
 
 def _fit_block(verts, indices, lo, counts, m, n_terms, t1, t2, normals):
-    """Jet coefficients (p, q, a/2, b, c/2) and scales of vertices lo, lo+1, ...
+    """(mean, half-gap) of the Weingarten maps of vertices lo, lo+1, ...
 
+    Each is `eigen_split` of the map read off the vertex's fitted jet.
     `indices` holds the block's neighbors, row after row, `counts` how many
     each row has.  Rows are padded to the global width m with zero
     offsets, whose design columns are zero and add nothing to the normal
@@ -236,7 +238,23 @@ def _fit_block(verts, indices, lo, counts, m, n_terms, t1, t2, normals):
     for j in reversed(range(n)):
         x[j] /= L[j, j]
         x[:j] -= L[j, :j] * x[j]
-    return x[:5].T, scale
+
+    # the jet (p, q, a/2, b, c/2) in the scaled offsets
+    p = x[0]
+    q = x[1]
+    fxx = 2.0 * x[2] / scale
+    fxy = x[3] / scale
+    fyy = 2.0 * x[4] / scale
+
+    # first/second fundamental forms of the graph in the fit frame
+    E = 1.0 + p * p
+    F = p * q
+    Gm = 1.0 + q * q
+    wn = np.sqrt(1.0 + p * p + q * q)
+    e = fxx / wn
+    f = fxy / wn
+    g = fyy / wn
+    return eigen_split(weingarten_matrix(E, F, Gm, e, f, g))
 
 
 def estimate_geometry(mesh: Mesh) -> SurfaceGeometry:
@@ -245,16 +263,18 @@ def estimate_geometry(mesh: Mesh) -> SurfaceGeometry:
     Requires every two-ring neighborhood to contain at least 6 vertices
     and every fit to pass the rank test (`MIN_PIVOT_RATIO`); per-vertex
     fits are deterministic and independent, so results do not depend on
-    evaluation order.  The fits run FIT_BLOCK vertices at a time,
+    evaluation order.  The fits run FIT_BLOCK vertices at a time, and
+    each block's jets become their curvature mean and half-gap at once,
     so beyond the O(V) records and the neighborhood matrix the working
     memory does not grow with the mesh.
 
     The fits are split by `mesh._fork_halves` with FIT_BLOCK: everything
     up to the fits runs here, then beyond one block a forked child fits
-    rows [V//2, V) while this process fits [0, V//2).  A rank test
-    failing in this process's half is raised here; otherwise the child's
-    is raised again here, with the same message.  Inside a forked child
-    (as `verify_theorem` runs the fit) every row is fitted in that child.
+    rows [V//2, V) while this process fits [0, V//2), and sends back its
+    rows' means and half-gaps.  A rank test failing in this process's
+    half is raised here; otherwise the child's is raised again here, with
+    the same message.  Inside a forked child (as `verify_theorem` runs the
+    fit) every row is fitted in that child.
     """
     V = mesh.n_vertices
     normals = vertex_normals(mesh)
@@ -274,47 +294,28 @@ def estimate_geometry(mesh: Mesh) -> SurfaceGeometry:
     n_terms = np.full(V, 5)
     n_terms[counts >= CUBIC_MIN_NEIGHBORS] = 9
     n_terms[counts >= QUARTIC_MIN_NEIGHBORS] = 10
-    coef = np.zeros((V, 5))
-    scale = np.empty(V)
+    mean, disc = np.empty(V), np.empty(V)
 
     def fit(start, stop):
         for lo in range(start, stop, FIT_BLOCK):
             hi = min(lo + FIT_BLOCK, stop)
             blk = slice(lo, hi)
-            coef[blk], scale[blk] = _fit_block(
+            mean[blk], disc[blk] = _fit_block(
                 mesh.vertices, nbr.indices[nbr.indptr[lo]:nbr.indptr[hi]],
                 lo, counts[blk], m, n_terms[blk], t1[blk], t2[blk], normals[blk],
             )
 
     def child_half(mid, stop):
         fit(mid, stop)
-        return coef[mid:], scale[mid:]
+        return mean[mid:], disc[mid:]
 
     def receive(spool, mid):
         # the child's rows are read back straight into this process's arrays
-        for half in (coef[mid:], scale[mid:]):
+        for half in (mean[mid:], disc[mid:]):
             spool.readinto(half)
 
     _fork_halves(V, FIT_BLOCK, child_half, fit, receive)
-
-    p = coef[:, 0]
-    q = coef[:, 1]
-    fxx = 2.0 * coef[:, 2] / scale
-    fxy = coef[:, 3] / scale
-    fyy = 2.0 * coef[:, 4] / scale
-
-    # first/second fundamental forms of the graph in the fit frame
-    E = 1.0 + p * p
-    F = p * q
-    Gm = 1.0 + q * q
-    wn = np.sqrt(1.0 + p * p + q * q)
-    e = fxx / wn
-    f = fxy / wn
-    g = fyy / wn
-
-    return SurfaceGeometry.from_split(
-        *eigen_split(weingarten_matrix(E, F, Gm, e, f, g))
-    )
+    return SurfaceGeometry.from_split(mean, disc)
 
 
 def ricci_deficit(ric, reference: float):

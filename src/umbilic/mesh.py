@@ -92,6 +92,32 @@ def _edge_keys(i: np.ndarray, j: np.ndarray, n_vertices: int) -> np.ndarray:
     return np.minimum(i, j) * n_vertices + np.maximum(i, j)
 
 
+def edge_vectors(vertices: np.ndarray, origin, i, j) -> tuple[np.ndarray, np.ndarray]:
+    """(vertices[i] - vertices[origin], vertices[j] - vertices[origin]),
+    each gathered and then subtracted in place."""
+    corner = vertices[origin]
+    e1 = vertices[i]
+    e1 -= corner
+    e2 = vertices[j]
+    e2 -= corner
+    return e1, e2
+
+
+def row_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of two (n, 3) float arrays, row by row, bit for bit.
+
+    Each column is np.cross's two products in its order, subtracted in
+    place, with one (n,) scratch column where np.cross copies both inputs.
+    """
+    out = np.empty_like(a)
+    scratch = np.empty(len(a))
+    for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.multiply(a[:, i], b[:, j], out=out[:, k])
+        np.multiply(a[:, j], b[:, i], out=scratch)
+        out[:, k] -= scratch
+    return out
+
+
 def edge_table(faces: np.ndarray, n_vertices: int):
     """(keys, inverse, counts) of the undirected edges of a (F, 3) face array.
 
@@ -115,7 +141,8 @@ class Mesh:
     The arrays are copied and frozen; the edge table, adjacency, the
     validation report, the barycenter, and the face areas and enclosed
     volume (one face pass over `face_cross`, which is not kept) are
-    computed on first use and cached.
+    computed on first use and cached.  The face pass holds (F, 3) arrays
+    only, never the (F, 3, 3) corners.
     """
 
     def __init__(self, vertices, faces):
@@ -186,8 +213,7 @@ class Mesh:
     @property
     def face_cross(self) -> np.ndarray:
         """(F, 3) un-normalized face normals (cross of two edges)."""
-        c = self.vertices[self.faces]
-        return np.cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0])
+        return row_cross(*edge_vectors(self.vertices, *self.faces.T))
 
     @cached_property
     def _face_pass(self) -> tuple[np.ndarray, float]:

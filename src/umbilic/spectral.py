@@ -37,7 +37,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .mesh import Mesh
+from .mesh import Mesh, edge_vectors, row_cross
 
 _SEED = 0x1C05FEE
 # sigma = _SHIFT * 4 pi / area: _SHIFT / r^2 on a sphere of radius r, far
@@ -100,12 +100,14 @@ class SpectralResult:
 
 def build_laplace(mesh: Mesh) -> sparse.csr_matrix:
     """Cotangent stiffness matrix of a validated mesh (its mass is mesh.vertex_areas)."""
-    v = mesh.vertices
     tail, head, opposite, edge = mesh.half_edges
-    e1 = v[tail] - v[opposite]
-    e2 = v[head] - v[opposite]
-    del tail, head, opposite   # the cross product below sets the memory peak
-    cross = np.linalg.norm(np.cross(e1, e2), axis=1)
+    e1, e2 = edge_vectors(mesh.vertices, opposite, tail, head)
+    del tail, head, opposite   # the gathers above set the memory peak
+    # np.linalg.norm(row_cross(e1, e2), axis=1), squared in place
+    squares = row_cross(e1, e2)
+    squares *= squares
+    cross = np.sqrt(squares.sum(axis=1))
+    del squares
     with np.errstate(divide="ignore", invalid="ignore"):
         cot = np.einsum("ij,ij->i", e1, e2) / cross
     if not np.all(np.isfinite(cot)):

@@ -5,6 +5,7 @@ first eigenvalue) are session-scoped so the whole suite pays for them once.
 """
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,16 @@ def jittered(surface, subdivision: int, seed: int) -> Mesh:
     moved = dirs + 0.45 * edge * rng.uniform(size=(len(dirs), 1)) * step
     moved /= np.linalg.norm(moved, axis=1, keepdims=True)
     return Mesh(surface_point(surface, moved), faces)
+
+
+def alloc_peak(fn) -> int:
+    """The tracemalloc peak, in bytes, of what `fn()` allocates."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(autouse=True)

@@ -596,22 +596,22 @@ def test_analyze_csv_rows_match_geometry(tmp_path):
 
 
 def test_analyze_csv_bytes_on_two_processes(tmp_path, sphere4, forked):
-    # 2,562 rows span more than one default block: a forked child formats
-    # rows 1281-2561
+    # 2,562 rows span more than one default block: a forked child fits and
+    # then another formats rows 1281-2561
     mesh_path = tmp_path / "s4.off"
     save_mesh(sphere4, mesh_path)
     forked.clear()
     table = tmp_path / "table.csv"
     assert run(["analyze", "--mesh", str(mesh_path), "--out", str(table)]) == 0
-    assert len(forked) == 1
+    assert len(forked) == 2
     expected = "".join(line + "\r\n" for line in table_lines(mesh_path))
     assert table.read_bytes() == expected.encode("ascii")
 
 
 def test_analyze_child_failure_exits_2(tmp_path, sphere4, capsys, monkeypatch, forked,
                                        failing_column):
-    # only the child fails: it dies on the H2 cell of row 2048 (the child
-    # formats rows 1281-2561 of 2,562)
+    # only the table's child fails: it dies on the H2 cell of row 2048 (the
+    # child formats rows 1281-2561 of 2,562)
     import umbilic.cli as cli
 
     write_rows = cli.write_rows
@@ -633,7 +633,7 @@ def test_analyze_child_failure_exits_2(tmp_path, sphere4, capsys, monkeypatch, f
     assert error["stage"] == "analyze"
     assert "exited with status 1" in error["message"]
     assert not table.exists() and not summary.exists()
-    assert len(forked) == 1
+    assert len(forked) == 2   # the fit's child, then the table's
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import umbilic.mesh as mesh_module
 from umbilic import diffgeo
 from umbilic.diffgeo import (
     convexity_status,
@@ -21,7 +22,7 @@ from umbilic.surfgen import (
     oracle_curvatures_at_vertices,
 )
 
-from conftest import jittered
+from conftest import alloc_peak, jittered
 
 
 def subdivided_tetrahedron(levels=3) -> Mesh:
@@ -340,12 +341,13 @@ def in_child(action):
     return fit
 
 
-def test_two_process_fit_matches_one_process(perturbed4, geom_perturbed4, monkeypatch,
-                                             forked):
-    # the reference ran at the default block, which holds all 2,562 vertices
-    assert perturbed4.n_vertices <= diffgeo.FIT_BLOCK
+def test_two_process_fit_matches_one_process(perturbed4, monkeypatch, forked):
+    # one block that holds all 2,562 vertices fits in this process alone
+    monkeypatch.setattr(diffgeo, "FIT_BLOCK", perturbed4.n_vertices)
+    reference = estimate_geometry(perturbed4)
+    assert not forked
     monkeypatch.setattr(diffgeo, "FIT_BLOCK", 1000)
-    assert_geometry_identical(estimate_geometry(perturbed4), geom_perturbed4)
+    assert_geometry_identical(estimate_geometry(perturbed4), reference)
     assert len(forked) == 1
 
 
@@ -393,8 +395,17 @@ def test_off_centre_split_still_fits():
     assert np.all(np.isfinite(geo.H))
 
 
+def test_one_process_fit_memory_bounded(sphere5, monkeypatch):
+    # about 7.8 MB at s5 with 1024-vertex blocks, each split into the
+    # curvature mean and half-gap at once, against 22.8 MB with 4096-vertex
+    # blocks and the Weingarten arrays of the whole mesh
+    monkeypatch.setattr(mesh_module, "_in_child", True)   # every block here
+    sphere5.one_ring_matrix, sphere5.face_areas   # cached, as after validation
+    assert alloc_peak(lambda: estimate_geometry(sphere5)) < 12 * 2**20
+
+
 def test_fit_memory_bounded():
-    # the bound sits between a block-wise fit (about 29 MiB) and one that
+    # the bound sits between a block-wise fit (about 15 MiB) and one that
     # pads every vertex at once (about 201 MiB)
     mesh = generate(PerturbedSphere(1.0, 0.01, 2, 0), 6)
     mesh.one_ring_matrix

@@ -16,7 +16,7 @@ from umbilic.spectral import (
 )
 from umbilic.surfgen import Ellipsoid, PerturbedSphere, generate
 
-from conftest import jittered
+from conftest import alloc_peak, jittered
 
 
 def test_stiffness_row_sums_zero(tetra):
@@ -70,6 +70,8 @@ def test_assembly_matches_reference(sphere3, torus, tetra, ellipsoid4):
         "torus": torus,
         "tetra": load_mesh(tetra),
         "ellipsoid4": ellipsoid4,
+        "jittered": jittered(PerturbedSphere(1.0, 0.01, 2, 0), 3, seed=1),
+        "ellipsoid311": generate(Ellipsoid(3.0, 1.0, 1.0), 3),
     }
     def same_bits(a, b):
         return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -81,6 +83,13 @@ def test_assembly_matches_reference(sphere3, torus, tetra, ellipsoid4):
             assert same_bits(getattr(S, part), getattr(stiffness, part)), (name, part)
         assert same_bits(mesh.vertex_areas, areas), name
         assert same_bits(vertex_normals(mesh), normals), name
+
+
+def test_build_laplace_memory_bounded(sphere5):
+    # the half-edge gathers set the peak, about 290 B a face; np.cross's
+    # input copies and np.linalg.norm's squared (3F, 3) array made it 384
+    sphere5.euler_characteristic   # the edge table is cached, as after validation
+    assert alloc_peak(lambda: build_laplace(sphere5)) < 320 * sphere5.n_faces
 
 
 def test_mass_trace_is_area(sphere4):
